@@ -458,10 +458,10 @@ def _load_config(path) -> dict[str, str]:
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     if "--config" not in argv:
         return
-    path = argv[argv.index("--config") + 1]
-    config = _load_config(path)
-    if not argv:
-        return
+    at = argv.index("--config") + 1
+    if at == len(argv):
+        raise HyperwaveError("--config needs a file path")
+    config = _load_config(argv[at])
     sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not sub_actions or argv[0] not in sub_actions[0].choices:
         return

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientPoints
-from .seqnorms import NormParams, besov_hybrid_norm, sobolev_norm_hyper
-from .tensorbasis import HYPERBOLIC, CoeffVector, HyperIndex, IsoIndex
+from .seqnorms import NormParams, besov_hybrid_norm
+from .tensorbasis import HYPERBOLIC, CoeffVector, rescale
 
 __all__ = [
     "NTermResult",
@@ -23,13 +23,6 @@ __all__ = [
     "fit_rate",
     "jackson_bernstein_ratios",
 ]
-
-
-def _index_key(u: CoeffVector, i: int):
-    pos = tuple(int(x) for x in u.positions[i])
-    if u.system == HYPERBOLIC:
-        return HyperIndex(tuple(int(x) for x in u.levels[i]), pos)
-    return IsoIndex(int(u.levels[i]), tuple(int(x) for x in u.etypes[i]), pos)
 
 
 @dataclass(frozen=True)
@@ -77,7 +70,7 @@ def error_curve(u: CoeffVector, q: float, n_list) -> NTermResult:
     total = u.num_entries
     errors = {n: float(tail[min(n, total)]) for n in n_list}
     n_sup = min(max(n_list, default=0), total)
-    support = tuple(_index_key(u, i) for i in order[:n_sup])
+    support = u.index_keys(order[:n_sup])
     return NTermResult(support=support, errors=errors, q=q)
 
 
@@ -107,15 +100,6 @@ def fit_rate(curve: NTermResult, n_min: int, n_max: int) -> float:
     return float(-slope)
 
 
-def _nested_truncation(u: CoeffVector, order: np.ndarray, n: int) -> CoeffVector:
-    keep = order[:n]
-    et = u.etypes[keep] if u.etypes is not None else None
-    return CoeffVector(
-        u.system, u.n, u.p_norm, u.max_level, u.basis,
-        u.levels[keep], u.positions[keep], u.values[keep], etypes=et,
-    )
-
-
 def jackson_bernstein_ratios(u: CoeffVector, q: float, r: float) -> tuple[float, float]:
     """Empirical constants of the direct and inverse estimates.
 
@@ -125,25 +109,24 @@ def jackson_bernstein_ratios(u: CoeffVector, q: float, r: float) -> tuple[float,
     same Besov norm against N^r times the H^q quantity of u_N.  The
     truncation family is a necessary-condition check: the inverse estimate
     quantifies over all N-term vectors.
+
+    Both ratios come from one sort, in O(N log N): with p = tau the Besov
+    norm of u_N is the tau-th root of a prefix sum of
+    (2^{q |j|_inf + r |j|_1} |u^{(tau)}|)^tau in greedy order, and the H^q
+    quantity the square root of a prefix sum of (2^{q |j|_inf} |u^{(2)}|)^2.
     """
     tau = 1.0 / (r + 0.5)
-    params = NormParams(q=q, s=r, p=tau, tau=tau)
-    denom = besov_hybrid_norm(u, params)
+    denom = besov_hybrid_norm(u, NormParams(q=q, s=r, p=tau, tau=tau))
     if denom == 0.0:
         raise ZeroDivisionError("Jackson ratio undefined for the zero vector")
-    total = u.num_entries
     w, order = _weights_and_order(u, q)
-    tail = _tail_errors(w[order])
-    jackson = max(
-        max(n, 1) ** r * float(tail[n]) / denom for n in range(total + 1)
-    )
-    bernstein = 0.0
-    for n in range(1, total + 1):
-        u_n = _nested_truncation(u, order, n)
-        h_norm = sobolev_norm_hyper(u_n, q)
-        if h_norm == 0.0:
-            raise ZeroDivisionError("Bernstein ratio undefined: truncation vanishes")
-        bernstein = max(
-            bernstein, besov_hybrid_norm(u_n, params) / (n ** r * h_norm)
-        )
-    return jackson, bernstein
+    n = np.arange(u.num_entries + 1)
+    jackson = float(np.max(np.maximum(n, 1) ** r * _tail_errors(w[order]) / denom))
+    linf, l1 = u.level_linf()[order], u.level_l1()[order]
+    u_tau = np.abs(rescale(u, tau).values[order])
+    u_two = np.abs(rescale(u, 2.0).values[order])
+    besov = np.cumsum((2.0 ** (q * linf + r * l1) * u_tau) ** tau) ** (1.0 / tau)
+    h_norm = np.sqrt(np.cumsum((2.0 ** (q * linf) * u_two) ** 2))
+    if not h_norm.all():
+        raise ZeroDivisionError("Bernstein ratio undefined: truncation vanishes")
+    return jackson, float(np.max(besov / (n[1:] ** r * h_norm)))

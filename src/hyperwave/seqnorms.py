@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidExponent, WrongSystem
+from .errors import DimensionMismatch, InvalidExponent, WrongSystem
 from .tensorbasis import HYPERBOLIC, ISOTROPIC, CoeffVector, rescale
 
 __all__ = [
@@ -84,8 +84,16 @@ def besov_hybrid_norm(u: CoeffVector, params: NormParams) -> float:
     if u.num_entries == 0:
         return 0.0
     up = rescale(u, params.p)
-    blocks, group = np.unique(u.levels, axis=0, return_inverse=True)
-    inner = _block_norm(up.values, group, len(blocks), params.p)
+    # One integer code per level vector, its digits the levels offset by the
+    # smallest one: ascending codes are the lexicographic order of the blocks.
+    lo = int(u.levels.min())
+    base = int(u.max_level) - lo + 1
+    if base ** u.n > np.iinfo(np.int64).max:
+        raise DimensionMismatch(f"levels {lo}..{u.max_level} span too many blocks to index")
+    place = base ** np.arange(u.n - 1, -1, -1)
+    codes, group = np.unique((u.levels - lo) @ place, return_inverse=True)
+    blocks = codes[:, None] // place % base + lo
+    inner = _block_norm(up.values, group, len(codes), params.p)
     linf = blocks.max(axis=1)
     l1 = blocks.sum(axis=1)
     weighted = 2.0 ** (params.q * linf + params.s * l1) * inner

@@ -130,18 +130,17 @@ class CoeffVector:
             keys += [self.levels]
         return np.lexsort(keys)
 
+    def index_keys(self, rows=slice(None)) -> tuple:
+        """HyperIndex / IsoIndex keys, holding Python ints, of the given entries."""
+        pos = map(tuple, self.positions[rows].tolist())
+        if self.system == HYPERBOLIC:
+            return tuple(map(HyperIndex, map(tuple, self.levels[rows].tolist()), pos))
+        etypes = map(tuple, self.etypes[rows].tolist())
+        return tuple(map(IsoIndex, self.levels[rows].tolist(), etypes, pos))
+
     def as_dict(self) -> dict:
         """Mapping from index tuples to values (HyperIndex / IsoIndex keys)."""
-        out = {}
-        for i in range(self.num_entries):
-            pos = tuple(int(x) for x in self.positions[i])
-            if self.system == HYPERBOLIC:
-                key = HyperIndex(tuple(int(x) for x in self.levels[i]), pos)
-            else:
-                key = IsoIndex(int(self.levels[i]),
-                               tuple(int(x) for x in self.etypes[i]), pos)
-            out[key] = float(self.values[i])
-        return out
+        return dict(zip(self.index_keys(), self.values.tolist()))
 
     def with_values(self, values: np.ndarray) -> "CoeffVector":
         return replace(self, values=np.asarray(values, dtype=np.float64))
@@ -313,8 +312,6 @@ def hyper_from_iso(spec: BasisSpec, v: CoeffVector) -> CoeffVector:
     blocks = _gather_iso_blocks(spec, v)
     for (m, e), block in blocks.items():
         if e == (0, 0):
-            if m != spec.j0:
-                raise DimensionMismatch("type (0,0) only exists at the coarsest level")
             arr[:d0, :d0] = block
             continue
         lo, hi = spec.block_slice(m)
@@ -345,13 +342,25 @@ def _gather_iso_blocks(spec: BasisSpec, v: CoeffVector) -> dict:
     blocks: dict[tuple[int, tuple[int, int]], np.ndarray] = {}
     if not v.num_entries:
         return blocks
+    if not np.isin(v.etypes, (0, 1)).all():
+        raise DimensionMismatch("isotropic type vectors must lie in {0,1}^n")
     code = v.levels * 4 + v.etypes[:, 0] * 2 + v.etypes[:, 1]
     for c in np.unique(code):
         sel = code == c
         m = int(c) // 4
         e = ((int(c) // 2) % 2, int(c) % 2)
-        block = np.zeros(_iso_block_shape(spec, m, e))
-        block[v.positions[sel, 0], v.positions[sel, 1]] = v.values[sel]
+        if e == (0, 0) and m != spec.j0:
+            raise DimensionMismatch("type (0,0) only exists at the coarsest level")
+        shape = _iso_block_shape(spec, m, e)
+        k = v.positions[sel]
+        bad = ((k < 0) | (k >= shape)).any(axis=1)
+        if bad.any():
+            raise DimensionMismatch(
+                f"position {tuple(k[bad][0].tolist())} out of range for level {m} "
+                f"type {e} block of shape {shape}"
+            )
+        block = np.zeros(shape)
+        block[k[:, 0], k[:, 1]] = v.values[sel]
         blocks[(m, e)] = block
     return blocks
 
@@ -444,27 +453,32 @@ def load_coeffs(path) -> CoeffVector:
     if not lines or not lines[0].startswith("hyperwave-coeffs v1 "):
         raise DimensionMismatch("not a hyperwave coefficient file")
     head = lines[0].split()
-    system = head[2]
-    fields = dict(part.split("=", 1) for part in head[3:])
-    n = int(fields["n"])
-    p = float(fields["p"])
-    basis = fields["basis"]
-    mmax = int(fields["jmax"])
+    try:
+        system = head[2]
+        fields = dict(part.split("=", 1) for part in head[3:])
+        n = int(fields["n"])
+        p = float(fields["p"])
+        basis = fields["basis"]
+        mmax = int(fields["jmax"])
+    except (IndexError, KeyError, ValueError):
+        raise DimensionMismatch(f"malformed coefficient header: {lines[0]!r}") from None
+    width = 2 * n + (1 if system == HYPERBOLIC else 2)
     levels, etypes, positions, values = [], [], [], []
     for ln in lines[1:]:
         parts = ln.split()
+        if len(parts) != width:
+            raise DimensionMismatch(f"malformed coefficient line: {ln!r}")
+        try:
+            ints = [int(x) for x in parts[:-1]]
+            values.append(float(parts[-1]))
+        except ValueError:
+            raise DimensionMismatch(f"malformed coefficient line: {ln!r}") from None
         if system == HYPERBOLIC:
-            if len(parts) != 2 * n + 1:
-                raise DimensionMismatch(f"malformed coefficient line: {ln!r}")
-            levels.append([int(x) for x in parts[:n]])
-            positions.append([int(x) for x in parts[n:2 * n]])
+            levels.append(ints[:n])
         else:
-            if len(parts) != 2 * n + 2:
-                raise DimensionMismatch(f"malformed coefficient line: {ln!r}")
-            levels.append(int(parts[0]))
-            etypes.append([int(x) for x in parts[1:n + 1]])
-            positions.append([int(x) for x in parts[n + 1:2 * n + 1]])
-        values.append(float(parts[-1]))
+            levels.append(ints[0])
+            etypes.append(ints[1:n + 1])
+        positions.append(ints[-n:])
     if not values:
         return _empty_like(system, n, p, mmax, basis)
     lv = np.asarray(levels, dtype=np.int64)

@@ -122,6 +122,20 @@ class TestNtermCommand:
         assert lines[0] == "N,E_N,q,r,tau,basis,n,seed"
         assert len(lines) == 4  # N = 1, 2, 4
 
+    @pytest.mark.parametrize("text", [
+        "hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar\n1 1 0 0 1\n",
+        "hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar jmax=3\n1 1 0 0 abc\n",
+    ], ids=["no-jmax", "value-not-float"])
+    def test_unparsable_coeff_file_exits_3(self, tmp_path, text):
+        path = tmp_path / "bad.coeffs"
+        path.write_text(text)
+        r = run_cli("nterm", "--coeffs", path, "--nmin", 1, "--nmax", 2,
+                    "--out", tmp_path / "c.csv")
+        assert r.returncode == 3
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: malformed coefficient")
+        assert len(r.stderr.splitlines()) == 1
+
     def test_mismatched_basis_header_exits_3(self, tmp_path):
         u = make_hyper({((1, 1), (0, 0)): 1.0}, 2, 2, basis="otherbasis")
         path = tmp_path / "u.coeffs"
@@ -228,6 +242,11 @@ class TestConfigFile:
         r = run_cli("compare", "--config", cfg, "--jmax", 5, "--out", out3)
         assert r.returncode == 0
         assert out3.read_bytes() != out1.read_bytes()
+
+    def test_config_without_path_exits_3(self, tmp_path):
+        r = run_cli("compare", "--out", tmp_path / "c.csv", "--config")
+        assert r.returncode == 3
+        assert r.stderr == "error: --config needs a file path\n"
 
     def test_malformed_config_exits_3(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -21,7 +21,7 @@ from hyperwave import (
     save_coeffs,
 )
 from hyperwave.tensorbasis import _to_multiscale_array
-from conftest import make_hyper, random_hyper
+from conftest import make_hyper, make_iso, random_hyper
 
 
 def coeff_dicts_close(a, b, tol=1e-12):
@@ -179,6 +179,20 @@ class TestChangeOfBasis:
         assert np.abs(hyper_inverse(haar_j2, u2) - a).max() <= 1e-12
         assert np.abs(iso_synthesize(haar_j2, v) - hyper_inverse(haar_j2, u)).max() <= 1e-10
 
+    @pytest.mark.parametrize("entry", [
+        (2, (1, 1), (-1, 0)),   # numpy would wrap it onto (1, 0)
+        (2, (1, 1), (2, 0)),    # level-2 wavelet blocks are 2 x 2
+        (2, (0, 1), (2, 0)),    # the scaling axis has |Delta_1| = 2 rows
+        (2, (0, 2), (0, 0)),    # type entries lie in {0, 1}
+        (2, (0, 0), (0, 0)),    # type (0, 0) lives at the coarsest level only
+    ])
+    def test_out_of_range_isotropic_index_rejected(self, haar, entry):
+        v = make_iso({entry: 1.0}, 2, 3)
+        with pytest.raises(DimensionMismatch):
+            hyper_from_iso(haar, v)
+        with pytest.raises(DimensionMismatch):
+            iso_synthesize(haar, v)
+
     def test_isotropic_l2_isometry_for_orthonormal_basis(self, haar):
         # The per-block factors are orthogonal for Haar, so the change of
         # basis preserves the l2 norm exactly.
@@ -253,6 +267,22 @@ class TestCoeffFiles:
         path = tmp_path / "bad.coeffs"
         path.write_text("something else\n")
         with pytest.raises(DimensionMismatch):
+            load_coeffs(path)
+
+    @pytest.mark.parametrize("text", [
+        "hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar\n1 1 0 0 1\n",
+        "hyperwave-coeffs v1 hyperbolic n=two p=2 basis=haar jmax=3\n",
+        "hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar jmax 3\n",
+        "hyperwave-coeffs v1  \n",
+        "hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar jmax=3\n1 1 0 x 1\n",
+        "hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar jmax=3\n1 1 0 0 one\n",
+        "hyperwave-coeffs v1 isotropic n=2 p=2 basis=haar jmax=3\n1 1.5 1 0 0 1\n",
+    ], ids=["no-jmax", "n-not-int", "field-without-equals", "no-system",
+            "position-not-int", "value-not-float", "type-not-int"])
+    def test_unparsable_fields_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.coeffs"
+        path.write_text(text)
+        with pytest.raises(DimensionMismatch, match="malformed coefficient"):
             load_coeffs(path)
 
     def test_duplicate_indices_rejected(self, tmp_path):
