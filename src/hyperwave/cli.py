@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,8 +23,9 @@ from .basis1d import (
     make_haar_basis,
     make_mask_basis,
 )
-from .errors import HyperwaveError, UnsupportedDimension
+from .errors import HyperwaveError
 from .tensorbasis import (
+    _fmt,
     hyper_forward,
     hyper_from_iso,
     hyper_inverse,
@@ -38,25 +38,9 @@ from .transform1d import check_entry_decay
 __all__ = ["main", "load_array", "save_array"]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _pool_size() -> int:
-    env = os.environ.get("HYPERWAVE_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def _map_ordered(fn, items):
-    """Run fn over items on the worker pool, results in input order."""
-    items = list(items)
-    workers = _pool_size()
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """fn over items, in order; bench/spans.py rebinds this to trace sweeps."""
+    return [fn(it) for it in items]
 
 
 # ---------------------------------------------------------------------------
@@ -65,11 +49,13 @@ def _map_ordered(fn, items):
 # ---------------------------------------------------------------------------
 
 
+def _grid_level(size: int) -> int:
+    return int(np.log2(size)) if size > 1 else 0
+
+
 def save_array(arr: np.ndarray, path) -> None:
     arr = np.asarray(arr, dtype=np.float64)
-    n = arr.ndim
-    m = int(np.log2(arr.shape[0])) if arr.shape[0] > 1 else 0
-    lines = [f"hyperwave-array v1 n={n} m={m}"]
+    lines = [f"hyperwave-array v1 n={arr.ndim} m={_grid_level(arr.shape[0])}"]
     lines.extend(_fmt(v) for v in arr.reshape(-1))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -83,12 +69,17 @@ def load_array(path) -> np.ndarray:
     head = lines[0].split()
     if head[:2] != ["hyperwave-array", "v1"]:
         raise OSError(f"not a hyperwave array file: {path}")
-    fields = dict(part.split("=", 1) for part in head[2:])
-    n = int(fields["n"])
-    values = np.array([float(x) for x in lines[1:]])
+    try:
+        fields = dict(part.split("=", 1) for part in head[2:])
+        n, m = int(fields["n"]), int(fields["m"])
+        values = np.array([float(x) for x in lines[1:]])
+    except (KeyError, ValueError):
+        raise HyperwaveError(f"malformed array file {path}: {lines[0]!r}") from None
     size = round(len(values) ** (1.0 / n))
     if size ** n != len(values):
         raise HyperwaveError(f"array file holds {len(values)} values, not a {n}-cube")
+    if m != _grid_level(size):
+        raise HyperwaveError(f"array file {path} declares m={m} for extent {size}")
     return values.reshape((size,) * n)
 
 
@@ -148,10 +139,6 @@ def cmd_transform(args) -> int:
             raise HyperwaveError("forward transform needs --input or --generate")
         u = hyper_forward(spec, data.ndim, data)
         if args.system == "iso":
-            if data.ndim != 2:
-                raise UnsupportedDimension(
-                    "isotropic output requires n = 2, got n = %d" % data.ndim
-                )
             u = iso_from_hyper(spec, u)
         save_coeffs(u, args.out)
     else:
@@ -164,8 +151,6 @@ def cmd_transform(args) -> int:
                 f"coefficient file basis {cv.basis!r} does not match --basis {spec.name!r}"
             )
         if cv.system == "isotropic":
-            if cv.n != 2:
-                raise UnsupportedDimension("isotropic input requires n = 2")
             cv = hyper_from_iso(spec, cv)
         save_array(hyper_inverse(spec, cv), args.out)
     return 0
@@ -193,12 +178,10 @@ def cmd_nterm(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.n != 2:
-        raise UnsupportedDimension("compare needs the isotropic system, so n = 2")
     spec = _make_basis(args.basis)
     params = {"beta": args.beta, "q": args.q, "r": args.r, "seed": args.seed}
     data = testfunctions.sample_function(args.kind, params, args.n, args.jmax)
-    u = hyper_forward(spec, 2, data)
+    u = hyper_forward(spec, args.n, data)
     v = iso_from_hyper(spec, u)
     grid = _n_grid(args.nmin, args.nmax)
     curve_h = nterm.error_curve(u, args.q, grid)
@@ -456,12 +439,15 @@ def _load_config(path) -> dict[str, str]:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    if "--config" not in argv:
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        raise HyperwaveError("--config needs a file path") from None
+    if path is None:
         return
-    at = argv.index("--config") + 1
-    if at == len(argv):
-        raise HyperwaveError("--config needs a file path")
-    config = _load_config(argv[at])
+    config = _load_config(path)
     sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not sub_actions or argv[0] not in sub_actions[0].choices:
         return

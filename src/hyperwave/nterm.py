@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InsufficientPoints
 from .seqnorms import NormParams, besov_hybrid_norm
-from .tensorbasis import HYPERBOLIC, CoeffVector, rescale
+from .tensorbasis import CoeffVector, rescale
 
 __all__ = [
     "NTermResult",
@@ -42,14 +42,7 @@ class NTermResult:
 def _weights_and_order(u: CoeffVector, q: float) -> tuple[np.ndarray, np.ndarray]:
     """H^q moduli 2^{q level_inf} |u| and their descending sort order."""
     w = 2.0 ** (q * u.level_linf()) * np.abs(u.values)
-    keys = [u.positions[:, i] for i in range(u.n - 1, -1, -1)]
-    if u.system == HYPERBOLIC:
-        keys += [u.levels[:, i] for i in range(u.n - 1, -1, -1)]
-    else:
-        keys += [u.etypes[:, i] for i in range(u.n - 1, -1, -1)]
-        keys += [u.levels]
-    keys.append(-w)
-    return w, np.lexsort(keys)
+    return w, np.lexsort(u._sort_keys() + [-w])
 
 
 def _tail_errors(w_sorted: np.ndarray) -> np.ndarray:

@@ -3,12 +3,13 @@
 Two index systems coexist: hyperbolic (tensor-product) coefficients keyed
 by one level per axis, and isotropic coefficients keyed by a single level
 plus a binary type vector.  Coefficients are held in columnar sparse form;
-the change of basis between the systems is implemented for n = 2 through
-the univariate transforms applied along the coarse axis of each block.
+the change of basis between the systems applies, for every n, the
+univariate transforms along the scaling axes (e_i = 0) of each type block.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -21,7 +22,7 @@ from .errors import (
     UnsupportedDimension,
     WrongSystem,
 )
-from .transform1d import _analyze_array, _synthesize_array
+from .transform1d import _analyze_array, _apply_axis, _level_maps, _synthesize_array
 
 __all__ = [
     "HYPERBOLIC",
@@ -111,7 +112,7 @@ class CoeffVector:
 
     def canonical_order(self) -> "CoeffVector":
         """Entries sorted lexicographically by index; the file-format order."""
-        order = self._sort_order()
+        order = np.lexsort(self._sort_keys())
         et = self.etypes[order] if self.etypes is not None else None
         return replace(
             self,
@@ -121,14 +122,15 @@ class CoeffVector:
             etypes=et,
         )
 
-    def _sort_order(self) -> np.ndarray:
+    def _sort_keys(self) -> list[np.ndarray]:
+        """``np.lexsort`` keys of the index order, least significant first."""
         keys = [self.positions[:, i] for i in range(self.n - 1, -1, -1)]
         if self.system == HYPERBOLIC:
             keys += [self.levels[:, i] for i in range(self.n - 1, -1, -1)]
         else:
             keys += [self.etypes[:, i] for i in range(self.n - 1, -1, -1)]
             keys += [self.levels]
-        return np.lexsort(keys)
+        return keys
 
     def index_keys(self, rows=slice(None)) -> tuple:
         """HyperIndex / IsoIndex keys, holding Python ints, of the given entries."""
@@ -156,31 +158,12 @@ def _empty_like(system, n, p, max_level, basis):
                        np.zeros(0), etypes=np.zeros((0, n), np.int8))
 
 
-def _level_maps(spec: BasisSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per multiscale position: its level and its within-block position."""
-    size = spec.delta_size(m)
-    lvl = np.empty(size, dtype=np.int64)
-    pos = np.empty(size, dtype=np.int64)
-    for j in range(spec.j0, m + 1):
-        lo, hi = spec.block_slice(j)
-        lvl[lo:hi] = j
-        pos[lo:hi] = np.arange(hi - lo)
-    return lvl, pos
-
-
 def _block_offsets(spec: BasisSpec, m: int) -> np.ndarray:
     """Offset of each level block in the multiscale ordering, indexed by level."""
     off = np.zeros(m + 1, dtype=np.int64)
     for j in range(spec.j0, m + 1):
         off[j] = spec.block_slice(j)[0]
     return off
-
-
-def _apply_axis(func, spec: BasisSpec, arr: np.ndarray, axis: int, m: int) -> np.ndarray:
-    moved = np.moveaxis(np.asarray(arr, dtype=np.float64), axis, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    res = func(spec, flat, m).reshape(moved.shape)
-    return np.moveaxis(res, 0, axis)
 
 
 def hyper_forward(spec: BasisSpec, n: int, data: np.ndarray) -> CoeffVector:
@@ -199,7 +182,7 @@ def hyper_forward(spec: BasisSpec, n: int, data: np.ndarray) -> CoeffVector:
         raise DimensionMismatch(f"data must be cubic, got shape {data.shape}")
     out = data
     for axis in range(n):
-        out = _apply_axis(_analyze_array, spec, out, axis, m)
+        out = _apply_axis(lambda a: _analyze_array(spec, a, m), out, axis)
     return _from_multiscale_array(spec, out, n, m)
 
 
@@ -247,111 +230,96 @@ def hyper_inverse(spec: BasisSpec, coeffs: CoeffVector) -> np.ndarray:
     arr = _to_multiscale_array(spec, coeffs)
     m = coeffs.max_level
     for axis in range(coeffs.n):
-        arr = _apply_axis(_synthesize_array, spec, arr, axis, m)
+        arr = _apply_axis(lambda a: _synthesize_array(spec, a, m), arr, axis)
     return arr
 
 
-def _require_bivariate(cv: CoeffVector, system: str) -> None:
+def _require_l2(cv: CoeffVector, system: str) -> None:
     if cv.system != system:
         raise WrongSystem(f"expected {system} coefficients, got {cv.system}")
-    if cv.n != 2:
-        raise UnsupportedDimension(
-            f"change of basis is implemented for n = 2, got n = {cv.n}"
-        )
     if cv.p_norm != 2.0:
         raise InvalidExponent("change of basis expects L2-normalized coefficients")
+
+
+def _iso_block_slices(spec: BasisSpec, m: int, e: tuple[int, ...]) -> tuple[slice, ...]:
+    """Multiscale slices of the level-m type-e block: the level-m wavelet
+    range on the axes with e_i = 1 and the level-(m-1) scaling range on
+    those with e_i = 0.  Type 0 is the coarse block of level j0."""
+    lo, hi = spec.block_slice(m)
+    return tuple(slice(lo, hi) if ei or not any(e) else slice(0, lo) for ei in e)
+
+
+def _on_scaling_axes(cascade, spec: BasisSpec, block: np.ndarray, m: int, e) -> np.ndarray:
+    """Apply the univariate ``cascade`` at level m - 1 along the axes with
+    e_i = 0 of a level-m block; a type-0 block passes unchanged."""
+    for axis, ei in enumerate(e):
+        if any(e) and not ei:
+            block = _apply_axis(lambda a: cascade(spec, a, m - 1), block, axis)
+    return block
 
 
 def iso_from_hyper(spec: BasisSpec, u: CoeffVector) -> CoeffVector:
     """Isotropic coefficients of the function represented by hyperbolic ones.
 
-    Blockwise for each level m: the diagonal block (m, m) is copied to type
-    (1,1); the stacked blocks with one axis coarser than m are mapped by the
-    univariate synthesis T_{m-1} acting along that axis, turning multiscale
-    positions into level-(m-1) scaling positions.
+    Blockwise for each level m and type e in {0,1}^n \\ {0}, in
+    ``itertools.product`` order: the block keeps the level-m wavelet
+    positions on the axes with e_i = 1, and the univariate synthesis
+    T_{m-1} turns the multiscale positions coarser than m on the other
+    axes into level-(m-1) scaling positions.  The coarse block at j0 is
+    copied to type 0.
     """
-    _require_bivariate(u, HYPERBOLIC)
-    mmax = u.max_level
+    _require_l2(u, HYPERBOLIC)
+    n, mmax = u.n, u.max_level
     arr = _to_multiscale_array(spec, u)
-    d0 = spec.delta_size(spec.j0)
-    out_levels, out_etypes, out_pos, out_vals = [], [], [], []
-
-    def emit(m, e, block):
-        k1, k2 = np.nonzero(block)
-        if k1.size:
-            out_levels.append(np.full(k1.size, m, dtype=np.int64))
-            out_etypes.append(np.tile(np.array(e, dtype=np.int8), (k1.size, 1)))
-            out_pos.append(np.stack([k1, k2], axis=1))
-            out_vals.append(block[k1, k2])
-
-    emit(spec.j0, (0, 0), arr[:d0, :d0])
-    for m in range(spec.j0 + 1, mmax + 1):
-        lo, hi = spec.block_slice(m)
-        emit(m, (0, 1), _synthesize_array(spec, arr[:lo, lo:hi], m - 1))
-        emit(m, (1, 0), _synthesize_array(spec, arr[lo:hi, :lo].T, m - 1).T)
-        emit(m, (1, 1), arr[lo:hi, lo:hi])
-
-    if out_vals:
-        return CoeffVector(
-            ISOTROPIC, 2, 2.0, mmax, u.basis,
-            np.concatenate(out_levels), np.concatenate(out_pos),
-            np.concatenate(out_vals), etypes=np.concatenate(out_etypes),
-        )
-    return _empty_like(ISOTROPIC, 2, 2.0, mmax, u.basis)
+    types = [e for e in itertools.product((0, 1), repeat=n) if any(e)]
+    blocks = [(spec.j0, (0,) * n), *itertools.product(range(spec.j0 + 1, mmax + 1), types)]
+    parts = []
+    for m, e in blocks:
+        block = arr[_iso_block_slices(spec, m, e)]
+        block = _on_scaling_axes(_synthesize_array, spec, block, m, e)
+        k = np.nonzero(block)
+        size = k[0].size
+        parts.append((np.full(size, m, dtype=np.int64),
+                      np.tile(np.array(e, dtype=np.int8), (size, 1)),
+                      np.stack(k, axis=1), block[k]))
+    levels, etypes, positions, values = (np.concatenate(col) for col in zip(*parts))
+    return CoeffVector(ISOTROPIC, n, 2.0, mmax, u.basis, levels, positions, values,
+                       etypes=etypes)
 
 
 def hyper_from_iso(spec: BasisSpec, v: CoeffVector) -> CoeffVector:
-    """Inverse change of basis: dual analysis Tdual_{m-1}^T along the coarse
-    axis of each off-diagonal type block."""
-    _require_bivariate(v, ISOTROPIC)
-    mmax = v.max_level
-    size = spec.delta_size(mmax)
-    arr = np.zeros((size, size))
-    d0 = spec.delta_size(spec.j0)
-
-    blocks = _gather_iso_blocks(spec, v)
-    for (m, e), block in blocks.items():
-        if e == (0, 0):
-            arr[:d0, :d0] = block
-            continue
-        lo, hi = spec.block_slice(m)
-        if e == (1, 1):
-            arr[lo:hi, lo:hi] = block
-        elif e == (0, 1):
-            arr[:lo, lo:hi] = _analyze_array(spec, block, m - 1)
-        elif e == (1, 0):
-            arr[lo:hi, :lo] = _analyze_array(spec, block.T, m - 1).T
-        else:
-            raise DimensionMismatch(f"invalid type vector {e}")
-    return _from_multiscale_array(spec, arr, 2, mmax)
-
-
-def _iso_block_shape(spec: BasisSpec, m: int, e: tuple[int, int]) -> tuple[int, int]:
-    if e == (0, 0):
-        d0 = spec.delta_size(spec.j0)
-        return d0, d0
-
-    def axis_dim(ei):
-        return spec.nabla_size(m) if ei else spec.delta_size(m - 1)
-
-    return axis_dim(e[0]), axis_dim(e[1])
+    """Inverse change of basis: the dual analysis Tdual_{m-1}^T along the
+    axes with e_i = 0 of each type block."""
+    _require_l2(v, ISOTROPIC)
+    size = spec.delta_size(v.max_level)
+    arr = np.zeros((size,) * v.n)
+    for (m, e), block in _gather_iso_blocks(spec, v).items():
+        block = _on_scaling_axes(_analyze_array, spec, block, m, e)
+        arr[_iso_block_slices(spec, m, e)] = block
+    return _from_multiscale_array(spec, arr, v.n, v.max_level)
 
 
 def _gather_iso_blocks(spec: BasisSpec, v: CoeffVector) -> dict:
-    """Dense per-(m, e) blocks from the sparse isotropic entries."""
-    blocks: dict[tuple[int, tuple[int, int]], np.ndarray] = {}
+    """Dense per-(m, e) blocks from the sparse isotropic entries, ordered by
+    the block code m 2^n + e . 2^[n-1..0]."""
+    blocks: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
     if not v.num_entries:
         return blocks
     if not np.isin(v.etypes, (0, 1)).all():
         raise DimensionMismatch("isotropic type vectors must lie in {0,1}^n")
-    code = v.levels * 4 + v.etypes[:, 0] * 2 + v.etypes[:, 1]
+    n = v.n
+    code = v.levels * 2 ** n + v.etypes @ 2 ** np.arange(n - 1, -1, -1)
     for c in np.unique(code):
         sel = code == c
-        m = int(c) // 4
-        e = ((int(c) // 2) % 2, int(c) % 2)
-        if e == (0, 0) and m != spec.j0:
-            raise DimensionMismatch("type (0,0) only exists at the coarsest level")
-        shape = _iso_block_shape(spec, m, e)
+        m, bits = divmod(int(c), 2 ** n)
+        e = tuple(map(int, f"{bits:0{n}b}"))
+        if (m <= spec.j0) if any(e) else (m != spec.j0):
+            raise DimensionMismatch(
+                f"no level-{m} block of type {e}: type 0 exists at the coarsest "
+                f"level {spec.j0} only, the other types above it"
+            )
+        slices = _iso_block_slices(spec, m, e)
+        shape = tuple(s.stop - s.start for s in slices)
         k = v.positions[sel]
         bad = ((k < 0) | (k >= shape)).any(axis=1)
         if bad.any():
@@ -360,41 +328,35 @@ def _gather_iso_blocks(spec: BasisSpec, v: CoeffVector) -> dict:
                 f"type {e} block of shape {shape}"
             )
         block = np.zeros(shape)
-        block[k[:, 0], k[:, 1]] = v.values[sel]
+        block[tuple(k.T)] = v.values[sel]
         blocks[(m, e)] = block
     return blocks
 
 
 def iso_synthesize(spec: BasisSpec, v: CoeffVector) -> np.ndarray:
-    """Single-scale array represented by isotropic coefficients (n = 2).
+    """Single-scale array represented by isotropic coefficients.
 
-    Each type block is pushed to level m through the refinement masks and
-    prolonged to the truncation level; this route shares nothing with the
-    change of basis beyond the masks themselves, which makes it the natural
-    cross-check that both sides represent the same function.
+    Each type block is pushed to level m through the refinement masks, M1
+    along the axes with e_i = 1 and M0 along the others, and prolonged to
+    the truncation level by M0 along every axis; this route shares nothing
+    with the change of basis beyond the masks themselves, which makes it
+    the natural cross-check that both sides represent the same function.
     """
-    _require_bivariate(v, ISOTROPIC)
+    _require_l2(v, ISOTROPIC)
     mmax = v.max_level
     size = spec.delta_size(mmax)
-    out = np.zeros((size, size))
-
-    def prolong(block, j_from):
-        cur = block
-        for level in range(j_from + 1, mmax + 1):
-            m0 = spec.masks(level).m0.csr
-            cur = m0 @ cur
-            cur = (m0 @ cur.T).T
-        return cur
-
+    out = np.zeros((size,) * v.n)
     for (m, e), block in _gather_iso_blocks(spec, v).items():
-        if e == (0, 0):
-            out += prolong(block, spec.j0)
-            continue
-        quad = spec.masks(m)
-        f1 = quad.m1.csr if e[0] else quad.m0.csr
-        f2 = quad.m1.csr if e[1] else quad.m0.csr
-        level_m = (f2 @ (f1 @ block).T).T
-        out += prolong(level_m, m)
+        if any(e):
+            quad = spec.masks(m)
+            for axis, ei in enumerate(e):
+                mask = quad.m1.csr if ei else quad.m0.csr
+                block = _apply_axis(mask.__matmul__, block, axis)
+        for level in range(m + 1, mmax + 1):
+            m0 = spec.masks(level).m0.csr
+            for axis in range(v.n):
+                block = _apply_axis(m0.__matmul__, block, axis)
+        out += block
     return out
 
 
@@ -481,18 +443,14 @@ def load_coeffs(path) -> CoeffVector:
         positions.append(ints[-n:])
     if not values:
         return _empty_like(system, n, p, mmax, basis)
-    lv = np.asarray(levels, dtype=np.int64)
     cv = CoeffVector(
         system, n, p, mmax, basis,
-        lv, np.asarray(positions, dtype=np.int64),
+        np.asarray(levels, dtype=np.int64), np.asarray(positions, dtype=np.int64),
         np.asarray(values, dtype=np.float64),
         etypes=np.asarray(etypes, dtype=np.int8) if system == ISOTROPIC else None,
     )
-    keymat = np.concatenate(
-        [lv.reshape(cv.num_entries, -1), cv.positions]
-        + ([cv.etypes] if cv.etypes is not None else []),
-        axis=1,
-    )
-    if np.unique(keymat, axis=0).shape[0] != cv.num_entries:
+    keys = cv._sort_keys()
+    keymat = np.column_stack(keys)[np.lexsort(keys)]
+    if (keymat[1:] == keymat[:-1]).all(axis=1).any():
         raise DimensionMismatch("duplicate coefficient indices in file")
     return cv

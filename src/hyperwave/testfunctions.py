@@ -13,7 +13,7 @@ import numpy as np
 
 from .basis1d import make_haar_basis
 from .errors import UnknownKind, UnsupportedDimension
-from .transform1d import _synthesize_array
+from .transform1d import _apply_axis, _synthesize_array
 
 __all__ = ["KINDS", "sample_function"]
 
@@ -90,8 +90,5 @@ def _random_decay(params: dict, n: int, m: int) -> np.ndarray:
         sign = rng.choice([-1.0, 1.0], shape)
         arr[slices] = env * xi * sign
     for axis in range(n):
-        moved = np.moveaxis(arr, axis, 0)
-        flat = moved.reshape(moved.shape[0], -1)
-        res = _synthesize_array(spec, flat, m).reshape(moved.shape)
-        arr = np.moveaxis(res, 0, axis)
+        arr = _apply_axis(lambda a: _synthesize_array(spec, a, m), arr, axis)
     return arr

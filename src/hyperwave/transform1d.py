@@ -79,6 +79,26 @@ def _synthesize_array(spec: BasisSpec, a: np.ndarray, m: int) -> np.ndarray:
     return cur
 
 
+def _apply_axis(fn, arr: np.ndarray, axis: int) -> np.ndarray:
+    """Apply ``fn``, a map of the leading axis of 2-D arrays, along one axis
+    of an n-D array; the length of that axis may change."""
+    moved = np.swapaxes(arr, axis, 0)
+    res = fn(moved.reshape(moved.shape[0], -1))
+    return np.swapaxes(res.reshape(res.shape[:1] + moved.shape[1:]), 0, axis)
+
+
+def _level_maps(spec: BasisSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per multiscale position: its level and its within-block position."""
+    size = spec.delta_size(m)
+    lvl = np.empty(size, dtype=np.int64)
+    pos = np.empty(size, dtype=np.int64)
+    for j in range(spec.j0, m + 1):
+        lo, hi = spec.block_slice(j)
+        lvl[lo:hi] = j
+        pos[lo:hi] = np.arange(hi - lo)
+    return lvl, pos
+
+
 def build_transform(spec: BasisSpec, m: int) -> tuple[BandMatrix, BandMatrix]:
     """Assemble T_m and its dual explicitly as sparse matrices.
 
@@ -158,18 +178,11 @@ def check_entry_decay(spec: BasisSpec, m: int, alpha: float) -> float:
     t, _ = build_transform(spec, m)
     size = spec.delta_size(m)
     coo = t.csr.tocoo()
-    # Per-column level and in-block position.
-    lvl = np.empty(size, dtype=np.int64)
-    pos = np.empty(size, dtype=np.int64)
-    nblk = np.empty(size, dtype=np.int64)
-    for j in range(spec.j0, m + 1):
-        lo, hi = spec.block_slice(j)
-        lvl[lo:hi] = j
-        pos[lo:hi] = np.arange(hi - lo)
-        nblk[lo:hi] = hi - lo
+    lvl, pos = _level_maps(spec, m)
     j = lvl[coo.col]
     k = pos[coo.col]
-    n_block = nblk[coo.col]
+    widths = np.array([spec.nabla_size(level) for level in range(spec.j0, m + 1)])
+    n_block = widths[j - spec.j0]
     # Fine-cell center in level-j block units.
     x = (coo.row + 0.5) / size * n_block
     dist = np.maximum(0.0, np.maximum(k - x, x - (k + 1)))

@@ -184,7 +184,7 @@ def _p_norm_estimate(a: BandMatrix, p: float, trials: int, seed: int) -> float:
     if p <= 1:
         # For p <= 1 the column bound is attained by a coordinate vector,
         # so the estimate is the exact quasinorm.
-        return float((a.column_abs_pow_sums(p).max()) ** (1.0 / p))
+        return matrix_p_norm_bound(a, p)
     return operator_p_norm_estimate(a, p, trials=trials, seed=seed)
 
 

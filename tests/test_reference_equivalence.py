@@ -1,6 +1,7 @@
 """The array-native norm and Jackson/Bernstein code against the direct
 formulations they replaced: row-wise block grouping with
-``np.unique(axis=0)`` and one rebuilt truncation per N."""
+``np.unique(axis=0)`` and one rebuilt truncation per N.  The
+dimension-generic change of basis against the bivariate one it replaced."""
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from hyperwave import (
     jackson_bernstein_ratios,
     rescale,
 )
+from hyperwave import hyper_forward, hyper_from_iso, iso_synthesize
 from hyperwave.nterm import _tail_errors, _weights_and_order
 from hyperwave.seqnorms import _block_norm, _outer_norm
+from hyperwave.tensorbasis import _from_multiscale_array, _to_multiscale_array
+from hyperwave.transform1d import _analyze_array, _synthesize_array
 from conftest import make_hyper, random_hyper
 
 
@@ -174,3 +178,127 @@ class TestSupportTuples:
         d = v.as_dict()
         assert set(support) <= set(d)
         assert all(type(x) is float for x in d.values())
+
+
+def reference_iso_from_hyper(spec, u):
+    """Bivariate change of basis: T_{m-1} along the one coarse axis of the
+    types (0,1) and (1,0), the (1,1) block copied."""
+    mmax = u.max_level
+    arr = _to_multiscale_array(spec, u)
+    d0 = spec.delta_size(spec.j0)
+    out_levels, out_etypes, out_pos, out_vals = [], [], [], []
+
+    def emit(m, e, block):
+        k1, k2 = np.nonzero(block)
+        if k1.size:
+            out_levels.append(np.full(k1.size, m, dtype=np.int64))
+            out_etypes.append(np.tile(np.array(e, dtype=np.int8), (k1.size, 1)))
+            out_pos.append(np.stack([k1, k2], axis=1))
+            out_vals.append(block[k1, k2])
+
+    emit(spec.j0, (0, 0), arr[:d0, :d0])
+    for m in range(spec.j0 + 1, mmax + 1):
+        lo, hi = spec.block_slice(m)
+        emit(m, (0, 1), _synthesize_array(spec, arr[:lo, lo:hi], m - 1))
+        emit(m, (1, 0), _synthesize_array(spec, arr[lo:hi, :lo].T, m - 1).T)
+        emit(m, (1, 1), arr[lo:hi, lo:hi])
+    return CoeffVector(
+        "isotropic", 2, 2.0, mmax, u.basis,
+        np.concatenate(out_levels), np.concatenate(out_pos),
+        np.concatenate(out_vals), etypes=np.concatenate(out_etypes),
+    )
+
+
+def reference_gather_iso_blocks(spec, v):
+    blocks = {}
+    code = v.levels * 4 + v.etypes[:, 0] * 2 + v.etypes[:, 1]
+    for c in np.unique(code):
+        sel = code == c
+        m = int(c) // 4
+        e = ((int(c) // 2) % 2, int(c) % 2)
+        if e == (0, 0):
+            shape = (spec.delta_size(spec.j0),) * 2
+        else:
+            shape = tuple(spec.nabla_size(m) if ei else spec.delta_size(m - 1) for ei in e)
+        k = v.positions[sel]
+        block = np.zeros(shape)
+        block[k[:, 0], k[:, 1]] = v.values[sel]
+        blocks[(m, e)] = block
+    return blocks
+
+
+def reference_hyper_from_iso(spec, v):
+    size = spec.delta_size(v.max_level)
+    arr = np.zeros((size, size))
+    d0 = spec.delta_size(spec.j0)
+    for (m, e), block in reference_gather_iso_blocks(spec, v).items():
+        if e == (0, 0):
+            arr[:d0, :d0] = block
+            continue
+        lo, hi = spec.block_slice(m)
+        if e == (1, 1):
+            arr[lo:hi, lo:hi] = block
+        elif e == (0, 1):
+            arr[:lo, lo:hi] = _analyze_array(spec, block, m - 1)
+        else:
+            arr[lo:hi, :lo] = _analyze_array(spec, block.T, m - 1).T
+    return _from_multiscale_array(spec, arr, 2, v.max_level)
+
+
+def reference_iso_synthesize(spec, v):
+    mmax = v.max_level
+    size = spec.delta_size(mmax)
+    out = np.zeros((size, size))
+
+    def prolong(block, j_from):
+        cur = block
+        for level in range(j_from + 1, mmax + 1):
+            m0 = spec.masks(level).m0.csr
+            cur = m0 @ cur
+            cur = (m0 @ cur.T).T
+        return cur
+
+    for (m, e), block in reference_gather_iso_blocks(spec, v).items():
+        if e == (0, 0):
+            out += prolong(block, spec.j0)
+            continue
+        quad = spec.masks(m)
+        f1 = quad.m1.csr if e[0] else quad.m0.csr
+        f2 = quad.m1.csr if e[1] else quad.m0.csr
+        out += prolong((f2 @ (f1 @ block).T).T, m)
+    return out
+
+
+def same_bits(a, b):
+    fields = ("system", "n", "p_norm", "max_level", "basis")
+    assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+    for name in ("levels", "positions", "values", "etypes"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+
+
+class TestChangeOfBasisBitwise:
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_bivariate_outputs_match(self, haar, scaled, haar_j2, m):
+        rng = np.random.default_rng(m)
+        for spec in (haar, scaled, haar_j2):
+            size = spec.delta_size(max(m, spec.j0 + 1))
+            a = rng.standard_normal((size, size))
+            a[rng.random((size, size)) < 0.3] = 0.0
+            u = hyper_forward(spec, 2, a)
+            v = iso_from_hyper(spec, u)
+            same_bits(v, reference_iso_from_hyper(spec, u))
+            same_bits(hyper_from_iso(spec, v), reference_hyper_from_iso(spec, v))
+            synth = iso_synthesize(spec, v)
+            assert synth.tobytes() == reference_iso_synthesize(spec, v).tobytes()
+
+    def test_sparse_vector_matches(self, haar):
+        u = make_hyper({((0, 3), (0, 2)): 1.5, ((2, 1), (1, 0)): -0.25,
+                        ((3, 3), (1, 2)): 2.0}, 2, 3)
+        v = iso_from_hyper(haar, u)
+        same_bits(v, reference_iso_from_hyper(haar, u))
+        same_bits(hyper_from_iso(haar, v), reference_hyper_from_iso(haar, v))
+        assert iso_synthesize(haar, v).tobytes() == reference_iso_synthesize(haar, v).tobytes()

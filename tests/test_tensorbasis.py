@@ -164,10 +164,28 @@ class TestChangeOfBasis:
         u = make_hyper({}, 2, 3)
         assert iso_from_hyper(haar, u).num_entries == 0
 
-    def test_dimension_three_rejected(self, haar):
-        u = hyper_forward(haar, 3, np.ones((4, 4, 4)))
-        with pytest.raises(UnsupportedDimension):
-            iso_from_hyper(haar, u)
+    @pytest.mark.parametrize("n, m", [(1, 6), (3, 3)])
+    def test_dimension_one_and_three_round_trip(self, haar, scaled, haar_j2, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        for spec in (haar, scaled, haar_j2):
+            size = spec.delta_size(max(m, spec.j0 + 2))
+            a = rng.standard_normal((size,) * n)
+            u = hyper_forward(spec, n, a)
+            v = iso_from_hyper(spec, u)
+            assert v.etypes.shape == (v.num_entries, n)
+            assert np.abs(hyper_inverse(spec, hyper_from_iso(spec, v)) - a).max() <= 1e-12
+            assert np.abs(iso_synthesize(spec, v) - hyper_inverse(spec, u)).max() <= 1e-12
+
+    def test_dimension_three_types(self, haar):
+        # The 2^3 - 1 nonzero types of a level m > j0 block, in product
+        # order, each with |Nabla_m| positions on its wavelet axes and
+        # |Delta_{m-1}| on its scaling axes.
+        v = iso_from_hyper(haar, random_hyper(haar, np.random.default_rng(3), 3, 2))
+        level2 = v.etypes[v.levels == 2]
+        types, first = np.unique(level2, axis=0, return_index=True)
+        assert [tuple(t) for t in types[np.argsort(first)]] == [
+            (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
+        assert len(level2) == 4 ** 3 - 2 ** 3
 
     def test_shifted_coarsest_level(self, haar_j2):
         rng = np.random.default_rng(14)
@@ -185,6 +203,7 @@ class TestChangeOfBasis:
         (2, (0, 1), (2, 0)),    # the scaling axis has |Delta_1| = 2 rows
         (2, (0, 2), (0, 0)),    # type entries lie in {0, 1}
         (2, (0, 0), (0, 0)),    # type (0, 0) lives at the coarsest level only
+        (0, (1, 1), (0, 0)),    # wavelet types start above the coarsest level
     ])
     def test_out_of_range_isotropic_index_rejected(self, haar, entry):
         v = make_iso({entry: 1.0}, 2, 3)
@@ -283,6 +302,15 @@ class TestCoeffFiles:
         path = tmp_path / "bad.coeffs"
         path.write_text(text)
         with pytest.raises(DimensionMismatch, match="malformed coefficient"):
+            load_coeffs(path)
+
+    def test_duplicate_isotropic_indices_rejected(self, tmp_path):
+        path = tmp_path / "dup.coeffs"
+        head = "hyperwave-coeffs v1 isotropic n=2 p=2 basis=haar jmax=3\n"
+        path.write_text(head + "2 0 1 1 0 1\n2 1 0 1 0 2\n")
+        assert load_coeffs(path).num_entries == 2
+        path.write_text(head + "2 0 1 1 0 1\n2 1 0 1 0 2\n2 0 1 1 0 3\n")
+        with pytest.raises(DimensionMismatch, match="duplicate"):
             load_coeffs(path)
 
     def test_duplicate_indices_rejected(self, tmp_path):
