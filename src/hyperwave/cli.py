@@ -26,6 +26,8 @@ from .basis1d import (
 from .errors import HyperwaveError
 from .tensorbasis import (
     _fmt,
+    _read_table,
+    _write_table,
     hyper_forward,
     hyper_from_iso,
     hyper_inverse,
@@ -45,7 +47,7 @@ def _map_ordered(fn, items):
 
 # ---------------------------------------------------------------------------
 # Array file format: header "hyperwave-array v1 n=<n> m=<m>", then one value
-# per line in C order.
+# per line in C order: the table format of coefficient files with k = 0.
 # ---------------------------------------------------------------------------
 
 
@@ -55,10 +57,8 @@ def _grid_level(size: int) -> int:
 
 def save_array(arr: np.ndarray, path) -> None:
     arr = np.asarray(arr, dtype=np.float64)
-    lines = [f"hyperwave-array v1 n={arr.ndim} m={_grid_level(arr.shape[0])}"]
-    lines.extend(_fmt(v) for v in arr.reshape(-1))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    head = f"hyperwave-array v1 n={arr.ndim} m={_grid_level(arr.shape[0])}"
+    _write_table(path, head, np.zeros((arr.size, 0), np.int64), arr.reshape(-1))
 
 
 def load_array(path) -> np.ndarray:
@@ -72,9 +72,11 @@ def load_array(path) -> np.ndarray:
     try:
         fields = dict(part.split("=", 1) for part in head[2:])
         n, m = int(fields["n"]), int(fields["m"])
-        values = np.array([float(x) for x in lines[1:]])
+        _, values = _read_table(lines[1:], 0)
     except (KeyError, ValueError):
         raise HyperwaveError(f"malformed array file {path}: {lines[0]!r}") from None
+    if not 1 <= n <= 3:
+        raise HyperwaveError(f"array file {path} declares n={n}, not in 1..3")
     size = round(len(values) ** (1.0 / n))
     if size ** n != len(values):
         raise HyperwaveError(f"array file holds {len(values)} values, not a {n}-cube")

@@ -42,7 +42,7 @@ class NTermResult:
 def _weights_and_order(u: CoeffVector, q: float) -> tuple[np.ndarray, np.ndarray]:
     """H^q moduli 2^{q level_inf} |u| and their descending sort order."""
     w = 2.0 ** (q * u.level_linf()) * np.abs(u.values)
-    return w, np.lexsort(u._sort_keys() + [-w])
+    return w, np.lexsort((*u.index_columns().T[::-1], -w))
 
 
 def _tail_errors(w_sorted: np.ndarray) -> np.ndarray:

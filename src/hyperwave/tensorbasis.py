@@ -112,7 +112,7 @@ class CoeffVector:
 
     def canonical_order(self) -> "CoeffVector":
         """Entries sorted lexicographically by index; the file-format order."""
-        order = np.lexsort(self._sort_keys())
+        order = np.lexsort(self.index_columns().T[::-1])
         et = self.etypes[order] if self.etypes is not None else None
         return replace(
             self,
@@ -122,15 +122,23 @@ class CoeffVector:
             etypes=et,
         )
 
-    def _sort_keys(self) -> list[np.ndarray]:
-        """``np.lexsort`` keys of the index order, least significant first."""
-        keys = [self.positions[:, i] for i in range(self.n - 1, -1, -1)]
-        if self.system == HYPERBOLIC:
-            keys += [self.levels[:, i] for i in range(self.n - 1, -1, -1)]
-        else:
-            keys += [self.etypes[:, i] for i in range(self.n - 1, -1, -1)]
-            keys += [self.levels]
-        return keys
+    def index_columns(self) -> np.ndarray:
+        """(N, k) int64 index matrix, most significant column first: the
+        file columns j_1..j_n k_1..k_n (hyperbolic) or m e_1..e_n k_1..k_n
+        (isotropic), whose row order is the lexicographic index order."""
+        cols = [c for c in (self.levels, self.etypes, self.positions) if c is not None]
+        return np.column_stack(cols).astype(np.int64, copy=False)
+
+    @classmethod
+    def from_index_columns(cls, system, n, p_norm, max_level, basis, columns, values):
+        """Inverse of :meth:`index_columns`; type entries must lie in {0, 1}."""
+        levels, etypes, positions = columns[:, :-n], None, columns[:, -n:]
+        if system == ISOTROPIC:
+            levels, etypes = levels[:, 0], levels[:, 1:]
+            if not np.isin(etypes, (0, 1)).all():
+                raise DimensionMismatch("malformed coefficient type: entries must lie in {0,1}")
+            etypes = etypes.astype(np.int8)
+        return cls(system, n, p_norm, max_level, basis, levels, positions, values, etypes=etypes)
 
     def index_keys(self, rows=slice(None)) -> tuple:
         """HyperIndex / IsoIndex keys, holding Python ints, of the given entries."""
@@ -146,16 +154,6 @@ class CoeffVector:
 
     def with_values(self, values: np.ndarray) -> "CoeffVector":
         return replace(self, values=np.asarray(values, dtype=np.float64))
-
-
-def _empty_like(system, n, p, max_level, basis):
-    if system == HYPERBOLIC:
-        return CoeffVector(system, n, p, max_level, basis,
-                           np.zeros((0, n), int), np.zeros((0, n), int),
-                           np.zeros(0))
-    return CoeffVector(system, n, p, max_level, basis,
-                       np.zeros(0, int), np.zeros((0, n), int),
-                       np.zeros(0), etypes=np.zeros((0, n), np.int8))
 
 
 def _block_offsets(spec: BasisSpec, m: int) -> np.ndarray:
@@ -213,8 +211,18 @@ def _to_multiscale_array(spec: BasisSpec, u: CoeffVector) -> np.ndarray:
                     f"{u.levels[i, a]} block of width {widths[u.levels[i, a]]}"
                 )
         flat = tuple(off[u.levels[:, a]] + u.positions[:, a] for a in range(u.n))
-        arr[flat] = u.values
+        _scatter(arr, flat, u.values)
     return arr
+
+
+def _scatter(grid: np.ndarray, index: tuple, values: np.ndarray) -> None:
+    """``grid[index] = values``, rejecting a repeated index: the N entries
+    must mark N distinct cells of the grid."""
+    grid[index] = values
+    mark = np.zeros(grid.shape, dtype=bool)
+    mark[index] = True
+    if np.count_nonzero(mark) != len(values):
+        raise DimensionMismatch("duplicate coefficient indices")
 
 
 def hyper_inverse(spec: BasisSpec, coeffs: CoeffVector) -> np.ndarray:
@@ -328,7 +336,7 @@ def _gather_iso_blocks(spec: BasisSpec, v: CoeffVector) -> dict:
                 f"type {e} block of shape {shape}"
             )
         block = np.zeros(shape)
-        block[tuple(k.T)] = v.values[sel]
+        _scatter(block, tuple(k.T), v.values[sel])
         blocks[(m, e)] = block
     return blocks
 
@@ -379,11 +387,11 @@ def rescale(c: CoeffVector, new_p: float) -> CoeffVector:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient file format (bit-exact contract):
+# Table files (bit-exact contract): a header, then per entry k int64 columns
+# and the value as %.17g.  Coefficient files have the header
 #   hyperwave-coeffs v1 <system> n=<n> p=<p> basis=<name> jmax=<m>
-# then one line per nonzero, lexicographically ordered:
-#   hyperbolic:  j_1 .. j_n k_1 .. k_n value
-#   isotropic:   m e_1 .. e_n k_1 .. k_n value
+# and the rows of CoeffVector.index_columns() in lexicographic order.
+# Array files (cli) are the k = 0 case.
 # ---------------------------------------------------------------------------
 
 
@@ -391,22 +399,27 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _write_table(path, head: str, columns: np.ndarray, values: np.ndarray) -> None:
+    """The header line, then one row per entry of ``columns`` (N, k) and ``values``."""
+    cells = np.concatenate([columns, values[:, None]], axis=1, dtype=object)
+    row = "%d " * columns.shape[1] + "%.17g\n"
+    with open(path, "w") as fh:
+        fh.write(head + "\n" + "".join([row] * len(cells)) % tuple(cells.ravel().tolist()))
+
+
+def _read_table(rows: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, k) int64 columns and (N,) float64 values of the table rows; a
+    row that is not k base-10 int64 tokens and one float raises ValueError."""
+    dtype = np.dtype([("i", np.int64, (k,)), ("v", np.float64)])
+    table = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1) if rows else np.zeros(0, dtype)
+    return table["i"], table["v"]
+
+
 def save_coeffs(cv: CoeffVector, path) -> None:
     cv = cv.canonical_order()
-    lines = [
-        f"hyperwave-coeffs v1 {cv.system} n={cv.n} p={_fmt(cv.p_norm)} "
-        f"basis={cv.basis} jmax={cv.max_level}"
-    ]
-    for i in range(cv.num_entries):
-        pos = " ".join(str(int(x)) for x in cv.positions[i])
-        if cv.system == HYPERBOLIC:
-            lvl = " ".join(str(int(x)) for x in cv.levels[i])
-        else:
-            et = " ".join(str(int(x)) for x in cv.etypes[i])
-            lvl = f"{int(cv.levels[i])} {et}"
-        lines.append(f"{lvl} {pos} {_fmt(float(cv.values[i]))}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    head = (f"hyperwave-coeffs v1 {cv.system} n={cv.n} p={_fmt(cv.p_norm)} "
+            f"basis={cv.basis} jmax={cv.max_level}")
+    _write_table(path, head, cv.index_columns(), cv.values)
 
 
 def load_coeffs(path) -> CoeffVector:
@@ -424,33 +437,14 @@ def load_coeffs(path) -> CoeffVector:
         mmax = int(fields["jmax"])
     except (IndexError, KeyError, ValueError):
         raise DimensionMismatch(f"malformed coefficient header: {lines[0]!r}") from None
-    width = 2 * n + (1 if system == HYPERBOLIC else 2)
-    levels, etypes, positions, values = [], [], [], []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != width:
-            raise DimensionMismatch(f"malformed coefficient line: {ln!r}")
-        try:
-            ints = [int(x) for x in parts[:-1]]
-            values.append(float(parts[-1]))
-        except ValueError:
-            raise DimensionMismatch(f"malformed coefficient line: {ln!r}") from None
-        if system == HYPERBOLIC:
-            levels.append(ints[:n])
-        else:
-            levels.append(ints[0])
-            etypes.append(ints[1:n + 1])
-        positions.append(ints[-n:])
-    if not values:
-        return _empty_like(system, n, p, mmax, basis)
-    cv = CoeffVector(
-        system, n, p, mmax, basis,
-        np.asarray(levels, dtype=np.int64), np.asarray(positions, dtype=np.int64),
-        np.asarray(values, dtype=np.float64),
-        etypes=np.asarray(etypes, dtype=np.int8) if system == ISOTROPIC else None,
-    )
-    keys = cv._sort_keys()
-    keymat = np.column_stack(keys)[np.lexsort(keys)]
-    if (keymat[1:] == keymat[:-1]).all(axis=1).any():
+    if not 1 <= n <= 3:
+        raise UnsupportedDimension(f"dimension n={n} not in 1..3")
+    try:
+        columns, values = _read_table(lines[1:], 2 * n + (system == ISOTROPIC))
+    except ValueError as exc:
+        raise DimensionMismatch(f"malformed coefficient line: {exc}") from None
+    cv = CoeffVector.from_index_columns(system, n, p, mmax, basis, columns, values)
+    rows = columns[np.lexsort(columns.T[::-1])]
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
         raise DimensionMismatch("duplicate coefficient indices in file")
     return cv

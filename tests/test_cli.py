@@ -47,6 +47,15 @@ class TestArrayFiles:
         assert r.returncode == 3
         assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("n", [0, -1, 4])
+    def test_dimension_out_of_range_exits_3(self, tmp_path, n):
+        path = tmp_path / "dim.arr"
+        path.write_text(f"hyperwave-array v1 n={n} m=0\n1\n")
+        r = run_cli("transform", "--input", path, "--out", tmp_path / "x.coeffs")
+        assert r.returncode == 3
+        assert str(path) in r.stderr and f"n={n}" in r.stderr
+        assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+
 
 class TestTransformCommand:
     def test_forward_inverse_round_trip(self, tmp_path):
@@ -156,7 +165,11 @@ class TestNtermCommand:
     @pytest.mark.parametrize("text", [
         "hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar\n1 1 0 0 1\n",
         "hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar jmax=3\n1 1 0 0 abc\n",
-    ], ids=["no-jmax", "value-not-float"])
+        "hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar jmax=3\n1 1 0 99999999999999999999 1.0\n",
+        "hyperwave-coeffs v1 isotropic n=2 p=2 basis=haar jmax=3\n2 300 1 0 0 1\n",
+        "hyperwave-coeffs v1 isotropic n=2 p=2 basis=haar jmax=3\n2 257 1 0 0 1\n",
+    ], ids=["no-jmax", "value-not-float", "index-beyond-int64", "type-300",
+            "type-257-not-read-as-1"])
     def test_unparsable_coeff_file_exits_3(self, tmp_path, text):
         path = tmp_path / "bad.coeffs"
         path.write_text(text)

@@ -1,7 +1,9 @@
 """The array-native norm and Jackson/Bernstein code against the direct
 formulations they replaced: row-wise block grouping with
 ``np.unique(axis=0)`` and one rebuilt truncation per N.  The
-dimension-generic change of basis against the bivariate one it replaced."""
+dimension-generic change of basis against the bivariate one it replaced.
+The table codec of coefficient and array files against the per-line
+writers and readers it replaced."""
 
 import numpy as np
 import pytest
@@ -18,12 +20,13 @@ from hyperwave import (
     jackson_bernstein_ratios,
     rescale,
 )
-from hyperwave import hyper_forward, hyper_from_iso, iso_synthesize
+from hyperwave import hyper_forward, hyper_from_iso, iso_synthesize, load_coeffs, save_coeffs
+from hyperwave.cli import load_array, save_array
 from hyperwave.nterm import _tail_errors, _weights_and_order
 from hyperwave.seqnorms import _block_norm, _outer_norm
 from hyperwave.tensorbasis import _from_multiscale_array, _to_multiscale_array
 from hyperwave.transform1d import _analyze_array, _synthesize_array
-from conftest import make_hyper, random_hyper
+from conftest import make_hyper, random_hyper, random_sparse_hyper
 
 
 def reference_besov_hybrid_norm(u, params):
@@ -302,3 +305,158 @@ class TestChangeOfBasisBitwise:
         same_bits(v, reference_iso_from_hyper(haar, u))
         same_bits(hyper_from_iso(haar, v), reference_hyper_from_iso(haar, v))
         assert iso_synthesize(haar, v).tobytes() == reference_iso_synthesize(haar, v).tobytes()
+
+
+def reference_sort_keys(cv):
+    """``np.lexsort`` keys of the index order, least significant first."""
+    keys = [cv.positions[:, i] for i in range(cv.n - 1, -1, -1)]
+    if cv.system == "hyperbolic":
+        keys += [cv.levels[:, i] for i in range(cv.n - 1, -1, -1)]
+    else:
+        keys += [cv.etypes[:, i] for i in range(cv.n - 1, -1, -1)]
+        keys += [cv.levels]
+    return keys
+
+
+def reference_save_coeffs(cv, path):
+    """One formatted line per entry, in the order of the lexsort keys."""
+    order = np.lexsort(reference_sort_keys(cv))
+    lines = [f"hyperwave-coeffs v1 {cv.system} n={cv.n} p={cv.p_norm:.17g} "
+             f"basis={cv.basis} jmax={cv.max_level}"]
+    for i in order:
+        pos = " ".join(str(int(x)) for x in cv.positions[i])
+        if cv.system == "hyperbolic":
+            lvl = " ".join(str(int(x)) for x in cv.levels[i])
+        else:
+            et = " ".join(str(int(x)) for x in cv.etypes[i])
+            lvl = f"{int(cv.levels[i])} {et}"
+        lines.append(f"{lvl} {pos} {float(cv.values[i]):.17g}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_load_coeffs(path):
+    """Per-line parse of a well-formed coefficient file."""
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    head = lines[0].split()
+    system = head[2]
+    fields = dict(part.split("=", 1) for part in head[3:])
+    n, p, basis, mmax = int(fields["n"]), float(fields["p"]), fields["basis"], int(fields["jmax"])
+    levels, etypes, positions, values = [], [], [], []
+    for ln in lines[1:]:
+        parts = ln.split()
+        ints = [int(x) for x in parts[:-1]]
+        values.append(float(parts[-1]))
+        if system == "hyperbolic":
+            levels.append(ints[:n])
+        else:
+            levels.append(ints[0])
+            etypes.append(ints[1:n + 1])
+        positions.append(ints[-n:])
+    if not values:
+        if system == "hyperbolic":
+            return CoeffVector(system, n, p, mmax, basis, np.zeros((0, n), int),
+                               np.zeros((0, n), int), np.zeros(0))
+        return CoeffVector(system, n, p, mmax, basis, np.zeros(0, int), np.zeros((0, n), int),
+                           np.zeros(0), etypes=np.zeros((0, n), np.int8))
+    return CoeffVector(
+        system, n, p, mmax, basis,
+        np.asarray(levels, dtype=np.int64), np.asarray(positions, dtype=np.int64),
+        np.asarray(values, dtype=np.float64),
+        etypes=np.asarray(etypes, dtype=np.int8) if system == "isotropic" else None,
+    )
+
+
+def reference_save_array(arr, path):
+    arr = np.asarray(arr, dtype=np.float64)
+    level = int(np.log2(arr.shape[0])) if arr.shape[0] > 1 else 0
+    lines = [f"hyperwave-array v1 n={arr.ndim} m={level}"]
+    lines.extend(f"{v:.17g}" for v in arr.reshape(-1))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_load_array(path):
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    n = int(dict(part.split("=", 1) for part in lines[0].split()[2:])["n"])
+    values = np.array([float(x) for x in lines[1:]])
+    size = round(len(values) ** (1.0 / n))
+    return values.reshape((size,) * n)
+
+
+SPECIAL_VALUES = np.array([-0.0, 5e-324, 1e308, -1e308, np.nan, np.inf, -np.inf, 1.0 / 3.0])
+
+
+def with_special_values(cv, rng):
+    """The vector with some values replaced by signed zero, the smallest
+    subnormal, +-1e308, nan, +-inf and 1/3."""
+    values = cv.values.copy()
+    hit = rng.choice(cv.num_entries, size=min(cv.num_entries, 3 * SPECIAL_VALUES.size),
+                     replace=False)
+    values[hit] = np.resize(SPECIAL_VALUES, hit.size)
+    return cv.with_values(values)
+
+
+def empty_like(cv):
+    keep = slice(0, 0)
+    et = None if cv.etypes is None else cv.etypes[keep]
+    return CoeffVector(cv.system, cv.n, cv.p_norm, cv.max_level, cv.basis,
+                       cv.levels[keep], cv.positions[keep], cv.values[keep], etypes=et)
+
+
+def coefficient_vectors(spec):
+    """Dense and sparse vectors of both systems for n = 1..3, with special
+    values, a non-L2 exponent, and their empty counterparts."""
+    rng = np.random.default_rng(21)
+    out = []
+    for n, m in ((1, 7), (2, 4), (3, 2)):
+        dense = with_special_values(random_hyper(spec, rng, n, m), rng)
+        sparse = random_sparse_hyper(spec, rng, n, m + 1, 20)
+        iso = iso_from_hyper(spec, random_hyper(spec, rng, n, m))
+        for cv in (dense, sparse, rescale(sparse, 0.7), iso, with_special_values(iso, rng)):
+            out += [cv, empty_like(cv)]
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+class TestTableCodecBitwise:
+    def test_coefficient_files_byte_identical(self, haar, tmp_path):
+        for i, cv in enumerate(coefficient_vectors(haar)):
+            new, ref = tmp_path / f"{i}.coeffs", tmp_path / f"{i}.ref.coeffs"
+            save_coeffs(cv, new)
+            reference_save_coeffs(cv, ref)
+            assert new.read_bytes() == ref.read_bytes()
+
+    def test_loaded_arrays_bitwise_equal(self, haar, tmp_path):
+        for i, cv in enumerate(coefficient_vectors(haar)):
+            path = tmp_path / f"{i}.coeffs"
+            reference_save_coeffs(cv, path)
+            got, want = load_coeffs(path), reference_load_coeffs(path)
+            same_bits(got, want)
+            assert got.levels.dtype == got.positions.dtype == np.int64
+            if got.etypes is not None:
+                assert got.etypes.dtype == np.int8
+
+    def test_index_columns_give_the_reference_order(self, haar):
+        rng = np.random.default_rng(8)
+        for cv in coefficient_vectors(haar):
+            keys = cv.index_columns().T[::-1]
+            ref = reference_sort_keys(cv)
+            assert all(np.array_equal(a, b) for a, b in zip(keys, ref))
+            w = rng.integers(0, 3, cv.num_entries).astype(float)
+            assert np.array_equal(np.lexsort((*keys, -w)), np.lexsort(ref + [-w]))
+
+    def test_array_files_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(9)
+        for n, size in ((1, 64), (1, 1), (2, 16), (3, 4)):
+            arr = rng.standard_normal((size,) * n)
+            arr.flat[:SPECIAL_VALUES.size] = SPECIAL_VALUES[:arr.size]
+            new, ref = tmp_path / f"{n}-{size}.arr", tmp_path / f"{n}-{size}.ref.arr"
+            save_array(arr, new)
+            reference_save_array(arr, ref)
+            assert new.read_bytes() == ref.read_bytes()
+            got, want = load_array(ref), reference_load_array(ref)
+            assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

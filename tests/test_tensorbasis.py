@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -296,8 +298,13 @@ class TestCoeffFiles:
         "hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar jmax=3\n1 1 0 x 1\n",
         "hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar jmax=3\n1 1 0 0 one\n",
         "hyperwave-coeffs v1 isotropic n=2 p=2 basis=haar jmax=3\n1 1.5 1 0 0 1\n",
+        "hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar jmax=3\n1 1 0 99999999999999999999 1.0\n",
+        "hyperwave-coeffs v1 isotropic n=2 p=2 basis=haar jmax=3\n2 300 1 0 0 1\n",
+        "hyperwave-coeffs v1 isotropic n=2 p=2 basis=haar jmax=3\n2 257 1 0 0 1\n",
+        "hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar jmax=3\n1 1 0 0 1 # note\n",
     ], ids=["no-jmax", "n-not-int", "field-without-equals", "no-system",
-            "position-not-int", "value-not-float", "type-not-int"])
+            "position-not-int", "value-not-float", "type-not-int", "index-beyond-int64",
+            "type-300", "type-257-not-read-as-1", "comment-not-allowed"])
     def test_unparsable_fields_rejected(self, tmp_path, text):
         path = tmp_path / "bad.coeffs"
         path.write_text(text)
@@ -321,6 +328,49 @@ class TestCoeffFiles:
         )
         with pytest.raises(DimensionMismatch):
             load_coeffs(path)
+
+    @pytest.mark.parametrize("text", [
+        "hyperwave-coeffs v1 hyperbolic n=0 p=2 basis=haar jmax=3\n",
+        "hyperwave-coeffs v1 isotropic n=0 p=2 basis=haar jmax=3\n1 1\n",
+        "hyperwave-coeffs v1 hyperbolic n=-1 p=2 basis=haar jmax=3\n",
+        "hyperwave-coeffs v1 hyperbolic n=4 p=2 basis=haar jmax=3\n1 1 1 1 0 0 0 0 1\n",
+    ], ids=["zero", "zero-isotropic", "negative", "four"])
+    def test_dimension_out_of_range_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.coeffs"
+        path.write_text(text)
+        with pytest.raises(UnsupportedDimension, match="n="):
+            load_coeffs(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.coeffs"
+        path.write_text("hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar jmax=3\n\n"
+                        "1 1 0 0 1.5\n   \n0 0 0 0 -2\n\n")
+        assert load_coeffs(path).as_dict() == {
+            HyperIndex((1, 1), (0, 0)): 1.5, HyperIndex((0, 0), (0, 0)): -2.0}
+
+
+class TestRepeatedIndices:
+    """A repeated index would be summed by the norms but kept only once by
+    the scatters into dense grids; the scatters reject it."""
+
+    def test_hyperbolic_scatter_rejects_repeats(self, haar):
+        u = CoeffVector("hyperbolic", 2, 2.0, 2, "haar", np.array([[1, 1], [0, 2], [1, 1]]),
+                        np.array([[0, 0], [0, 1], [0, 0]]), np.array([1.0, 3.0, 2.0]))
+        for fn in (hyper_inverse, iso_from_hyper):
+            with pytest.raises(DimensionMismatch, match="duplicate"):
+                fn(haar, u)
+        distinct = replace(u, levels=np.array([[1, 1], [0, 2], [2, 1]]))
+        assert np.linalg.norm(hyper_inverse(haar, distinct)) == pytest.approx(np.sqrt(14.0))
+
+    def test_isotropic_scatter_rejects_repeats(self, haar):
+        v = CoeffVector("isotropic", 2, 2.0, 2, "haar", np.array([1, 2, 1]),
+                        np.array([[0, 0], [1, 0], [0, 0]]), np.array([1.0, 3.0, 2.0]),
+                        etypes=np.array([[1, 1], [0, 1], [1, 1]], dtype=np.int8))
+        for fn in (hyper_from_iso, iso_synthesize):
+            with pytest.raises(DimensionMismatch, match="duplicate"):
+                fn(haar, v)
+        distinct = replace(v, levels=np.array([1, 2, 2]))
+        assert hyper_from_iso(haar, distinct).num_entries > 0
 
 
 class TestCoeffVectorValidation:
