@@ -25,6 +25,8 @@ class BandMatrix:
         row_idx = np.asarray(row_idx, dtype=np.int64)
         col_idx = np.asarray(col_idx, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
+        if rows < 0 or cols < 0:
+            raise DimensionMismatch(f"negative matrix dimensions {rows}x{cols}")
         if not (row_idx.shape == col_idx.shape == values.shape):
             raise DimensionMismatch("triple arrays must have equal length")
         if row_idx.size:
@@ -86,11 +88,6 @@ class BandMatrix:
                 raise DimensionMismatch("inner dimensions do not match")
             return BandMatrix.from_csr(self.csr @ other.csr)
         return self.apply(other)
-
-    def max_abs(self) -> float:
-        if self.csr.nnz == 0:
-            return 0.0
-        return float(np.abs(self.csr.data).max())
 
     def triples(self):
         """Yield (row, col, value) sorted by row then column."""

@@ -44,7 +44,6 @@ __all__ = [
 # large sentinel keeps the decay checks well defined.
 COMPACT_SUPPORT_ALPHA = 64.0
 
-HAAR_MASK_TOL = 1e-12
 USER_MASK_TOL = 1e-10
 
 
@@ -205,7 +204,7 @@ def _validate_quad(j: int, quad: MaskQuad, tol: float) -> None:
         (mt1.csr.T @ m0.csr, "Mt1^T M0"),
     ]
     for mat, label in blocks:
-        defect = np.abs(mat.toarray()).max() if mat.nnz else 0.0
+        defect = abs(mat).max() if mat.nnz else 0.0
         if defect > tol:
             raise MaskInconsistent(
                 f"level {j}: block identity {label} violated by {defect:.3e}"
@@ -336,23 +335,26 @@ def save_mask_file(path, masks: dict[int, MaskQuad]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _parse_fields(line: str, kinds, what: str) -> tuple:
+    """The three fields of a block header or triple line, converted by ``kinds``."""
+    try:
+        return tuple(kind(x) for kind, x in zip(kinds, line.split(), strict=True))
+    except (ValueError, OverflowError):
+        raise DimensionMismatch(f"malformed {what}: {line!r}") from None
+
+
 def _parse_blocks(lines: list[str]) -> list[tuple[int, BandMatrix]]:
     blocks: list[tuple[int, BandMatrix]] = []
     i = 0
     while i < len(lines):
-        head = lines[i].split()
-        if len(head) != 3:
-            raise DimensionMismatch(f"malformed block header: {lines[i]!r}")
-        level, rows, cols = (int(x) for x in head)
+        level, rows, cols = _parse_fields(lines[i], (int, int, int), "block header")
         i += 1
         rr, cc, vv = [], [], []
         while i < len(lines) and lines[i] != "#":
-            parts = lines[i].split()
-            if len(parts) != 3:
-                raise DimensionMismatch(f"malformed triple line: {lines[i]!r}")
-            rr.append(int(parts[0]))
-            cc.append(int(parts[1]))
-            vv.append(float(parts[2]))
+            r, c, v = _parse_fields(lines[i], (np.int64, np.int64, float), "triple line")
+            rr.append(r)
+            cc.append(c)
+            vv.append(v)
             i += 1
         if i == len(lines):
             raise DimensionMismatch("unterminated block (missing '#')")
@@ -365,6 +367,8 @@ def load_mask_file(path) -> dict[int, MaskQuad]:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     blocks = _parse_blocks(lines)
+    if not blocks:
+        raise DimensionMismatch(f"mask file {path} holds no blocks")
     quads: dict[int, MaskQuad] = {}
     for n in range(0, len(blocks), 4):
         group = blocks[n:n + 4]

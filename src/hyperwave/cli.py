@@ -72,14 +72,17 @@ def load_array(path) -> np.ndarray:
     try:
         fields = dict(part.split("=", 1) for part in head[2:])
         n, m = int(fields["n"]), int(fields["m"])
-        _, values = _read_table(lines[1:], 0)
     except (KeyError, ValueError):
         raise HyperwaveError(f"malformed array file {path}: {lines[0]!r}") from None
+    try:
+        _, values = _read_table(lines[1:], 0)
+    except ValueError as exc:
+        raise HyperwaveError(f"malformed array file {path}: {exc}") from None
     if not 1 <= n <= 3:
         raise HyperwaveError(f"array file {path} declares n={n}, not in 1..3")
     size = round(len(values) ** (1.0 / n))
     if size ** n != len(values):
-        raise HyperwaveError(f"array file holds {len(values)} values, not a {n}-cube")
+        raise HyperwaveError(f"array file {path} holds {len(values)} values, not a {n}-cube")
     if m != _grid_level(size):
         raise HyperwaveError(f"array file {path} declares m={m} for extent {size}")
     return values.reshape((size,) * n)
@@ -375,7 +378,6 @@ def _add_common(p):
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--p", type=float, default=None,
                    help="single integrability exponent; overrides --p-grid")
-    p.add_argument("--tau", type=float, default=None)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")

@@ -135,8 +135,10 @@ class CoeffVector:
         levels, etypes, positions = columns[:, :-n], None, columns[:, -n:]
         if system == ISOTROPIC:
             levels, etypes = levels[:, 0], levels[:, 1:]
-            if not np.isin(etypes, (0, 1)).all():
-                raise DimensionMismatch("malformed coefficient type: entries must lie in {0,1}")
+            bad = ~np.isin(etypes, (0, 1)).all(axis=1)
+            if bad.any():
+                e = tuple(etypes[bad][0].tolist())
+                raise DimensionMismatch(f"type {e} not in {{0,1}}^{n}")
             etypes = etypes.astype(np.int8)
         return cls(system, n, p_norm, max_level, basis, levels, positions, values, etypes=etypes)
 
@@ -409,9 +411,18 @@ def _write_table(path, head: str, columns: np.ndarray, values: np.ndarray) -> No
 
 def _read_table(rows: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
     """(N, k) int64 columns and (N,) float64 values of the table rows; a
-    row that is not k base-10 int64 tokens and one float raises ValueError."""
+    row that is not k base-10 int64 tokens and one float raises ValueError
+    with the first such row, quoted, as its message."""
     dtype = np.dtype([("i", np.int64, (k,)), ("v", np.float64)])
-    table = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1) if rows else np.zeros(0, dtype)
+    try:
+        table = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1) if rows else np.zeros(0, dtype)
+    except ValueError:
+        for row in rows:
+            try:
+                np.loadtxt([row], dtype=dtype, comments=None)
+            except ValueError:
+                raise ValueError(repr(row.strip())) from None
+        raise
     return table["i"], table["v"]
 
 
@@ -436,14 +447,14 @@ def load_coeffs(path) -> CoeffVector:
         basis = fields["basis"]
         mmax = int(fields["jmax"])
     except (IndexError, KeyError, ValueError):
-        raise DimensionMismatch(f"malformed coefficient header: {lines[0]!r}") from None
+        raise DimensionMismatch(f"malformed coefficient header in {path}: {lines[0]!r}") from None
     if not 1 <= n <= 3:
         raise UnsupportedDimension(f"dimension n={n} not in 1..3")
     try:
         columns, values = _read_table(lines[1:], 2 * n + (system == ISOTROPIC))
-    except ValueError as exc:
-        raise DimensionMismatch(f"malformed coefficient line: {exc}") from None
-    cv = CoeffVector.from_index_columns(system, n, p, mmax, basis, columns, values)
+        cv = CoeffVector.from_index_columns(system, n, p, mmax, basis, columns, values)
+    except (ValueError, DimensionMismatch) as exc:
+        raise DimensionMismatch(f"malformed coefficient line in {path}: {exc}") from None
     rows = columns[np.lexsort(columns.T[::-1])]
     if (rows[1:] == rows[:-1]).all(axis=1).any():
         raise DimensionMismatch("duplicate coefficient indices in file")

@@ -4,18 +4,19 @@ The synthesis matrix T_m maps multiscale coefficients, ordered as
 [coarse scaling block, detail blocks by increasing level], to level-m
 single-scale coefficients; its dual satisfies Tdual_m^T T_m = I.  The
 matrix-free cascade costs O(|Delta_m|) for bounded-bandwidth masks and is
-the default; explicit matrices are assembled only for verification.
+the default; the verification checks assemble T_m and Tdual_m explicitly
+by running the same cascade on a sparse identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .bandmatrix import BandMatrix
-from .basis1d import BasisSpec
+from .basis1d import BasisSpec, MaskQuad
 from .errors import DimensionMismatch, LevelBelowCoarsest
 
 __all__ = [
@@ -39,17 +40,11 @@ class MultiscaleVector:
     def concat(self) -> np.ndarray:
         return np.concatenate(self.blocks)
 
-    @property
-    def total_length(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
 
 def _check_block_lengths(spec: BasisSpec, ms: MultiscaleVector) -> None:
     if ms.j0 != spec.j0:
         raise DimensionMismatch(f"vector j0={ms.j0} differs from basis j0={spec.j0}")
-    expected = [spec.delta_size(spec.j0)] + [
-        spec.nabla_size(j) for j in range(spec.j0 + 1, ms.m + 1)
-    ]
+    expected = [spec.nabla_size(j) for j in range(spec.j0, ms.m + 1)]
     actual = [len(b) for b in ms.blocks]
     if actual != expected:
         raise DimensionMismatch(f"block lengths {actual}, expected {expected}")
@@ -68,9 +63,8 @@ def _analyze_array(spec: BasisSpec, a: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _synthesize_array(spec: BasisSpec, a: np.ndarray, m: int) -> np.ndarray:
-    """Apply T_m along the leading axis of a 1-D or 2-D array."""
-    a = np.asarray(a, dtype=np.float64)
+def _synthesize_array(spec: BasisSpec, a, m: int):
+    """Apply T_m along the leading axis of a 1-D/2-D float64 array or sparse matrix."""
     cur = a[: spec.delta_size(spec.j0)].copy()
     for level in range(spec.j0 + 1, m + 1):
         quad = spec.masks(level)
@@ -99,30 +93,20 @@ def _level_maps(spec: BasisSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
     return lvl, pos
 
 
-def build_transform(spec: BasisSpec, m: int) -> tuple[BandMatrix, BandMatrix]:
-    """Assemble T_m and its dual explicitly as sparse matrices.
+def _dual_spec(spec: BasisSpec) -> BasisSpec:
+    """The basis with primal and dual masks exchanged: its T_m is Tdual_m."""
+    return replace(spec, _masks=lambda j: MaskQuad(*spec.masks(j)[2:], *spec.masks(j)[:2]))
 
-    The product runs over the per-level factors diag([M_l0, M_l1], I),
-    finest factor leftmost, so that column blocks follow the multiscale
-    ordering frozen in the file format.
-    """
+
+def build_transform(spec: BasisSpec, m: int) -> tuple[BandMatrix, BandMatrix]:
+    """Assemble T_m and its dual as sparse matrices: the synthesis cascade,
+    over the primal and over the exchanged masks, applied to the sparse
+    identity, so column blocks follow the multiscale ordering."""
     if m < spec.j0:
         raise LevelBelowCoarsest(f"level {m} below coarsest level {spec.j0}")
-    size = spec.delta_size(m)
-    t = sp.identity(size, format="csr")
-    t_dual = sp.identity(size, format="csr")
-    for level in range(spec.j0 + 1, m + 1):
-        quad = spec.masks(level)
-        pad = size - spec.delta_size(level)
-        g = sp.hstack([quad.m0.csr, quad.m1.csr], format="csr")
-        g_dual = sp.hstack([quad.mt0.csr, quad.mt1.csr], format="csr")
-        if pad:
-            eye = sp.identity(pad, format="csr")
-            g = sp.block_diag([g, eye], format="csr")
-            g_dual = sp.block_diag([g_dual, eye], format="csr")
-        # Finest factor leftmost: T_m = G_m * diag(G_{m-1}, I) * ...
-        t = g @ t
-        t_dual = g_dual @ t_dual
+    eye = sp.identity(spec.delta_size(m), format="csr")
+    t = _synthesize_array(spec, eye, m)
+    t_dual = _synthesize_array(_dual_spec(spec), eye, m)
     return BandMatrix.from_csr(t), BandMatrix.from_csr(t_dual)
 
 
@@ -137,17 +121,14 @@ def forward(spec: BasisSpec, c_m: np.ndarray) -> MultiscaleVector:
         raise DimensionMismatch("forward expects a 1-D coefficient vector")
     m = spec.level_of_size(len(c_m))
     flat = _analyze_array(spec, c_m, m)
-    blocks = [flat[: spec.delta_size(spec.j0)]]
-    for j in range(spec.j0 + 1, m + 1):
-        lo, hi = spec.block_slice(j)
-        blocks.append(flat[lo:hi])
+    blocks = [flat[slice(*spec.block_slice(j))] for j in range(spec.j0, m + 1)]
     return MultiscaleVector(j0=spec.j0, m=m, blocks=tuple(blocks))
 
 
 def inverse(spec: BasisSpec, ms: MultiscaleVector) -> np.ndarray:
     """Reconstruct single-scale coefficients, c = T_m @ concat(ms)."""
     _check_block_lengths(spec, ms)
-    return _synthesize_array(spec, ms.concat(), ms.m)
+    return _synthesize_array(spec, np.asarray(ms.concat(), dtype=np.float64), ms.m)
 
 
 def cascade_cost(spec: BasisSpec, m: int) -> int:

@@ -226,7 +226,7 @@ def check_biorthogonality(spec: BasisSpec, m: int) -> float:
     """Max-norm defect of Tdual_m^T T_m - I."""
     t, t_dual = build_transform(spec, m)
     defect = t_dual.csr.T @ t.csr - sp.identity(t.rows, format="csr")
-    return float(np.abs(defect.toarray()).max()) if defect.nnz else 0.0
+    return float(abs(defect).max()) if defect.nnz else 0.0
 
 
 def check_riesz(spec: BasisSpec, m: int, singlescale_gram: BandMatrix | None = None) -> float:

@@ -30,22 +30,25 @@ class TestArrayFiles:
         with pytest.raises(OSError):
             load_array(path)
 
-    @pytest.mark.parametrize("text", [
-        "hyperwave-array v1 m=1\n1\n2\n",
-        "hyperwave-array v1 n=1\n1\n2\n",
-        "hyperwave-array v1 n=one m=1\n1\n2\n",
-        "hyperwave-array v1 n=1 m 1\n1\n2\n",
-        "hyperwave-array v1 n=1 m=1\n1\nx\n",
-        "hyperwave-array v1 n=2 m=3\n1\n2\n3\n4\n",
-        "hyperwave-array v1 n=2 m=1\n1\n2\n3\n",
+    @pytest.mark.parametrize("text, bad_line", [
+        ("hyperwave-array v1 m=1\n1\n2\n", "hyperwave-array v1 m=1"),
+        ("hyperwave-array v1 n=1\n1\n2\n", "hyperwave-array v1 n=1"),
+        ("hyperwave-array v1 n=one m=1\n1\n2\n", "hyperwave-array v1 n=one m=1"),
+        ("hyperwave-array v1 n=1 m 1\n1\n2\n", "hyperwave-array v1 n=1 m 1"),
+        ("hyperwave-array v1 n=1 m=1\n1\nx\n", "x"),
+        ("hyperwave-array v1 n=2 m=3\n1\n2\n3\n4\n", None),
+        ("hyperwave-array v1 n=2 m=1\n1\n2\n3\n", None),
     ], ids=["no-n", "no-m", "n-not-int", "field-without-equals", "value-not-float",
             "m-disagrees-with-size", "not-a-cube"])
-    def test_malformed_file_exits_3(self, tmp_path, text):
+    def test_malformed_file_exits_3(self, tmp_path, text, bad_line):
         path = tmp_path / "bad.arr"
         path.write_text(text)
         r = run_cli("transform", "--input", path, "--out", tmp_path / "x.coeffs")
         assert r.returncode == 3
         assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+        assert str(path) in r.stderr
+        if bad_line is not None:
+            assert repr(bad_line) in r.stderr
 
     @pytest.mark.parametrize("n", [0, -1, 4])
     def test_dimension_out_of_range_exits_3(self, tmp_path, n):
@@ -162,15 +165,20 @@ class TestNtermCommand:
         assert lines[0] == "N,E_N,q,r,tau,basis,n,seed"
         assert len(lines) == 4  # N = 1, 2, 4
 
-    @pytest.mark.parametrize("text", [
-        "hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar\n1 1 0 0 1\n",
-        "hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar jmax=3\n1 1 0 0 abc\n",
-        "hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar jmax=3\n1 1 0 99999999999999999999 1.0\n",
-        "hyperwave-coeffs v1 isotropic n=2 p=2 basis=haar jmax=3\n2 300 1 0 0 1\n",
-        "hyperwave-coeffs v1 isotropic n=2 p=2 basis=haar jmax=3\n2 257 1 0 0 1\n",
+    @pytest.mark.parametrize("text, bad_line", [
+        ("hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar\n1 1 0 0 1\n",
+         "hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar"),
+        ("hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar jmax=3\n1 1 0 0 abc\n",
+         "1 1 0 0 abc"),
+        ("hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar jmax=3\n1 1 0 99999999999999999999 1.0\n",
+         "1 1 0 99999999999999999999 1.0"),
+        ("hyperwave-coeffs v1 isotropic n=2 p=2 basis=haar jmax=3\n2 300 1 0 0 1\n", None),
+        ("hyperwave-coeffs v1 isotropic n=2 p=2 basis=haar jmax=3\n2 257 1 0 0 1\n", None),
+        ("hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar jmax=3\n1 1 0 0 1\n\n1 1 0 0 2\n"
+         "1 2 0 1\n", "1 2 0 1"),
     ], ids=["no-jmax", "value-not-float", "index-beyond-int64", "type-300",
-            "type-257-not-read-as-1"])
-    def test_unparsable_coeff_file_exits_3(self, tmp_path, text):
+            "type-257-not-read-as-1", "short-row-after-blank-line"])
+    def test_unparsable_coeff_file_exits_3(self, tmp_path, text, bad_line):
         path = tmp_path / "bad.coeffs"
         path.write_text(text)
         r = run_cli("nterm", "--coeffs", path, "--nmin", 1, "--nmax", 2,
@@ -179,6 +187,9 @@ class TestNtermCommand:
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: malformed coefficient")
         assert len(r.stderr.splitlines()) == 1
+        assert str(path) in r.stderr and "usecols" not in r.stderr
+        if bad_line is not None:
+            assert repr(bad_line) in r.stderr
 
     def test_mismatched_basis_header_exits_3(self, tmp_path):
         u = make_hyper({((1, 1), (0, 0)): 1.0}, 2, 2, basis="otherbasis")
@@ -227,6 +238,26 @@ class TestVerifyCommand:
                     "--basis", f"maskfile={path}", "--out", tmp_path / "b.csv")
         assert r.returncode == 1
         assert "FAIL" in r.stdout
+
+
+    @pytest.mark.parametrize("text", [
+        "1 2 1\n0 0 x\n#\n",
+        "",
+        None,
+        "1 -2 1\n#\n",
+        "1 2 1\n99999999999999999999 0 1\n#\n",
+    ], ids=["value-not-float", "empty", "dev-null", "negative-dimension",
+            "index-beyond-int64"])
+    def test_malformed_mask_file_exits_3(self, tmp_path, text):
+        path = "/dev/null"
+        if text is not None:
+            path = tmp_path / "masks.txt"
+            path.write_text(text)
+        r = run_cli("verify", "--suite", "biorth", "--m-max", 2,
+                    "--basis", f"maskfile={path}", "--out", tmp_path / "b.csv")
+        assert r.returncode == 3
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
 
 
 class TestCompareCommand:

@@ -3,18 +3,23 @@ formulations they replaced: row-wise block grouping with
 ``np.unique(axis=0)`` and one rebuilt truncation per N.  The
 dimension-generic change of basis against the bivariate one it replaced.
 The table codec of coefficient and array files against the per-line
-writers and readers it replaced."""
+writers and readers it replaced.  The assembled transforms, now the
+synthesis cascade run on a sparse identity, against the product of
+padded per-level factors they replaced."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hyperwave import (
+    BandMatrix,
     CoeffVector,
     DimensionMismatch,
     HyperIndex,
     IsoIndex,
     NormParams,
     besov_hybrid_norm,
+    build_transform,
     error_curve,
     iso_from_hyper,
     jackson_bernstein_ratios,
@@ -460,3 +465,38 @@ class TestTableCodecBitwise:
             got, want = load_array(ref), reference_load_array(ref)
             assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def reference_build_transform(spec, m):
+    """T_m and Tdual_m as the product of the per-level factors
+    diag([M_l0, M_l1], I), finest factor leftmost."""
+    size = spec.delta_size(m)
+    t = sp.identity(size, format="csr")
+    t_dual = sp.identity(size, format="csr")
+    for level in range(spec.j0 + 1, m + 1):
+        quad = spec.masks(level)
+        pad = size - spec.delta_size(level)
+        g = sp.hstack([quad.m0.csr, quad.m1.csr], format="csr")
+        g_dual = sp.hstack([quad.mt0.csr, quad.mt1.csr], format="csr")
+        if pad:
+            eye = sp.identity(pad, format="csr")
+            g = sp.block_diag([g, eye], format="csr")
+            g_dual = sp.block_diag([g_dual, eye], format="csr")
+        t = g @ t
+        t_dual = g_dual @ t_dual
+    return BandMatrix.from_csr(t), BandMatrix.from_csr(t_dual)
+
+
+class TestBuildTransformBitwise:
+    @pytest.mark.parametrize("name", ["haar", "haar_j2", "scaled"])
+    def test_transforms_match(self, request, name):
+        spec = request.getfixturevalue(name)
+        for m in range(spec.j0, 11):
+            for got, want in zip(build_transform(spec, m), reference_build_transform(spec, m)):
+                got, want = got.csr, want.csr
+                got.sort_indices()
+                want.sort_indices()
+                assert got.shape == want.shape
+                for field in ("indptr", "indices", "data"):
+                    x, y = getattr(got, field), getattr(want, field)
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
