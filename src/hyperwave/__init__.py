@@ -7,7 +7,11 @@ estimates (matrix p-norm bounds, coefficient decay, transform norm growth,
 Kronecker norm identities, embedding chains).
 
 All objects are immutable after construction and all operations are pure
-functions, safe to share across threads.
+functions, safe to share across threads.  The fields some objects fill
+lazily (the scipy CSR and the diagonal runs of a ``BandMatrix``, the
+assembled transforms of a ``BasisSpec``) are written once and then only
+read, and the arrays a ``BandMatrix`` hands out are read-only.  scipy is
+imported only by the code that assembles sparse matrices.
 """
 
 from .bandmatrix import BandMatrix

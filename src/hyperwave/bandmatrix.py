@@ -2,44 +2,73 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch
 
 __all__ = ["BandMatrix"]
 
+_INDEX_MAX = np.iinfo(np.int64).max
+
+
+def _is_sparse(x) -> bool:
+    """True for a scipy sparse operand; scipy is not imported to find out."""
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(x)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
 
 class BandMatrix:
     """Sparse real matrix stored as (row, col, value) triples.
 
-    Thin wrapper around a CSR matrix that enforces the invariants of the
-    triple representation (entries within the declared dimensions, no
-    duplicate positions) and provides the plain-text export used by the
-    mask file format.
+    The triples are validated (entries within the declared dimensions, no
+    duplicate positions), sorted by (row, col) and read-only.  Products
+    with dense operands run in numpy over the two-scale diagonals
+    row = 2*col + d: each diagonal is cut once per matrix into runs of
+    consecutive columns, and M @ x adds ``v * x[c0:c0+n]`` into every
+    second row ``y[2*c0+d::2]`` of each run, starting from zeros.  Running
+    the diagonals by descending d for M @ x, and by ascending d for
+    M^T @ x, adds the terms of each output entry in the order scipy's
+    CSR and CSC kernels do, so both products are bitwise equal to
+    ``csr @ x`` and ``csr.T @ x``, except for the sign of a NaN made where
+    two NaNs meet in one sum.  The scipy CSR copy is built on first
+    use of ``csr``, which is the only place scipy is imported; sparse
+    operands are multiplied through it.  A matrix made by ``from_csr``
+    keeps that CSR and derives its triples from it when they are asked
+    for, without keeping them.  The lazily filled fields are written once.
     """
 
-    __slots__ = ("rows", "cols", "csr")
+    __slots__ = ("rows", "cols", "_entries", "_csr", "_runs")
 
     def __init__(self, rows: int, cols: int, row_idx, col_idx, values):
-        row_idx = np.asarray(row_idx, dtype=np.int64)
-        col_idx = np.asarray(col_idx, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if rows < 0 or cols < 0:
-            raise DimensionMismatch(f"negative matrix dimensions {rows}x{cols}")
-        if not (row_idx.shape == col_idx.shape == values.shape):
-            raise DimensionMismatch("triple arrays must have equal length")
+        row_idx = np.array(row_idx, dtype=np.int64)
+        col_idx = np.array(col_idx, dtype=np.int64)
+        values = np.array(values, dtype=np.float64)
+        self.rows, self.cols = _check_dims(rows, cols)
+        if not (row_idx.ndim == 1 and row_idx.shape == col_idx.shape == values.shape):
+            raise DimensionMismatch("triple arrays must be 1-D and of equal length")
         if row_idx.size:
             if row_idx.min() < 0 or row_idx.max() >= rows:
                 raise DimensionMismatch("row index outside declared dimensions")
             if col_idx.min() < 0 or col_idx.max() >= cols:
                 raise DimensionMismatch("column index outside declared dimensions")
-            flat = row_idx * cols + col_idx
-            if np.unique(flat).size != flat.size:
-                raise DimensionMismatch("duplicate (row, col) positions")
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.csr = sp.csr_matrix((values, (row_idx, col_idx)), shape=(rows, cols))
+            dr, dc = np.diff(row_idx), np.diff(col_idx)
+            if not ((dr > 0) | ((dr == 0) & (dc > 0))).all():
+                order = np.lexsort((col_idx, row_idx))
+                row_idx, col_idx, values = row_idx[order], col_idx[order], values[order]
+                dr, dc = np.diff(row_idx), np.diff(col_idx)
+                if ((dr == 0) & (dc == 0)).any():
+                    raise DimensionMismatch("duplicate (row, col) positions")
+        self._entries = _read_only(row_idx, col_idx, values)
+        self._csr = None
+        self._runs = None
 
     @classmethod
     def from_dense(cls, a) -> "BandMatrix":
@@ -49,14 +78,53 @@ class BandMatrix:
 
     @classmethod
     def from_csr(cls, m) -> "BandMatrix":
-        m = sp.csr_matrix(m)
-        coo = m.tocoo()
-        return cls(m.shape[0], m.shape[1], coo.row, coo.col, coo.data)
+        """Wrap a scipy sparse matrix, keeping it (index-sorted) as the CSR.
+
+        The matrix is taken over, not copied: it must not be modified in
+        place afterwards.
+        """
+        import scipy.sparse as sp
+
+        if not isinstance(m, sp.csr_matrix):
+            m = sp.csr_matrix(m)
+        if not m.has_sorted_indices:
+            m = m.sorted_indices()
+        self = cls.__new__(cls)
+        self.rows, self.cols = _check_dims(*m.shape)
+        rows, cols = _csr_rows(m), m.indices
+        if cols.size:
+            if cols.min() < 0 or cols.max() >= self.cols:
+                raise DimensionMismatch("column index outside declared dimensions")
+            # Sorted rows hold a duplicate only as two equal neighbours.
+            if ((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])).any():
+                raise DimensionMismatch("duplicate (row, col) positions")
+        self._entries = None
+        self._csr = m
+        self._runs = None
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "BandMatrix":
         idx = np.arange(n)
         return cls(n, n, idx, idx, np.ones(n))
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only int64 rows, int64 columns and float64 values, sorted by
+        (row, col)."""
+        if self._entries is not None:
+            return self._entries
+        m = self._csr
+        return _read_only(_csr_rows(m), m.indices.astype(np.int64), m.data.copy())
+
+    @property
+    def csr(self):
+        """The matrix as a scipy CSR matrix, built on first use."""
+        if self._csr is None:
+            import scipy.sparse as sp
+
+            r, c, v = self._entries
+            self._csr = sp.csr_matrix((v, (r, c)), shape=self.shape)
+        return self._csr
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -64,23 +132,69 @@ class BandMatrix:
 
     @property
     def nnz(self) -> int:
-        return self.csr.nnz
+        return self._csr.nnz if self._entries is None else self._entries[2].size
 
     @property
     def T(self) -> "BandMatrix":
-        return BandMatrix.from_csr(self.csr.T)
+        r, c, v = self.entries()
+        return BandMatrix(self.cols, self.rows, c, r, v)
 
     def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
+        r, c, v = self.entries()
+        out = np.zeros(self.shape)
+        # Adding each value to 0.0, as scipy's toarray does, turns -0.0 into 0.0.
+        out[r, c] = v + 0.0
+        return out
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector (or matrix-matrix) product with a dense array."""
+    def _diagonals(self) -> tuple[tuple[int, int, np.ndarray], ...]:
+        """Runs (d, c0, values) of consecutive columns c0, c0+1, ... on the
+        diagonal row = 2*col + d, by ascending d and then c0."""
+        if self._runs is None:
+            r, c, v = self.entries()
+            d = r - 2 * c
+            order = np.lexsort((c, d))
+            d, c, v = d[order], c[order], v[order]
+            v.setflags(write=False)
+            cuts = np.flatnonzero((d[1:] != d[:-1]) | (c[1:] != c[:-1] + 1)) + 1
+            bounds = zip(np.r_[0, cuts].tolist(), np.r_[cuts, d.size].tolist())
+            self._runs = tuple((int(d[s]), int(c[s]), v[s:e]) for s, e in bounds if e > s)
+        return self._runs
+
+    def _operand(self, x, length: int) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[0] != self.cols:
+        if x.ndim not in (1, 2):
+            raise DimensionMismatch(f"operand must be 1-D or 2-D, got {x.ndim}-D")
+        if x.shape[0] != length:
             raise DimensionMismatch(
-                f"operand has leading dimension {x.shape[0]}, expected {self.cols}"
+                f"operand has leading dimension {x.shape[0]}, expected {length}"
             )
-        return self.csr @ x
+        return x
+
+    def apply(self, x):
+        """M @ x for a 1-D or 2-D array; a scipy sparse operand gives ``csr @ x``."""
+        if _is_sparse(x):
+            return self.csr @ x
+        x = self._operand(x, self.cols)
+        return self._accumulate(x, self.rows, reversed(self._diagonals()), transpose=False)
+
+    def apply_transpose(self, x):
+        """M^T @ x for a 1-D or 2-D array; a scipy sparse operand gives ``csr.T @ x``."""
+        if _is_sparse(x):
+            return self.csr.T @ x
+        x = self._operand(x, self.rows)
+        return self._accumulate(x, self.cols, self._diagonals(), transpose=True)
+
+    @staticmethod
+    def _accumulate(x, length: int, runs, transpose: bool) -> np.ndarray:
+        y = np.zeros((length,) + x.shape[1:])
+        # Like scipy's kernels, do not warn about inf - inf or overflow.
+        with np.errstate(invalid="ignore", over="ignore"):
+            for d, c0, v in runs:
+                fine = slice(2 * c0 + d, 2 * (c0 + v.size) + d - 1, 2)
+                coarse = slice(c0, c0 + v.size)
+                dst, src = (coarse, fine) if transpose else (fine, coarse)
+                y[dst] += (v if x.ndim == 1 else v[:, None]) * x[src]
+        return y
 
     def __matmul__(self, other):
         if isinstance(other, BandMatrix):
@@ -91,18 +205,27 @@ class BandMatrix:
 
     def triples(self):
         """Yield (row, col, value) sorted by row then column."""
-        coo = self.csr.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for i in order:
-            yield int(coo.row[i]), int(coo.col[i]), float(coo.data[i])
+        r, c, v = self.entries()
+        return zip(r.tolist(), c.tolist(), v.tolist())
 
     def column_abs_pow_sums(self, p: float) -> np.ndarray:
-        """Column sums of |a_ij|^p, including all-zero columns."""
-        csc = self.csr.tocsc()
-        col_of_entry = np.repeat(np.arange(self.cols), np.diff(csc.indptr))
-        out = np.zeros(self.cols)
-        np.add.at(out, col_of_entry, np.abs(csc.data) ** p)
-        return out
+        """Column sums of |a_ij|^p, including all-zero columns; each column
+        is summed by ascending row."""
+        _, c, v = self.entries()
+        return np.bincount(c, weights=np.abs(v) ** p, minlength=self.cols)
 
     def __repr__(self) -> str:
         return f"BandMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
+
+
+def _check_dims(rows, cols) -> tuple[int, int]:
+    if rows < 0 or cols < 0:
+        raise DimensionMismatch(f"negative matrix dimensions {rows}x{cols}")
+    if rows > _INDEX_MAX or cols > _INDEX_MAX:
+        raise DimensionMismatch(f"matrix dimensions {rows}x{cols} beyond int64")
+    return int(rows), int(cols)
+
+
+def _csr_rows(m) -> np.ndarray:
+    """The row of each stored entry of a CSR matrix, as int64."""
+    return np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))

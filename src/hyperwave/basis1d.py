@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bandmatrix import BandMatrix
 from .errors import (
@@ -100,6 +99,9 @@ class BasisSpec:
     _masks: Callable[[int], MaskQuad] = field(repr=False)
     _delta: Callable[[int], int] = field(repr=False)
     _nabla: Callable[[int], int] = field(repr=False)
+    # (T_m, Tdual_m) by m, filled once each by transform1d.build_transform;
+    # not an init field, so dataclasses.replace starts an empty one.
+    _transforms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def masks(self, j: int) -> MaskQuad:
         """Mask quadruple (M_j0, M_j1, dual M_j0, dual M_j1) for level j > j0."""
@@ -196,6 +198,8 @@ def _validate_quad(j: int, quad: MaskQuad, tol: float) -> None:
             f"level {j}: |Delta_{j}| = {m0.rows} != |Delta_{j-1}| + |Nabla_{j}|"
             f" = {m0.cols} + {m1.cols}"
         )
+    import scipy.sparse as sp
+
     # The four block identities of the biorthogonal two-scale relation.
     blocks = [
         (mt0.csr.T @ m0.csr - sp.identity(m0.cols, format="csr"), "Mt0^T M0 - I"),
@@ -214,9 +218,9 @@ def _validate_quad(j: int, quad: MaskQuad, tol: float) -> None:
 def _mask_bandwidth(quad: MaskQuad) -> int:
     bw = 0
     for m in quad:
-        coo = m.csr.tocoo()
-        if coo.nnz:
-            bw = max(bw, int(np.abs(coo.row - 2 * coo.col).max()))
+        rows, cols, _ = m.entries()
+        if rows.size:
+            bw = max(bw, int(np.abs(rows - 2 * cols).max()))
     return bw
 
 

@@ -23,7 +23,7 @@ from .basis1d import (
     make_haar_basis,
     make_mask_basis,
 )
-from .errors import HyperwaveError
+from .errors import HyperwaveError, UnsupportedDimension
 from .tensorbasis import (
     _fmt,
     _read_table,
@@ -314,7 +314,7 @@ def _suite_embedding(spec, args):
         size = spec.delta_size(m)
         low = up = 0.0
         for _ in range(args.trials):
-            u = hyper_forward(spec, 2, rng.standard_normal((size, size)))
+            u = hyper_forward(spec, args.n, rng.standard_normal((size,) * args.n))
             lo, hi = verify.check_embedding_chain(spec, u, q, s)
             low = max(low, lo)
             up = max(up, hi)
@@ -347,6 +347,8 @@ def cmd_verify(args) -> int:
         if name not in SUITES:
             raise HyperwaveError(f"unknown suite {args.suite!r}; options: "
                                  + ", ".join(sorted(SUITES)) + ", all")
+    if "embedding" in names and args.n != 2:
+        raise UnsupportedDimension(f"the embedding suite is implemented for --n 2, got {args.n}")
     all_rows = []
     for name in names:
         all_rows.extend(SUITES[name](spec, args))

@@ -360,12 +360,12 @@ def iso_synthesize(spec: BasisSpec, v: CoeffVector) -> np.ndarray:
         if any(e):
             quad = spec.masks(m)
             for axis, ei in enumerate(e):
-                mask = quad.m1.csr if ei else quad.m0.csr
-                block = _apply_axis(mask.__matmul__, block, axis)
+                mask = quad.m1 if ei else quad.m0
+                block = _apply_axis(mask.apply, block, axis)
         for level in range(m + 1, mmax + 1):
-            m0 = spec.masks(level).m0.csr
+            m0 = spec.masks(level).m0
             for axis in range(v.n):
-                block = _apply_axis(m0.__matmul__, block, axis)
+                block = _apply_axis(m0.apply, block, axis)
         out += block
     return out
 

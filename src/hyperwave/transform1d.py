@@ -4,8 +4,13 @@ The synthesis matrix T_m maps multiscale coefficients, ordered as
 [coarse scaling block, detail blocks by increasing level], to level-m
 single-scale coefficients; its dual satisfies Tdual_m^T T_m = I.  The
 matrix-free cascade costs O(|Delta_m|) for bounded-bandwidth masks and is
-the default; the verification checks assemble T_m and Tdual_m explicitly
-by running the same cascade on a sparse identity.
+the default.  It multiplies by the masks with the numpy products of
+``BandMatrix.apply`` and ``apply_transpose``, which add the terms of each
+entry in the order scipy's sparse kernels do and so give their results bit
+for bit (up to the sign of a NaN) without importing scipy.  The
+verification checks assemble T_m and Tdual_m explicitly by running the
+same cascade on a sparse identity; that is the one place here where scipy
+is loaded, and each (spec, m) is assembled once per spec.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bandmatrix import BandMatrix
 from .basis1d import BasisSpec, MaskQuad
@@ -57,8 +61,8 @@ def _analyze_array(spec: BasisSpec, a: np.ndarray, m: int) -> np.ndarray:
     for level in range(m, spec.j0, -1):
         quad = spec.masks(level)
         lo, hi = spec.block_slice(level)
-        out[lo:hi] = quad.mt1.csr.T @ cur
-        cur = quad.mt0.csr.T @ cur
+        out[lo:hi] = quad.mt1.apply_transpose(cur)
+        cur = quad.mt0.apply_transpose(cur)
     out[: spec.delta_size(spec.j0)] = cur
     return out
 
@@ -69,7 +73,7 @@ def _synthesize_array(spec: BasisSpec, a, m: int):
     for level in range(spec.j0 + 1, m + 1):
         quad = spec.masks(level)
         lo, hi = spec.block_slice(level)
-        cur = quad.m0.csr @ cur + quad.m1.csr @ a[lo:hi]
+        cur = quad.m0.apply(cur) + quad.m1.apply(a[lo:hi])
     return cur
 
 
@@ -101,13 +105,19 @@ def _dual_spec(spec: BasisSpec) -> BasisSpec:
 def build_transform(spec: BasisSpec, m: int) -> tuple[BandMatrix, BandMatrix]:
     """Assemble T_m and its dual as sparse matrices: the synthesis cascade,
     over the primal and over the exchanged masks, applied to the sparse
-    identity, so column blocks follow the multiscale ordering."""
+    identity, so column blocks follow the multiscale ordering.  The pair
+    is kept on the spec and built once per (spec, m)."""
     if m < spec.j0:
         raise LevelBelowCoarsest(f"level {m} below coarsest level {spec.j0}")
-    eye = sp.identity(spec.delta_size(m), format="csr")
-    t = _synthesize_array(spec, eye, m)
-    t_dual = _synthesize_array(_dual_spec(spec), eye, m)
-    return BandMatrix.from_csr(t), BandMatrix.from_csr(t_dual)
+    pair = spec._transforms.get(m)
+    if pair is None:
+        import scipy.sparse as sp
+
+        eye = sp.identity(spec.delta_size(m), format="csr")
+        t = _synthesize_array(spec, eye, m)
+        t_dual = _synthesize_array(_dual_spec(spec), eye, m)
+        pair = spec._transforms[m] = (BandMatrix.from_csr(t), BandMatrix.from_csr(t_dual))
+    return pair
 
 
 def forward(spec: BasisSpec, c_m: np.ndarray) -> MultiscaleVector:
@@ -158,15 +168,15 @@ def check_entry_decay(spec: BasisSpec, m: int, alpha: float) -> float:
         raise LevelBelowCoarsest(f"need m > j0={spec.j0}")
     t, _ = build_transform(spec, m)
     size = spec.delta_size(m)
-    coo = t.csr.tocoo()
+    rows, cols, values = t.entries()
     lvl, pos = _level_maps(spec, m)
-    j = lvl[coo.col]
-    k = pos[coo.col]
+    j = lvl[cols]
+    k = pos[cols]
     widths = np.array([spec.nabla_size(level) for level in range(spec.j0, m + 1)])
     n_block = widths[j - spec.j0]
     # Fine-cell center in level-j block units.
-    x = (coo.row + 0.5) / size * n_block
+    x = (rows + 0.5) / size * n_block
     dist = np.maximum(0.0, np.maximum(k - x, x - (k + 1)))
     envelope = 2.0 ** ((j - m) / 2.0) * (1.0 + dist) ** (-alpha)
-    ratios = np.abs(coo.data) / envelope
+    ratios = np.abs(values) / envelope
     return float(ratios.max()) if ratios.size else 0.0

@@ -26,6 +26,39 @@ def haar_quads(j0, max_level):
     return {j: spec.masks(j) for j in range(j0 + 1, max_level + 1)}
 
 
+class TestBandMatrix:
+    def test_triples_sorted_and_read_only(self):
+        a = BandMatrix(3, 2, [2, 0, 1, 0], [0, 1, 1, 0], [4.0, 2.0, 3.0, 1.0])
+        assert list(a.triples()) == [(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0), (2, 0, 4.0)]
+        for arr in a.entries():
+            assert not arr.flags.writeable
+        np.testing.assert_array_equal(a.T.to_dense(), a.to_dense().T)
+
+    def test_duplicate_positions_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            BandMatrix(2, 2, [1, 0, 1], [0, 0, 0], [1.0, 2.0, 3.0])
+        import scipy.sparse as sp
+
+        twice = sp.csr_matrix((np.ones(3), np.array([0, 1, 1]), np.array([0, 1, 3])),
+                              shape=(2, 2))
+        with pytest.raises(DimensionMismatch):
+            BandMatrix.from_csr(twice)
+
+    def test_from_csr_keeps_the_matrix(self):
+        import scipy.sparse as sp
+
+        m = sp.random(6, 4, density=0.5, format="csr", random_state=0)
+        a = BandMatrix.from_csr(m)
+        assert a.csr is m and a.nnz == m.nnz
+        np.testing.assert_array_equal(a.to_dense(), m.toarray())
+
+    def test_operand_shape_checked(self):
+        a = BandMatrix.identity(3)
+        for bad in (np.ones(2), np.ones((3, 2, 2))):
+            with pytest.raises(DimensionMismatch):
+                a.apply(bad)
+
+
 class TestHaarBasis:
     def test_two_scale_masks_level1(self, haar):
         quad = haar.masks(1)

@@ -1,9 +1,13 @@
+import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hyperwave
 from hyperwave import save_coeffs
 from hyperwave.cli import load_array, main, save_array
 from conftest import make_hyper
@@ -225,6 +229,14 @@ class TestVerifyCommand:
     def test_unknown_suite_exits_3(self):
         assert run_cli("verify", "--suite", "nonsense").returncode == 3
 
+    @pytest.mark.parametrize("suite, n", [("embedding", 1), ("embedding", 3), ("all", 3)])
+    def test_embedding_suite_other_n_exits_3(self, tmp_path, suite, n):
+        out = tmp_path / "e.csv"
+        r = run_cli("verify", "--suite", suite, "--n", n, "--out", out)
+        assert r.returncode == 3
+        assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+        assert "--n 2" in r.stderr and not out.exists()
+
     def test_failing_check_exits_1(self, tmp_path):
         # A biorthogonal basis with an oversized wavelet mask (d = 3) keeps
         # every identity intact but pushes the decay ratio past the bound 2,
@@ -246,8 +258,9 @@ class TestVerifyCommand:
         None,
         "1 -2 1\n#\n",
         "1 2 1\n99999999999999999999 0 1\n#\n",
+        "1 99999999999999999999 1\n0 0 1\n#\n",
     ], ids=["value-not-float", "empty", "dev-null", "negative-dimension",
-            "index-beyond-int64"])
+            "index-beyond-int64", "dimension-beyond-int64"])
     def test_malformed_mask_file_exits_3(self, tmp_path, text):
         path = "/dev/null"
         if text is not None:
@@ -341,3 +354,44 @@ class TestMainInProcess:
         assert main(["verify", "--suite", "kron", "--trials", "3",
                      "--out", str(out)]) == 0
         assert out.exists()
+
+
+def scipy_modules_after(tmp_path, *commands):
+    """Exit codes of ``cli.main`` over ``commands`` in one fresh interpreter,
+    and the scipy modules loaded by then."""
+    script = (
+        "import json, sys\n"
+        "from hyperwave.cli import main\n"
+        f"codes = [main(argv) for argv in {[list(map(str, c)) for c in commands]!r}]\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    path = [str(Path(hyperwave.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       cwd=tmp_path, env=env)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    def test_transform_nterm_compare_do_not_load_scipy(self, tmp_path):
+        codes, loaded = scipy_modules_after(
+            tmp_path,
+            ("transform", "--generate", "random_decay", "--jmax", 5, "--out", "u.coeffs"),
+            ("transform", "--coeffs", "u.coeffs", "--direction", "inverse", "--out", "u.arr"),
+            ("transform", "--input", "u.arr", "--system", "iso", "--out", "v.coeffs"),
+            ("transform", "--coeffs", "v.coeffs", "--direction", "inverse", "--out", "v.arr"),
+            ("nterm", "--coeffs", "u.coeffs", "--nmax", 256, "--out", "curve.csv"),
+            ("compare", "--jmax", 5, "--nmax", 256, "--out", "cmp.csv"),
+        )
+        assert codes == [0] * 6
+        assert loaded == []
+
+    def test_verify_loads_scipy_and_passes(self, tmp_path):
+        codes, loaded = scipy_modules_after(
+            tmp_path, ("verify", "--suite", "biorth", "--m-max", 8, "--out", "b.csv"))
+        assert codes == [0]
+        assert "scipy.sparse" in loaded
+        lines = (tmp_path / "b.csv").read_text().splitlines()
+        assert len(lines) == 10 and all(line.endswith("true") for line in lines[1:])

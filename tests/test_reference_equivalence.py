@@ -5,7 +5,8 @@ dimension-generic change of basis against the bivariate one it replaced.
 The table codec of coefficient and array files against the per-line
 writers and readers it replaced.  The assembled transforms, now the
 synthesis cascade run on a sparse identity, against the product of
-padded per-level factors they replaced."""
+padded per-level factors they replaced.  The numpy mask products of
+``BandMatrix`` against the scipy CSR products they replaced."""
 
 import numpy as np
 import pytest
@@ -17,12 +18,14 @@ from hyperwave import (
     DimensionMismatch,
     HyperIndex,
     IsoIndex,
+    MaskQuad,
     NormParams,
     besov_hybrid_norm,
     build_transform,
     error_curve,
     iso_from_hyper,
     jackson_bernstein_ratios,
+    make_haar_basis,
     rescale,
 )
 from hyperwave import hyper_forward, hyper_from_iso, iso_synthesize, load_coeffs, save_coeffs
@@ -500,3 +503,87 @@ class TestBuildTransformBitwise:
                 for field in ("indptr", "indices", "data"):
                     x, y = getattr(got, field), getattr(want, field)
                     assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def lifted_haar_quad(rng, j):
+    """Level-j Haar masks lifted as in Sweldens, "The lifting scheme" (1996):
+    M1' = M1 + M0 K and Mt0' = Mt0 - Mt1 K^T for a random tridiagonal K.
+    K[3, 3] = -1 cancels the Haar entry (6, 3) of M1', so that mask has a
+    gap in a diagonal besides the ragged runs at both ends."""
+    m0, m1, mt0, mt1 = (b.to_dense() for b in make_haar_basis(0).masks(j))
+    n = m0.shape[1]
+    k = sum(np.diag(rng.uniform(-0.5, 0.5, n - abs(o)), o) for o in (-1, 0, 1))
+    if n > 3:
+        k[3, 3] = -1.0
+    return MaskQuad(*(BandMatrix.from_dense(a) for a in (m0, m1 + m0 @ k, mt0 - mt1 @ k.T, mt1)))
+
+
+def masks_of(request, name):
+    if name == "lifted":
+        rng = np.random.default_rng(7)
+        return [b for j in range(1, 9) for b in lifted_haar_quad(rng, j)]
+    spec = request.getfixturevalue(name)
+    return [b for j in range(spec.j0 + 1, 11) for b in spec.masks(j)]
+
+
+def special_operand(rng, length, width):
+    """Normal deviates with about a third of the entries replaced by +-0.0
+    and a few by +-inf and nan; 1-D when ``width`` is None."""
+    x = rng.standard_normal((length,) if width is None else (length, width))
+    flat = x.reshape(-1)
+    flat[rng.random(flat.size) < 0.3] = 0.0
+    flat[rng.random(flat.size) < 0.15] = -0.0
+    picks = rng.random(flat.size) < 0.02
+    flat[picks] = rng.choice([np.inf, -np.inf, np.nan], picks.sum())
+    return x
+
+
+def assert_same_bits_but_nan_sign(got, want):
+    """Equal bits, except that a NaN may carry another sign or payload.
+
+    Where a NaN of the operand meets a NaN made by inf - inf or 0 * inf in
+    one sum, x86 keeps the NaN of the first operand of the addition, and
+    numpy's SIMD loops and scipy's kernels are compiled with the operands
+    in different orders: the two results are then NaNs of opposite sign.
+    No output of the library shows the sign of a NaN."""
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+class TestMaskProductsBitwise:
+    @pytest.mark.parametrize("name", ["haar", "haar_j2", "scaled", "lifted"])
+    def test_products_match_scipy(self, request, name):
+        rng = np.random.default_rng(3)
+        masks = masks_of(request, name)
+        assert max(len({int(r) - 2 * int(c) for r, c, _ in m.triples()}) for m in masks) \
+            == (6 if name == "lifted" else 2)
+        for mask in masks:
+            for width in (None, 1, 2, 7, 64, 4096):
+                if width is not None and mask.rows * width > 1 << 20:
+                    continue
+                for x, got, want in (
+                    (x := special_operand(rng, mask.cols, width), mask.apply(x), mask.csr @ x),
+                    (x := special_operand(rng, mask.rows, width), mask.apply_transpose(x),
+                     mask.csr.T @ x),
+                ):
+                    assert_same_bits_but_nan_sign(got, want)
+
+    def test_negative_zero_operands(self, request):
+        """0.0 + (-0.0) is +0.0: an all -0.0 operand gives +0.0 entries."""
+        for mask in masks_of(request, "lifted"):
+            for x, got, want in (
+                (x := np.full(mask.cols, -0.0), mask.apply(x), mask.csr @ x),
+                (x := np.full((mask.rows, 3), -0.0), mask.apply_transpose(x), mask.csr.T @ x),
+            ):
+                assert got.tobytes() == want.tobytes()
+                assert not np.signbit(got).any()
+
+    def test_sparse_operand_goes_to_csr(self, haar):
+        mask = haar.masks(4).m1
+        eye = sp.identity(mask.cols, format="csr")
+        got = mask.apply(eye)
+        assert sp.issparse(got)
+        assert (got != mask.csr).nnz == 0

@@ -12,6 +12,7 @@ from hyperwave import (
     check_entry_decay,
     forward,
     inverse,
+    make_haar_basis,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -77,6 +78,12 @@ class TestBuildTransform:
     def test_below_coarsest_rejected(self, haar_j2):
         with pytest.raises(LevelBelowCoarsest):
             build_transform(haar_j2, 1)
+
+    def test_built_once_per_spec(self):
+        spec = make_haar_basis(0)
+        pair = build_transform(spec, 5)
+        assert build_transform(spec, 5) is pair
+        assert build_transform(make_haar_basis(0), 5) is not pair
 
 
 def column_oracle_dual(spec, m):
