@@ -31,21 +31,26 @@ class BandMatrix:
     The triples are validated (entries within the declared dimensions, no
     duplicate positions), sorted by (row, col) and read-only.  Products
     with dense operands run in numpy over the two-scale diagonals
-    row = 2*col + d: each diagonal is cut once per matrix into runs of
-    consecutive columns, and M @ x adds ``v * x[c0:c0+n]`` into every
-    second row ``y[2*c0+d::2]`` of each run, starting from zeros.  Running
-    the diagonals by descending d for M @ x, and by ascending d for
-    M^T @ x, adds the terms of each output entry in the order scipy's
-    CSR and CSC kernels do, so both products are bitwise equal to
-    ``csr @ x`` and ``csr.T @ x``, except for the sign of a NaN made where
-    two NaNs meet in one sum.  The scipy CSR copy is built on first
-    use of ``csr``, which is the only place scipy is imported; sparse
-    operands are multiplied through it.  A matrix made by ``from_csr``
-    keeps that CSR and derives its triples from it when they are asked
-    for, without keeping them.  The lazily filled fields are written once.
+    row = 2*col + d: each diagonal is cut into runs of consecutive
+    columns, and M @ x adds ``v * x[c0:c0+n]`` into every second row
+    ``y[2*c0+d::2]`` of each run.  Running the diagonals by
+    descending d for M @ x, and by ascending d for M^T @ x, adds the terms
+    of each output entry in the order scipy's CSR and CSC kernels do.
+    Each direction keeps a plan, made once from the runs, that cuts them
+    where an output entry gets its first term: such a piece writes its
+    products straight into the output, the others add theirs, and only the
+    entries no run reaches are zeroed.  Adding 0.0 once at the end turns an
+    all -0.0 sum into +0.0, as a sum started from zeros does, so both
+    products are bitwise equal to ``csr @ x`` and ``csr.T @ x``, except for
+    the sign of a NaN made where two NaNs meet in one sum.  The scipy CSR
+    copy is built on first use of ``csr``, which is the only place scipy is
+    imported; sparse operands are multiplied through it.  A matrix made by
+    ``from_csr`` keeps that CSR and derives its triples from it when they
+    are asked for, without keeping them.  The lazily filled fields, the
+    plan of each direction included, are written once.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_csr", "_runs")
+    __slots__ = ("rows", "cols", "_entries", "_csr", "_plans")
 
     def __init__(self, rows: int, cols: int, row_idx, col_idx, values):
         row_idx = np.array(row_idx, dtype=np.int64)
@@ -68,7 +73,7 @@ class BandMatrix:
                     raise DimensionMismatch("duplicate (row, col) positions")
         self._entries = _read_only(row_idx, col_idx, values)
         self._csr = None
-        self._runs = None
+        self._plans = {}
 
     @classmethod
     def from_dense(cls, a) -> "BandMatrix":
@@ -100,7 +105,7 @@ class BandMatrix:
                 raise DimensionMismatch("duplicate (row, col) positions")
         self._entries = None
         self._csr = m
-        self._runs = None
+        self._plans = {}
         return self
 
     @classmethod
@@ -146,19 +151,41 @@ class BandMatrix:
         out[r, c] = v + 0.0
         return out
 
-    def _diagonals(self) -> tuple[tuple[int, int, np.ndarray], ...]:
+    def _diagonals(self) -> list[tuple[int, int, np.ndarray]]:
         """Runs (d, c0, values) of consecutive columns c0, c0+1, ... on the
         diagonal row = 2*col + d, by ascending d and then c0."""
-        if self._runs is None:
-            r, c, v = self.entries()
-            d = r - 2 * c
-            order = np.lexsort((c, d))
-            d, c, v = d[order], c[order], v[order]
-            v.setflags(write=False)
-            cuts = np.flatnonzero((d[1:] != d[:-1]) | (c[1:] != c[:-1] + 1)) + 1
-            bounds = zip(np.r_[0, cuts].tolist(), np.r_[cuts, d.size].tolist())
-            self._runs = tuple((int(d[s]), int(c[s]), v[s:e]) for s, e in bounds if e > s)
-        return self._runs
+        r, c, v = self.entries()
+        d = r - 2 * c
+        order = np.lexsort((c, d))
+        d, c, v = d[order], c[order], v[order]
+        v.setflags(write=False)
+        cuts = np.flatnonzero((d[1:] != d[:-1]) | (c[1:] != c[:-1] + 1)) + 1
+        bounds = zip(np.r_[0, cuts].tolist(), np.r_[cuts, d.size].tolist())
+        return [(int(d[s]), int(c[s]), v[s:e]) for s, e in bounds if e > s]
+
+    def _plan(self, transpose: bool):
+        """The terms of M @ x, or of M^T @ x, in their order of addition:
+        (first, dst, src, v) per piece of a run, ``first`` telling whether
+        the piece gives each of its output entries its first term; and the
+        output entries that no run reaches."""
+        plan = self._plans.get(transpose)
+        if plan is None:
+            runs = self._diagonals()
+            written = np.zeros(self.cols if transpose else self.rows, dtype=bool)
+            steps = []
+            for d, c0, v in runs if transpose else reversed(runs):
+                coarse = np.arange(c0, c0 + v.size)
+                targets = coarse if transpose else 2 * coarse + d
+                seen = written[targets]
+                cuts = np.flatnonzero(seen[1:] != seen[:-1]) + 1
+                for s, e in zip([0, *cuts.tolist()], [*cuts.tolist(), v.size]):
+                    fine = slice(2 * (c0 + s) + d, 2 * (c0 + e) + d - 1, 2)
+                    piece = slice(c0 + s, c0 + e)
+                    dst, src = (piece, fine) if transpose else (fine, piece)
+                    steps.append((not seen[s], dst, src, v[s:e]))
+                written[targets] = True
+            plan = self._plans[transpose] = (tuple(steps), np.flatnonzero(~written))
+        return plan
 
     def _operand(self, x, length: int) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -174,26 +201,28 @@ class BandMatrix:
         """M @ x for a 1-D or 2-D array; a scipy sparse operand gives ``csr @ x``."""
         if _is_sparse(x):
             return self.csr @ x
-        x = self._operand(x, self.cols)
-        return self._accumulate(x, self.rows, reversed(self._diagonals()), transpose=False)
+        return self._accumulate(self._operand(x, self.cols), transpose=False)
 
     def apply_transpose(self, x):
         """M^T @ x for a 1-D or 2-D array; a scipy sparse operand gives ``csr.T @ x``."""
         if _is_sparse(x):
             return self.csr.T @ x
-        x = self._operand(x, self.rows)
-        return self._accumulate(x, self.cols, self._diagonals(), transpose=True)
+        return self._accumulate(self._operand(x, self.rows), transpose=True)
 
-    @staticmethod
-    def _accumulate(x, length: int, runs, transpose: bool) -> np.ndarray:
-        y = np.zeros((length,) + x.shape[1:])
+    def _accumulate(self, x, transpose: bool) -> np.ndarray:
+        steps, untouched = self._plan(transpose)
+        y = np.empty((self.cols if transpose else self.rows,) + x.shape[1:])
+        if untouched.size:
+            y[untouched] = 0.0
         # Like scipy's kernels, do not warn about inf - inf or overflow.
         with np.errstate(invalid="ignore", over="ignore"):
-            for d, c0, v in runs:
-                fine = slice(2 * c0 + d, 2 * (c0 + v.size) + d - 1, 2)
-                coarse = slice(c0, c0 + v.size)
-                dst, src = (coarse, fine) if transpose else (fine, coarse)
-                y[dst] += (v if x.ndim == 1 else v[:, None]) * x[src]
+            for first, dst, src, v in steps:
+                w = v if x.ndim == 1 else v[:, None]
+                if first:
+                    np.multiply(w, x[src], out=y[dst])
+                else:
+                    y[dst] += w * x[src]
+            y += 0.0
         return y
 
     def __matmul__(self, other):

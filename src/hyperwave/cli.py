@@ -103,6 +103,16 @@ def _make_basis(arg: str) -> BasisSpec:
     raise HyperwaveError(f"--basis must be 'haar' or 'maskfile=PATH', got {arg!r}")
 
 
+def _check_counts(args) -> None:
+    """Reject an ``--nmin`` or ``--trials`` below 1: the N grid doubles from
+    ``--nmin`` and would never pass ``--nmax`` from 0 or below, and zero
+    trials would pass the randomized suites with nothing checked."""
+    for flag in ("nmin", "trials"):
+        value = getattr(args, flag, 1)
+        if value < 1:
+            raise HyperwaveError(f"--{flag} must be at least 1, got {value}")
+
+
 def _n_grid(nmin: int, nmax: int) -> list[int]:
     grid = []
     n = nmin
@@ -472,6 +482,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        _check_counts(args)
         return args.func(args)
     except (HyperwaveError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -72,6 +72,23 @@ def _outer_norm(weighted: np.ndarray, tau: float) -> float:
     return float(np.sum(weighted ** tau) ** (1.0 / tau))
 
 
+def _grouped_block_norms(code: np.ndarray, span: int, values: np.ndarray, p: float):
+    """The distinct codes, ascending, and the inner l^p norm of |values|
+    over the entries of each; every code lies in [0, span).
+
+    When the code space is no larger than the entry count, the codes are
+    the bins themselves: ``np.bincount`` adds each bin in input order, as
+    it does over the inverse of ``np.unique``, so the sums carry the same
+    bits without a sort.  A wider span, such as levels 0 and 2^40, would
+    allocate one bin per code, and keeps ``np.unique``.
+    """
+    if span <= code.size:
+        codes = np.flatnonzero(np.bincount(code, minlength=span))
+        return codes, _block_norm(values, code, span, p)[codes]
+    codes, group = np.unique(code, return_inverse=True)
+    return codes, _block_norm(values, group, codes.size, p)
+
+
 def besov_hybrid_norm(u: CoeffVector, params: NormParams) -> float:
     """Hybrid-regularity Besov sequence norm of hyperbolic coefficients.
 
@@ -86,18 +103,34 @@ def besov_hybrid_norm(u: CoeffVector, params: NormParams) -> float:
     up = rescale(u, params.p)
     # One integer code per level vector, its digits the levels offset by the
     # smallest one: ascending codes are the lexicographic order of the blocks.
-    lo = int(u.levels.min())
+    levels = u.levels.astype(np.int64, copy=False)
+    lo = int(levels.min())
     base = int(u.max_level) - lo + 1
     if base ** u.n > np.iinfo(np.int64).max:
         raise DimensionMismatch(f"levels {lo}..{u.max_level} span too many blocks to index")
-    place = base ** np.arange(u.n - 1, -1, -1)
-    codes, group = np.unique((u.levels - lo) @ place, return_inverse=True)
-    blocks = codes[:, None] // place % base + lo
-    inner = _block_norm(up.values, group, len(codes), params.p)
+    code = levels[:, 0] - lo
+    for a in range(1, u.n):
+        code = code * base + (levels[:, a] - lo)
+    codes, inner = _grouped_block_norms(code, base ** u.n, up.values, params.p)
+    blocks = codes[:, None] // base ** np.arange(u.n - 1, -1, -1) % base + lo
     linf = blocks.max(axis=1)
     l1 = blocks.sum(axis=1)
     weighted = 2.0 ** (params.q * linf + params.s * l1) * inner
     return _outer_norm(weighted, params.tau)
+
+
+def _iso_level_norms(v: CoeffVector, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The levels present in isotropic coefficients, ascending, and the
+    l^p norm of the L^p-normalized values of each level over all its type
+    blocks."""
+    levels = v.levels.astype(np.int64, copy=False)
+    if not levels.size:
+        return levels, np.zeros(0)
+    lo, hi = int(levels.min()), int(levels.max())
+    if hi - lo > np.iinfo(np.int64).max:
+        raise DimensionMismatch(f"levels {lo}..{hi} span too many blocks to index")
+    codes, inner = _grouped_block_norms(levels - lo, hi - lo + 1, rescale(v, p).values, p)
+    return codes + lo, inner
 
 
 def besov_iso_norm(v: CoeffVector, alpha: float, p: float = 2.0, tau: float = 2.0) -> float:
@@ -110,13 +143,8 @@ def besov_iso_norm(v: CoeffVector, alpha: float, p: float = 2.0, tau: float = 2.
         raise WrongSystem("besov_iso_norm expects isotropic coefficients")
     if not (p > 0) or not (tau > 0):
         raise InvalidExponent("p and tau must lie in (0, inf]")
-    if v.num_entries == 0:
-        return 0.0
-    vp = rescale(v, p)
-    levels, group = np.unique(v.levels, return_inverse=True)
-    inner = _block_norm(vp.values, group, len(levels), p)
-    weighted = 2.0 ** (alpha * levels) * inner
-    return _outer_norm(weighted, tau)
+    levels, inner = _iso_level_norms(v, p)
+    return _outer_norm(2.0 ** (alpha * levels) * inner, tau)
 
 
 def gk_norm(u: CoeffVector, q: float, s: float) -> float:

@@ -101,13 +101,13 @@ class CoeffVector:
     def level_linf(self) -> np.ndarray:
         """|lambda|_inf per entry (the level m itself for isotropic)."""
         if self.system == HYPERBOLIC:
-            return self.levels.max(axis=1) if self.levels.size else np.zeros(0, int)
+            return _fold_columns(np.maximum, self.levels)
         return self.levels
 
     def level_l1(self) -> np.ndarray:
         """|lambda|_1 per entry (n*m for isotropic, matching the L^p scaling)."""
         if self.system == HYPERBOLIC:
-            return self.levels.sum(axis=1) if self.levels.size else np.zeros(0, int)
+            return _fold_columns(np.add, self.levels)
         return self.n * self.levels
 
     def canonical_order(self) -> "CoeffVector":
@@ -156,6 +156,18 @@ class CoeffVector:
 
     def with_values(self, values: np.ndarray) -> "CoeffVector":
         return replace(self, values=np.asarray(values, dtype=np.float64))
+
+
+def _fold_columns(ufunc, columns: np.ndarray) -> np.ndarray:
+    """``ufunc`` folded over the columns of an (N, n) integer array into a
+    new int64 array: n - 1 calls over whole columns, where a reduction along
+    the short axis 1 runs an inner loop per row."""
+    if not columns.size:
+        return np.zeros(0, np.int64)
+    out = columns[:, 0].astype(np.int64)
+    for a in range(1, columns.shape[1]):
+        ufunc(out, columns[:, a], out=out)
+    return out
 
 
 def _block_offsets(spec: BasisSpec, m: int) -> np.ndarray:
@@ -315,13 +327,19 @@ def _gather_iso_blocks(spec: BasisSpec, v: CoeffVector) -> dict:
     blocks: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
     if not v.num_entries:
         return blocks
-    if not np.isin(v.etypes, (0, 1)).all():
+    if not ((v.etypes == 0) | (v.etypes == 1)).all():
         raise DimensionMismatch("isotropic type vectors must lie in {0,1}^n")
     n = v.n
-    code = v.levels * 2 ** n + v.etypes @ 2 ** np.arange(n - 1, -1, -1)
-    for c in np.unique(code):
-        sel = code == c
-        m, bits = divmod(int(c), 2 ** n)
+    code = v.levels.astype(np.int64) * 2 ** n
+    for a in range(n):
+        code += v.etypes[:, a].astype(np.int64) << (n - 1 - a)
+    # One stable sort groups the entries by block, each block keeping its
+    # entries in input order, as a mask ``code == c`` per block would.
+    order = np.argsort(code, kind="stable")
+    code, positions, values = code[order], v.positions[order], v.values[order]
+    cuts = (np.flatnonzero(np.diff(code)) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, code.size]):
+        m, bits = divmod(int(code[lo]), 2 ** n)
         e = tuple(map(int, f"{bits:0{n}b}"))
         if (m <= spec.j0) if any(e) else (m != spec.j0):
             raise DimensionMismatch(
@@ -330,15 +348,16 @@ def _gather_iso_blocks(spec: BasisSpec, v: CoeffVector) -> dict:
             )
         slices = _iso_block_slices(spec, m, e)
         shape = tuple(s.stop - s.start for s in slices)
-        k = v.positions[sel]
-        bad = ((k < 0) | (k >= shape)).any(axis=1)
-        if bad.any():
+        k = positions[lo:hi]
+        outside = (k < 0) | (k >= shape)
+        if outside.any():
+            i = int(np.flatnonzero(outside.any(axis=1))[0])
             raise DimensionMismatch(
-                f"position {tuple(k[bad][0].tolist())} out of range for level {m} "
+                f"position {tuple(k[i].tolist())} out of range for level {m} "
                 f"type {e} block of shape {shape}"
             )
         block = np.zeros(shape)
-        _scatter(block, tuple(k.T), v.values[sel])
+        _scatter(block, tuple(k.T), values[lo:hi])
         blocks[(m, e)] = block
     return blocks
 

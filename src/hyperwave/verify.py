@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedDimension,
     WrongSystem,
 )
-from .seqnorms import NormParams, besov_hybrid_norm, besov_iso_norm
+from .seqnorms import NormParams, _iso_level_norms, _outer_norm, besov_hybrid_norm
 from .tensorbasis import HYPERBOLIC, CoeffVector, iso_from_hyper
 from .transform1d import build_transform
 
@@ -274,9 +274,11 @@ def check_embedding_chain(
     hybrid = besov_hybrid_norm(u, NormParams(q=q, s=s, p=tau, tau=tau))
     if hybrid == 0.0:
         raise ZeroDivisionError("embedding ratios undefined for the zero vector")
-    v = iso_from_hyper(spec, u)
-    iso_low = besov_iso_norm(v, alpha=q + s, p=tau, tau=tau)
-    iso_high = besov_iso_norm(v, alpha=q + 2 * s, p=tau, tau=tau)
+    # Both isotropic norms weight one set of per-level sums, as
+    # besov_iso_norm(v, alpha, tau, tau) would for each alpha.
+    levels, inner = _iso_level_norms(iso_from_hyper(spec, u), tau)
+    iso_low = _outer_norm(2.0 ** ((q + s) * levels) * inner, tau)
+    iso_high = _outer_norm(2.0 ** ((q + 2 * s) * levels) * inner, tau)
     if iso_high == 0.0:
         raise ZeroDivisionError("embedding ratios undefined: isotropic norm vanishes")
     return iso_low / hybrid, hybrid / iso_high

@@ -13,11 +13,19 @@ from hyperwave.cli import load_array, main, save_array
 from conftest import make_hyper
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None, preexec_fn=None):
     return subprocess.run(
         [sys.executable, "-m", "hyperwave", *map(str, args)],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, timeout=timeout, preexec_fn=preexec_fn,
     )
+
+
+def cap_address_space():
+    """Limit the child to 1 GiB, so a list that grows without end ends in
+    a MemoryError rather than in the memory of the whole host."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 class TestArrayFiles:
@@ -346,6 +354,37 @@ class TestConfigFile:
         cfg.write_text("jmax 4\n")
         r = run_cli("compare", "--config", cfg, "--out", tmp_path / "c.csv")
         assert r.returncode == 3
+
+
+class TestCountFlags:
+    """An N grid doubling from --nmin never passes --nmax from 0 or below,
+    and zero trials check nothing: both are rejected before any work."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("nterm", "--nmin", 0), ("compare", "--nmin", -4),
+        ("verify", "--trials", 0), ("verify", "--trials", -1),
+    ])
+    def test_count_below_one_exits_3(self, tmp_path, command, flag, value):
+        extra = []
+        if command == "nterm":
+            path = tmp_path / "u.coeffs"
+            save_coeffs(make_hyper({((1, 1), (0, 0)): 1.0}, 2, 2), path)
+            extra = ["--coeffs", path]
+        elif command == "verify":
+            extra = ["--suite", "lemma1"]
+        r = run_cli(command, *extra, flag, value, "--jmax", 3, "--out", tmp_path / "c.csv",
+                    timeout=60, preexec_fn=cap_address_space)
+        assert r.returncode == 3
+        assert r.stderr == f"error: {flag} must be at least 1, got {value}\n"
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_config_count_below_one_exits_3(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("nmin = 0\n")
+        r = run_cli("compare", "--config", cfg, "--jmax", 3, "--out", tmp_path / "c.csv",
+                    timeout=60, preexec_fn=cap_address_space)
+        assert r.returncode == 3
+        assert r.stderr == "error: --nmin must be at least 1, got 0\n"
 
 
 class TestMainInProcess:

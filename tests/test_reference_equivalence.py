@@ -8,6 +8,10 @@ synthesis cascade run on a sparse identity, against the product of
 padded per-level factors they replaced.  The numpy mask products of
 ``BandMatrix`` against the scipy CSR products they replaced."""
 
+import tracemalloc
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,7 +25,9 @@ from hyperwave import (
     MaskQuad,
     NormParams,
     besov_hybrid_norm,
+    besov_iso_norm,
     build_transform,
+    check_embedding_chain,
     error_curve,
     iso_from_hyper,
     jackson_bernstein_ratios,
@@ -32,9 +38,13 @@ from hyperwave import hyper_forward, hyper_from_iso, iso_synthesize, load_coeffs
 from hyperwave.cli import load_array, save_array
 from hyperwave.nterm import _tail_errors, _weights_and_order
 from hyperwave.seqnorms import _block_norm, _outer_norm
-from hyperwave.tensorbasis import _from_multiscale_array, _to_multiscale_array
+from hyperwave.tensorbasis import (
+    _from_multiscale_array,
+    _gather_iso_blocks,
+    _to_multiscale_array,
+)
 from hyperwave.transform1d import _analyze_array, _synthesize_array
-from conftest import make_hyper, random_hyper, random_sparse_hyper
+from conftest import make_hyper, make_iso, random_hyper, random_sparse_hyper
 
 
 def reference_besov_hybrid_norm(u, params):
@@ -124,6 +134,98 @@ class TestBesovHybridNormBitwise:
         u = make_hyper({((-2 ** 32, 0), (0, 0)): 1.0, ((0, -2 ** 32), (0, 0)): 1.0}, 2, 0)
         with pytest.raises(DimensionMismatch):
             besov_hybrid_norm(u, NormParams(q=0.0, s=0.0))
+        # Isotropic levels -2^62 and 2^62 would wrap when offset by the lowest.
+        v = make_iso({(-2 ** 62, (1,), (0,)): 1.0, (2 ** 62, (1,), (0,)): 1.0}, 1, 2 ** 62)
+        with pytest.raises(DimensionMismatch):
+            besov_iso_norm(v, 0.0)
+
+
+def reference_besov_iso_norm(v, alpha, p, tau):
+    """Isotropic Besov norm with the levels grouped by ``np.unique``."""
+    if v.num_entries == 0:
+        return 0.0
+    vp = rescale(v, p)
+    levels, group = np.unique(v.levels, return_inverse=True)
+    inner = _block_norm(vp.values, group, len(levels), p)
+    return _outer_norm(2.0 ** (alpha * levels) * inner, tau)
+
+
+def random_iso_vector(rng, n, p_norm, nnz, lo=0, hi=6):
+    """Random isotropic vector with levels in [lo, hi]; types and positions
+    do not enter the norms."""
+    levels = rng.integers(lo, hi + 1, size=nnz)
+    etypes = rng.integers(0, 2, size=(nnz, n)).astype(np.int8)
+    positions = rng.integers(0, 8, size=(nnz, n))
+    values = rng.standard_normal(nnz) * 10.0 ** rng.uniform(-3, 3, nnz)
+    return CoeffVector("isotropic", n, p_norm, hi, "haar", levels, positions, values,
+                       etypes=etypes)
+
+
+class TestSortFreeGrouping:
+    """Block sums binned by their code, where the code space is no larger
+    than the entry count, against the ``np.unique`` grouping."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("lo", [0, -3])
+    def test_iso_norm_matches_unique(self, n, lo):
+        rng = np.random.default_rng(30 * n - lo)
+        for _ in range(30):
+            # Nine levels against 1..40 entries: both groupings run.
+            v = random_iso_vector(rng, n, float(rng.choice([2.0, 1.0, 0.7])),
+                                  int(rng.integers(1, 41)), lo=lo, hi=lo + 8)
+            alpha = float(rng.uniform(-1, 1))
+            p, tau = float(rng.choice(P_TAU)), float(rng.choice(P_TAU))
+            assert besov_iso_norm(v, alpha, p, tau) == reference_besov_iso_norm(v, alpha, p, tau)
+
+    # Rescaling by 2^{|j|_1 / 2} overflows at such levels, in both codes alike.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in power")
+    def test_wide_level_span_allocates_no_bin_per_code(self):
+        rng = np.random.default_rng(8)
+        wide = [
+            make_hyper({((0,), (0,)): 1.5, ((2 ** 40,), (0,)): -2.0}, 1, 2 ** 40),
+            random_vector(rng, 2, 2.0, 50, lo=-2 ** 19, hi=2 ** 19),
+        ]
+        iso = make_iso({(0, (1,), (0,)): 1.5, (2 ** 40, (1,), (3,)): -2.0}, 1, 2 ** 40)
+        for p, tau in ((2.0, 2.0), (1.0, np.inf), (np.inf, 0.5)):
+            params = NormParams(q=0.0, s=0.0, p=p, tau=tau)
+            want = [reference_besov_hybrid_norm(u, params) for u in wide]
+            want_iso = reference_besov_iso_norm(iso, 0.0, p, tau)
+            tracemalloc.start()
+            try:
+                got = [besov_hybrid_norm(u, params) for u in wide]
+                got_iso = besov_iso_norm(iso, 0.0, p, tau)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want and got_iso == want_iso
+            assert peak < 4 << 20
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_level_reductions_match_axis_reductions(self, n):
+        rng = np.random.default_rng(n)
+        for nnz in (0, 1, 17):
+            u = random_vector(rng, n, 2.0, nnz, lo=-3, hi=5)
+            levels = u.levels.reshape(nnz, n)
+            for got, want in ((u.level_linf(), levels.max(axis=1, initial=-2 ** 62)),
+                              (u.level_l1(), levels.sum(axis=1))):
+                assert got.dtype == np.int64 and got.shape == (nnz,)
+                assert got.tobytes() == want.astype(np.int64).tobytes()
+
+    @pytest.mark.parametrize("name", ["haar", "scaled", "haar_j2"])
+    def test_embedding_chain_matches_two_iso_norms(self, request, name):
+        spec = request.getfixturevalue(name)
+        rng = np.random.default_rng(6)
+        for m in range(spec.j0 + 2, spec.j0 + 6):
+            u = random_hyper(spec, rng, 2, m)
+            for q, s in ((0.0, 0.25), (0.3, 0.1)):
+                tau = 1.0 / (s + 0.5)
+                hybrid = besov_hybrid_norm(u, NormParams(q=q, s=s, p=tau, tau=tau))
+                v = iso_from_hyper(spec, u)
+                want = (besov_iso_norm(v, q + s, tau, tau) / hybrid,
+                        hybrid / besov_iso_norm(v, q + 2 * s, tau, tau))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    assert check_embedding_chain(spec, u, q, s) == want
 
 
 class TestJacksonBernsteinEquivalence:
@@ -221,19 +323,21 @@ def reference_iso_from_hyper(spec, u):
 
 
 def reference_gather_iso_blocks(spec, v):
+    """Dense per-(m, e) blocks in ascending block code, one mask ``code == c``
+    over all entries per block."""
     blocks = {}
-    code = v.levels * 4 + v.etypes[:, 0] * 2 + v.etypes[:, 1]
+    n = v.n
+    code = v.levels * 2 ** n + v.etypes @ 2 ** np.arange(n - 1, -1, -1)
     for c in np.unique(code):
         sel = code == c
-        m = int(c) // 4
-        e = ((int(c) // 2) % 2, int(c) % 2)
-        if e == (0, 0):
-            shape = (spec.delta_size(spec.j0),) * 2
+        m, bits = divmod(int(c), 2 ** n)
+        e = tuple((bits >> (n - 1 - a)) & 1 for a in range(n))
+        if not any(e):
+            shape = (spec.delta_size(spec.j0),) * n
         else:
             shape = tuple(spec.nabla_size(m) if ei else spec.delta_size(m - 1) for ei in e)
-        k = v.positions[sel]
         block = np.zeros(shape)
-        block[k[:, 0], k[:, 1]] = v.values[sel]
+        block[tuple(v.positions[sel].T)] = v.values[sel]
         blocks[(m, e)] = block
     return blocks
 
@@ -313,6 +417,34 @@ class TestChangeOfBasisBitwise:
         same_bits(v, reference_iso_from_hyper(haar, u))
         same_bits(hyper_from_iso(haar, v), reference_hyper_from_iso(haar, v))
         assert iso_synthesize(haar, v).tobytes() == reference_iso_synthesize(haar, v).tobytes()
+
+
+class TestIsoBlockGrouping:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_blocks_match_mask_per_block(self, haar, haar_j2, n):
+        rng = np.random.default_rng(20 + n)
+        for spec in (haar, haar_j2):
+            u = random_hyper(spec, rng, n, spec.j0 + 3)
+            v = iso_from_hyper(spec, u)
+            # Shuffled entries: the blocks must not depend on the input order.
+            perm = rng.permutation(v.num_entries)
+            v = replace(v, levels=v.levels[perm], etypes=v.etypes[perm],
+                        positions=v.positions[perm], values=v.values[perm])
+            got, want = _gather_iso_blocks(spec, v), reference_gather_iso_blocks(spec, v)
+            assert list(got) == list(want)
+            for key in want:
+                assert got[key].tobytes() == want[key].tobytes()
+
+    def test_first_bad_block_in_code_order_is_reported(self, haar):
+        # The level-3 entry comes first in the input, the level-1 block
+        # first in block order; both positions are out of range.
+        v = make_iso({(3, (0, 1), (9, 0)): 1.0, (1, (1, 1), (5, 0)): 2.0}, 2, 3)
+        with pytest.raises(DimensionMismatch, match=r"^position \(5, 0\) out of range "
+                           r"for level 1 type \(1, 1\) block of shape \(1, 1\)$"):
+            _gather_iso_blocks(haar, v)
+        v = make_iso({(3, (0, 1), (0, 0)): 1.0, (2, (0, 0), (0, 0)): 2.0}, 2, 3)
+        with pytest.raises(DimensionMismatch, match=r"^no level-2 block of type \(0, 0\)"):
+            _gather_iso_blocks(haar, v)
 
 
 def reference_sort_keys(cv):
@@ -570,6 +702,25 @@ class TestMaskProductsBitwise:
                      mask.csr.T @ x),
                 ):
                     assert_same_bits_but_nan_sign(got, want)
+
+    def test_entries_no_run_reaches(self, request):
+        """Output entries with no term are +0.0, in both directions."""
+        rng = np.random.default_rng(4)
+        for mask in masks_of(request, "lifted")[12:]:
+            dense = mask.to_dense()
+            dense[5, :] = 0.0
+            dense[:, 2] = 0.0
+            holed = BandMatrix.from_dense(dense)
+            for width in (None, 3):
+                for x, got, want in (
+                    (x := special_operand(rng, holed.cols, width), holed.apply(x),
+                     holed.csr @ x),
+                    (x := special_operand(rng, holed.rows, width), holed.apply_transpose(x),
+                     holed.csr.T @ x),
+                ):
+                    assert_same_bits_but_nan_sign(got, want)
+                assert holed.apply(np.full(holed.cols, np.nan))[5] == 0.0
+                assert holed.apply_transpose(np.full(holed.rows, np.nan))[2] == 0.0
 
     def test_negative_zero_operands(self, request):
         """0.0 + (-0.0) is +0.0: an all -0.0 operand gives +0.0 entries."""
