@@ -115,6 +115,8 @@ class BasisSpec:
         """|Delta_j|, the single-scale dimension at level j."""
         if j < self.j0:
             raise LevelTooCoarse(f"level {j} below coarsest level {self.j0}")
+        if j > self.max_level:
+            raise DimensionMismatch(f"level {j} beyond max_level {self.max_level}")
         return self._delta(j)
 
     def nabla_size(self, j: int) -> int:

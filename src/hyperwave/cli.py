@@ -104,13 +104,15 @@ def _make_basis(arg: str) -> BasisSpec:
 
 
 def _check_counts(args) -> None:
-    """Reject an ``--nmin`` or ``--trials`` below 1: the N grid doubles from
-    ``--nmin`` and would never pass ``--nmax`` from 0 or below, and zero
-    trials would pass the randomized suites with nothing checked."""
-    for flag in ("nmin", "trials"):
-        value = getattr(args, flag, 1)
-        if value < 1:
-            raise HyperwaveError(f"--{flag} must be at least 1, got {value}")
+    """Reject an ``--nmin`` or ``--trials`` below 1 and a negative ``--seed``
+    or ``--jmax``: the N grid doubles from ``--nmin`` and would never pass
+    ``--nmax`` from 0 or below, zero trials would pass the randomized suites
+    with nothing checked, numpy seeds are non-negative and a sample grid has
+    2^jmax points per axis."""
+    for flag, least in (("nmin", 1), ("trials", 1), ("seed", 0), ("jmax", 0)):
+        value = getattr(args, flag, least)
+        if value < least:
+            raise HyperwaveError(f"--{flag} must be at least {least}, got {value}")
 
 
 def _n_grid(nmin: int, nmax: int) -> list[int]:
@@ -213,13 +215,40 @@ def cmd_compare(args) -> int:
 
 
 def _parse_grid(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise HyperwaveError(f"--p-grid must be comma-separated numbers, got {text!r}") from None
 
 
 def _p_values(args) -> list[float]:
     if args.p is not None:
         return [args.p]
     return _parse_grid(args.p_grid)
+
+
+def _suite_ps(spec, args, suite: str) -> list[float]:
+    """The exponents of ``--p``/``--p-grid`` that the lemma1 (p <= 1) or
+    lemma4 (1/alpha < p <= 2) suite checks."""
+    if suite == "lemma1":
+        return [p for p in _p_values(args) if p <= 1.0]
+    return [p for p in _p_values(args) if 1.0 / spec.alpha < p <= 2.0]
+
+
+def _check_suite_flags(spec, names, args) -> None:
+    """Reject, before any suite runs, flags that leave a selected suite
+    nothing to check, which would pass it unchecked or fail it on no data:
+    no exponent for lemma1 or lemma4, or an ``--m-max`` below a suite's
+    first level, or below its third for the running maxima of lemma4,
+    riesz and embedding (whose levels start at 4)."""
+    lowest = {"biorth": spec.j0, "decay": spec.j0 + 1, "lemma4": spec.j0 + 2,
+              "riesz": spec.j0 + 2, "embedding": 6}
+    for name in names:
+        if name in ("lemma1", "lemma4") and not _suite_ps(spec, args, name):
+            raise HyperwaveError(f"--p/--p-grid hold no exponent in the range of the {name} suite")
+        if args.m_max < lowest.get(name, args.m_max):
+            raise HyperwaveError(f"--m-max {args.m_max} leaves the {name} suite nothing to "
+                                 f"check; it needs at least {lowest[name]}")
 
 
 def _suite_biorth(spec, args):
@@ -243,7 +272,7 @@ def _suite_decay(spec, args):
 def _suite_lemma1(spec, args):
     rng = np.random.default_rng(args.seed)
     rows = []
-    for p in [p for p in _p_values(args) if p <= 1.0]:
+    for p in _suite_ps(spec, args, "lemma1"):
         worst = 0.0
         ok = True
         for _ in range(args.trials):
@@ -282,8 +311,7 @@ def _suite_lemma4(spec, args):
             out.append(("lemma4_p2_unit", "p=2", args.m_max, dev, 1e-10, dev <= 1e-10))
         return out
 
-    ps = [p for p in _p_values(args) if 1.0 / spec.alpha < p <= 2.0]
-    return [row for rows in _map_ordered(one, ps) for row in rows]
+    return [row for rows in _map_ordered(one, _suite_ps(spec, args, "lemma4")) for row in rows]
 
 
 def _suite_kron(spec, args):
@@ -359,6 +387,7 @@ def cmd_verify(args) -> int:
                                  + ", ".join(sorted(SUITES)) + ", all")
     if "embedding" in names and args.n != 2:
         raise UnsupportedDimension(f"the embedding suite is implemented for --n 2, got {args.n}")
+    _check_suite_flags(spec, names, args)
     all_rows = []
     for name in names:
         all_rows.extend(SUITES[name](spec, args))
@@ -447,9 +476,9 @@ def _load_config(path) -> dict[str, str]:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not (key and eq):
                 raise HyperwaveError(f"malformed config line: {raw.rstrip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
             out[key.replace("-", "_")] = value
     return out
 
@@ -472,7 +501,15 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     for action in subparser._actions:
         if action.dest in config:
             raw = config[action.dest]
-            defaults[action.dest] = action.type(raw) if action.type else raw
+            try:
+                value = action.type(raw) if action.type else raw
+            except ValueError:
+                raise HyperwaveError(f"config key {action.dest!r}: cannot read {raw!r} "
+                                     f"as {action.type.__name__}") from None
+            if action.choices is not None and value not in action.choices:
+                raise HyperwaveError(f"config key {action.dest!r}: {raw!r} is not one of "
+                                     + ", ".join(map(str, action.choices)))
+            defaults[action.dest] = value
     subparser.set_defaults(**defaults)
 
 
@@ -484,6 +521,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_counts(args)
         return args.func(args)
+    except SystemExit as exc:  # argparse: usage error (2) or --help (0)
+        return exc.code
     except (HyperwaveError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

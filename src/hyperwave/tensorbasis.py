@@ -16,12 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis1d import BasisSpec
-from .errors import (
-    DimensionMismatch,
-    InvalidExponent,
-    UnsupportedDimension,
-    WrongSystem,
-)
+from .errors import DimensionMismatch, InvalidExponent, UnsupportedDimension, WrongSystem
 from .transform1d import _analyze_array, _apply_axis, _level_maps, _synthesize_array
 
 __all__ = [
@@ -86,11 +81,28 @@ class CoeffVector:
             raise UnsupportedDimension(f"dimension n={self.n} not in 1..3")
         if not (self.p_norm > 0):
             raise InvalidExponent(f"p_norm must be positive, got {self.p_norm}")
-        if self.system == ISOTROPIC and self.etypes is None:
-            raise WrongSystem("isotropic vectors need type vectors")
-        nnz = len(self.values)
-        if len(self.positions) != nnz or len(self.levels) != nnz:
-            raise DimensionMismatch("index and value arrays differ in length")
+        iso, n, nnz = self.system == ISOTROPIC, self.n, len(self.values)
+        if (self.etypes is None) == iso:
+            raise WrongSystem(f"{self.system} vectors {'need' if iso else 'carry no'} type vectors")
+        shapes = {"levels": (nnz,) if iso else (nnz, n), "etypes": (nnz, n),
+                  "positions": (nnz, n), "values": (nnz,)}
+        for name, shape in shapes.items():
+            if (a := getattr(self, name)) is None:
+                continue
+            a = np.asarray(a)
+            if a.shape != shape:
+                raise DimensionMismatch(f"{name} of shape {a.shape}, expected {shape}")
+            if name == "etypes":
+                # Before the int8 cast, which wraps 257 to 1; min/max need no temporary.
+                if nnz and (a.min() < 0 or a.max() > 1 or a.dtype.kind == "f"):
+                    bad = ((a != 0) & (a != 1)).any(axis=1)
+                    if bad.any():
+                        e = tuple(a[np.argmax(bad)].tolist())
+                        raise DimensionMismatch(f"type {e} not in {{0,1}}^{n}")
+                a = a.astype(np.int8, copy=False)
+            a = a.view()
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
         if nnz and self.level_linf().max(initial=0) > self.max_level:
             raise DimensionMismatch("index level beyond declared truncation")
 
@@ -113,14 +125,8 @@ class CoeffVector:
     def canonical_order(self) -> "CoeffVector":
         """Entries sorted lexicographically by index; the file-format order."""
         order = np.lexsort(self.index_columns().T[::-1])
-        et = self.etypes[order] if self.etypes is not None else None
-        return replace(
-            self,
-            levels=self.levels[order],
-            positions=self.positions[order],
-            values=self.values[order],
-            etypes=et,
-        )
+        return replace(self, **{name: a[order] for name in ("levels", "etypes", "positions",
+                                "values") if (a := getattr(self, name)) is not None})
 
     def index_columns(self) -> np.ndarray:
         """(N, k) int64 index matrix, most significant column first: the
@@ -131,15 +137,10 @@ class CoeffVector:
 
     @classmethod
     def from_index_columns(cls, system, n, p_norm, max_level, basis, columns, values):
-        """Inverse of :meth:`index_columns`; type entries must lie in {0, 1}."""
+        """Inverse of :meth:`index_columns`."""
         levels, etypes, positions = columns[:, :-n], None, columns[:, -n:]
         if system == ISOTROPIC:
             levels, etypes = levels[:, 0], levels[:, 1:]
-            bad = ~np.isin(etypes, (0, 1)).all(axis=1)
-            if bad.any():
-                e = tuple(etypes[bad][0].tolist())
-                raise DimensionMismatch(f"type {e} not in {{0,1}}^{n}")
-            etypes = etypes.astype(np.int8)
         return cls(system, n, p_norm, max_level, basis, levels, positions, values, etypes=etypes)
 
     def index_keys(self, rows=slice(None)) -> tuple:
@@ -162,20 +163,10 @@ def _fold_columns(ufunc, columns: np.ndarray) -> np.ndarray:
     """``ufunc`` folded over the columns of an (N, n) integer array into a
     new int64 array: n - 1 calls over whole columns, where a reduction along
     the short axis 1 runs an inner loop per row."""
-    if not columns.size:
-        return np.zeros(0, np.int64)
     out = columns[:, 0].astype(np.int64)
     for a in range(1, columns.shape[1]):
         ufunc(out, columns[:, a], out=out)
     return out
-
-
-def _block_offsets(spec: BasisSpec, m: int) -> np.ndarray:
-    """Offset of each level block in the multiscale ordering, indexed by level."""
-    off = np.zeros(m + 1, dtype=np.int64)
-    for j in range(spec.j0, m + 1):
-        off[j] = spec.block_slice(j)[0]
-    return off
 
 
 def hyper_forward(spec: BasisSpec, n: int, data: np.ndarray) -> CoeffVector:
@@ -199,34 +190,83 @@ def hyper_forward(spec: BasisSpec, n: int, data: np.ndarray) -> CoeffVector:
 
 
 def _from_multiscale_array(spec, arr, n, m) -> CoeffVector:
-    lvl, pos = _level_maps(spec, m)
     idx = np.nonzero(arr)
     values = np.ascontiguousarray(arr[idx])
-    levels = np.stack([lvl[ix] for ix in idx], axis=1) if values.size else np.zeros((0, n), int)
-    positions = np.stack([pos[ix] for ix in idx], axis=1) if values.size else np.zeros((0, n), int)
+    levels, positions = (np.stack([t[ix] for ix in idx], axis=1) for t in _level_maps(spec, m))
     return CoeffVector(HYPERBOLIC, n, 2.0, m, spec.name, levels, positions, values)
 
 
 def _to_multiscale_array(spec: BasisSpec, u: CoeffVector) -> np.ndarray:
-    size = spec.delta_size(u.max_level)
-    off = _block_offsets(spec, u.max_level)
-    arr = np.zeros((size,) * u.n)
-    if u.num_entries:
-        if u.levels.min() < spec.j0:
-            raise DimensionMismatch(f"index level below coarsest level {spec.j0}")
-        widths = np.zeros(u.max_level + 1, dtype=np.int64)
-        widths[spec.j0:] = [spec.nabla_size(j) for j in range(spec.j0, u.max_level + 1)]
-        for a in range(u.n):
-            bad = (u.positions[:, a] < 0) | (u.positions[:, a] >= widths[u.levels[:, a]])
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                raise DimensionMismatch(
-                    f"position {u.positions[i, a]} out of range for level "
-                    f"{u.levels[i, a]} block of width {widths[u.levels[i, a]]}"
-                )
-        flat = tuple(off[u.levels[:, a]] + u.positions[:, a] for a in range(u.n))
-        _scatter(arr, flat, u.values)
-    return arr
+    """The dense multiscale grid of either system: the one map from indices
+    to grid cells, with the one range check.  Per axis, a hyperbolic entry
+    of level j lies in the wavelet range [lo_j, hi_j) = block_slice(j); an
+    isotropic entry of level m lies in [lo_m, hi_m) on its axes with e_i = 1
+    (every axis for type 0, the coarse block at j0) and in the scaling range
+    [0, lo_m) on the others.  These blocks tile the grid as the hyperbolic
+    ones do."""
+    iso, j0, mmax = u.system == ISOTROPIC, spec.j0, u.max_level
+    grid = np.zeros((spec.delta_size(mmax),) * u.n)
+    if not u.num_entries:
+        return grid
+    lo, width = np.zeros((2, mmax + 1), dtype=np.int64)  # by level, from j0 on
+    for j in range(j0, mmax + 1):
+        lo[j], width[j] = spec.block_slice(j)[0], spec.nabla_size(j)
+    if iso:
+        e = u.etypes.view(np.bool_)  # int8 entries in {0, 1}, checked on construction
+        typed = e[:, 0].copy()
+        for a in range(1, u.n):
+            typed |= e[:, a]
+        bad = np.where(typed, u.levels <= j0, u.levels != j0)
+        # Clipped lookups are safe: an entry of a bad level is marked already.
+        lo_m, width_m = lo.take(u.levels, mode="clip"), width.take(u.levels, mode="clip")
+        coarse = ~typed
+    elif u.levels.min() < j0:
+        raise DimensionMismatch(f"index level below coarsest level {j0}")
+    else:
+        bad = np.zeros(u.num_entries, dtype=bool)
+    cells = []
+    for a in range(u.n):
+        # Unsigned, a negative position fails the bound; few temporaries live.
+        k = u.positions[:, a].astype(np.int64, copy=False)
+        if iso:
+            wave = e[:, a] | coarse
+            bad |= k.view(np.uint64) >= np.where(wave, width_m, lo_m).view(np.uint64)
+            start = np.where(wave, lo_m, 0)
+        else:
+            bad |= k.view(np.uint64) >= width[u.levels[:, a]].view(np.uint64)
+            start = lo[u.levels[:, a]]
+        cells.append(start + k)
+    if bad.any():
+        raise DimensionMismatch(_range_error(spec, u, np.flatnonzero(bad)))
+    _scatter(grid, tuple(cells), u.values)
+    return grid
+
+
+def _range_error(spec: BasisSpec, u: CoeffVector, rows: np.ndarray) -> str:
+    """The message for the first out-of-range entry among ``rows``: the
+    first in input order, or for isotropic entries of the first block in
+    block-code order."""
+    if u.system == HYPERBOLIC:
+        i, levels = int(rows[0]), tuple(u.levels[rows[0]].tolist())
+        where = f"level {levels} block of shape {tuple(map(spec.nabla_size, levels))}"
+    else:
+        i = int(rows[np.argmin(_block_code(u, rows))])
+        m, e = int(u.levels[i]), tuple(u.etypes[i].tolist())
+        if (m <= spec.j0) if any(e) else (m != spec.j0):
+            return (f"no level-{m} block of type {e}: type 0 exists at the coarsest "
+                    f"level {spec.j0} only, the other types above it")
+        shape = tuple(s.stop - s.start for s in _iso_block_slices(spec, m, e))
+        where = f"level {m} type {e} block of shape {shape}"
+    return f"position {tuple(u.positions[i].tolist())} out of range for {where}"
+
+
+def _block_code(v: CoeffVector, rows=slice(None)) -> np.ndarray:
+    """Block code m 2^n + e . 2^[n-1..0] of isotropic entries, built column
+    by column: ascending codes order the blocks by level, then type."""
+    code = v.levels[rows].astype(np.int64) * 2 ** v.n
+    for a in range(v.n):
+        code += v.etypes[rows, a].astype(np.int64) << (v.n - 1 - a)
+    return code
 
 
 def _scatter(grid: np.ndarray, index: tuple, values: np.ndarray) -> None:
@@ -241,14 +281,9 @@ def _scatter(grid: np.ndarray, index: tuple, values: np.ndarray) -> None:
 
 def hyper_inverse(spec: BasisSpec, coeffs: CoeffVector) -> np.ndarray:
     """Exact inverse of :func:`hyper_forward` on the truncated index set."""
-    if coeffs.system != HYPERBOLIC:
-        raise WrongSystem("hyper_inverse expects hyperbolic coefficients")
-    if coeffs.p_norm != 2.0:
-        raise InvalidExponent("synthesis expects L2-normalized coefficients")
+    _require_l2(coeffs, HYPERBOLIC)
     if coeffs.basis != spec.name:
-        raise DimensionMismatch(
-            f"coefficients carry basis {coeffs.basis!r}, spec is {spec.name!r}"
-        )
+        raise DimensionMismatch(f"coefficients carry basis {coeffs.basis!r}, spec is {spec.name!r}")
     arr = _to_multiscale_array(spec, coeffs)
     m = coeffs.max_level
     for axis in range(coeffs.n):
@@ -260,7 +295,7 @@ def _require_l2(cv: CoeffVector, system: str) -> None:
     if cv.system != system:
         raise WrongSystem(f"expected {system} coefficients, got {cv.system}")
     if cv.p_norm != 2.0:
-        raise InvalidExponent("change of basis expects L2-normalized coefficients")
+        raise InvalidExponent("transforms expect L2-normalized coefficients")
 
 
 def _iso_block_slices(spec: BasisSpec, m: int, e: tuple[int, ...]) -> tuple[slice, ...]:
@@ -297,68 +332,36 @@ def iso_from_hyper(spec: BasisSpec, u: CoeffVector) -> CoeffVector:
     blocks = [(spec.j0, (0,) * n), *itertools.product(range(spec.j0 + 1, mmax + 1), types)]
     parts = []
     for m, e in blocks:
-        block = arr[_iso_block_slices(spec, m, e)]
-        block = _on_scaling_axes(_synthesize_array, spec, block, m, e)
+        block = _on_scaling_axes(_synthesize_array, spec, arr[_iso_block_slices(spec, m, e)], m, e)
         k = np.nonzero(block)
         size = k[0].size
         parts.append((np.full(size, m, dtype=np.int64),
                       np.tile(np.array(e, dtype=np.int8), (size, 1)),
                       np.stack(k, axis=1), block[k]))
     levels, etypes, positions, values = (np.concatenate(col) for col in zip(*parts))
-    return CoeffVector(ISOTROPIC, n, 2.0, mmax, u.basis, levels, positions, values,
-                       etypes=etypes)
+    return CoeffVector(ISOTROPIC, n, 2.0, mmax, u.basis, levels, positions, values, etypes=etypes)
 
 
 def hyper_from_iso(spec: BasisSpec, v: CoeffVector) -> CoeffVector:
     """Inverse change of basis: the dual analysis Tdual_{m-1}^T along the
-    axes with e_i = 0 of each type block."""
+    axes with e_i = 0 of each type block, in place on the grid of ``v``."""
     _require_l2(v, ISOTROPIC)
-    size = spec.delta_size(v.max_level)
-    arr = np.zeros((size,) * v.n)
-    for (m, e), block in _gather_iso_blocks(spec, v).items():
-        block = _on_scaling_axes(_analyze_array, spec, block, m, e)
-        arr[_iso_block_slices(spec, m, e)] = block
+    arr = _to_multiscale_array(spec, v)
+    for (m, e), block in _gather_iso_blocks(spec, v, arr).items():
+        block[...] = _on_scaling_axes(_analyze_array, spec, block, m, e)
     return _from_multiscale_array(spec, arr, v.n, v.max_level)
 
 
-def _gather_iso_blocks(spec: BasisSpec, v: CoeffVector) -> dict:
-    """Dense per-(m, e) blocks from the sparse isotropic entries, ordered by
-    the block code m 2^n + e . 2^[n-1..0]."""
-    blocks: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-    if not v.num_entries:
-        return blocks
-    if not ((v.etypes == 0) | (v.etypes == 1)).all():
-        raise DimensionMismatch("isotropic type vectors must lie in {0,1}^n")
-    n = v.n
-    code = v.levels.astype(np.int64) * 2 ** n
-    for a in range(n):
-        code += v.etypes[:, a].astype(np.int64) << (n - 1 - a)
-    # One stable sort groups the entries by block, each block keeping its
-    # entries in input order, as a mask ``code == c`` per block would.
-    order = np.argsort(code, kind="stable")
-    code, positions, values = code[order], v.positions[order], v.values[order]
-    cuts = (np.flatnonzero(np.diff(code)) + 1).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, code.size]):
-        m, bits = divmod(int(code[lo]), 2 ** n)
-        e = tuple(map(int, f"{bits:0{n}b}"))
-        if (m <= spec.j0) if any(e) else (m != spec.j0):
-            raise DimensionMismatch(
-                f"no level-{m} block of type {e}: type 0 exists at the coarsest "
-                f"level {spec.j0} only, the other types above it"
-            )
-        slices = _iso_block_slices(spec, m, e)
-        shape = tuple(s.stop - s.start for s in slices)
-        k = positions[lo:hi]
-        outside = (k < 0) | (k >= shape)
-        if outside.any():
-            i = int(np.flatnonzero(outside.any(axis=1))[0])
-            raise DimensionMismatch(
-                f"position {tuple(k[i].tolist())} out of range for level {m} "
-                f"type {e} block of shape {shape}"
-            )
-        block = np.zeros(shape)
-        _scatter(block, tuple(k.T), values[lo:hi])
-        blocks[(m, e)] = block
+def _gather_iso_blocks(spec: BasisSpec, v: CoeffVector, grid=None) -> dict:
+    """Views of ``grid`` (by default the multiscale grid of ``v``) for the
+    (m, e) blocks that hold entries of ``v``, in block-code order."""
+    if grid is None:
+        grid = _to_multiscale_array(spec, v)
+    blocks = {}
+    for code in np.flatnonzero(np.bincount(_block_code(v))).tolist():
+        m, bits = divmod(code, 2 ** v.n)
+        e = tuple(map(int, f"{bits:0{v.n}b}"))
+        blocks[(m, e)] = grid[_iso_block_slices(spec, m, e)]
     return blocks
 
 
@@ -372,16 +375,14 @@ def iso_synthesize(spec: BasisSpec, v: CoeffVector) -> np.ndarray:
     the natural cross-check that both sides represent the same function.
     """
     _require_l2(v, ISOTROPIC)
-    mmax = v.max_level
-    size = spec.delta_size(mmax)
-    out = np.zeros((size,) * v.n)
+    out = np.zeros((spec.delta_size(v.max_level),) * v.n)
     for (m, e), block in _gather_iso_blocks(spec, v).items():
         if any(e):
             quad = spec.masks(m)
             for axis, ei in enumerate(e):
                 mask = quad.m1 if ei else quad.m0
                 block = _apply_axis(mask.apply, block, axis)
-        for level in range(m + 1, mmax + 1):
+        for level in range(m + 1, v.max_level + 1):
             m0 = spec.masks(level).m0
             for axis in range(v.n):
                 block = _apply_axis(m0.apply, block, axis)
@@ -396,9 +397,8 @@ def rescale(c: CoeffVector, new_p: float) -> CoeffVector:
     pick up 2^{|lambda|_1 (1/p_old - 1/p_new)}, isotropic values the same
     with n|mu| in place of |lambda|_1.  p = inf is admitted.
     """
-    for p in (c.p_norm, new_p):
-        if not (p > 0):
-            raise InvalidExponent(f"normalization exponent must be positive, got {p}")
+    if not (new_p > 0):  # c.p_norm was checked when c was built
+        raise InvalidExponent(f"normalization exponent must be positive, got {new_p}")
     if new_p == c.p_norm:
         return c
     inv_old = 0.0 if np.isinf(c.p_norm) else 1.0 / c.p_norm

@@ -1,8 +1,11 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hyperwave
 from hyperwave import (
     BandMatrix,
     CoeffVector,
@@ -57,6 +60,14 @@ def scaled():
         d=1, d_tilde=1, gamma=0.5, gamma_tilde=0.5,
         alpha=64.0, j0=0, name="scaledhaar",
     )
+
+
+def child_env() -> dict:
+    """Environment for a child ``python`` process: the source tree of the
+    imported ``hyperwave`` first on PYTHONPATH, so ``python -m hyperwave``
+    runs from a checkout without an install, as pytest itself does."""
+    path = [str(Path(hyperwave.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def make_hyper(entries: dict, n: int, max_level: int, basis="haar", p=2.0) -> CoeffVector:

@@ -38,7 +38,7 @@ from hyperwave import (
     sobolev_norm_hyper,
     sobolev_norm_iso,
 )
-from conftest import random_hyper, random_sparse_hyper
+from conftest import child_env, random_hyper, random_sparse_hyper
 
 SPEC = make_haar_basis(0)
 
@@ -255,7 +255,7 @@ def test_c12_rate_experiments(tmp_path):
         [sys.executable, "-m", "hyperwave", "compare", "--kind", "tensor_kink",
          "--q", "0", "--jmax", "7", "--seed", "1", "--nmin", "16",
          "--nmax", "2048", "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     rate_h = float(proc.stdout.split("rate_hyperbolic=")[1].splitlines()[0])
@@ -275,7 +275,7 @@ def test_c13_deterministic_outputs(tmp_path):
         out = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "hyperwave", *flags, "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append((out.read_bytes(), proc.stdout))

@@ -95,6 +95,14 @@ class TestHaarBasis:
         assert haar.bandwidth == 1
 
 
+class TestLevelRange:
+    def test_delta_size_above_max_level_rejected(self, haar):
+        assert haar.delta_size(haar.max_level) == 2 ** 32
+        for j in (33, 40):
+            with pytest.raises(DimensionMismatch, match=f"level {j} beyond max_level 32"):
+                haar.delta_size(j)
+
+
 class TestMakeMaskBasis:
     def test_haar_masks_reproduce_builtin(self, haar):
         spec = make_mask_basis(

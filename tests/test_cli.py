@@ -1,8 +1,6 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +8,13 @@ import pytest
 import hyperwave
 from hyperwave import save_coeffs
 from hyperwave.cli import load_array, main, save_array
-from conftest import make_hyper
+from conftest import child_env, make_hyper
 
 
 def run_cli(*args, cwd=None, timeout=None, preexec_fn=None):
     return subprocess.run(
-        [sys.executable, "-m", "hyperwave", *map(str, args)],
-        capture_output=True, text=True, cwd=cwd, timeout=timeout, preexec_fn=preexec_fn,
+        [sys.executable, "-m", "hyperwave", *map(str, args)], capture_output=True,
+        text=True, cwd=cwd, timeout=timeout, preexec_fn=preexec_fn, env=child_env(),
     )
 
 
@@ -387,6 +385,107 @@ class TestCountFlags:
         assert r.stderr == "error: --nmin must be at least 1, got 0\n"
 
 
+def main_exit(argv, capsys) -> tuple[int, str]:
+    code = main([str(a) for a in argv])
+    return code, capsys.readouterr().err
+
+
+class TestNothingToCheck:
+    """Flags that leave a selected verify suite nothing to check end in one
+    line and exit 3 before any suite runs; the lowest allowed values run."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--suite", "lemma1", "--p-grid", ","],
+        ["--suite", "lemma4", "--p-grid", ","],
+        ["--suite", "all", "--p-grid", ","],
+        ["--suite", "lemma1", "--p", 1.5],
+        ["--suite", "lemma4", "--p", 5],
+        ["--suite", "lemma1", "--p-grid", "0.6,x"],
+        ["--suite", "biorth", "--m-max", -5],
+        ["--suite", "decay", "--m-max", 0],
+        ["--suite", "lemma4", "--m-max", 1],
+        ["--suite", "riesz", "--m-max", -1],
+        ["--suite", "embedding", "--m-max", 2],
+        ["--suite", "embedding", "--m-max", 5],
+        ["--suite", "all", "--m-max", 5],
+    ])
+    def test_exits_3_before_any_suite(self, tmp_path, capsys, flags):
+        out = tmp_path / "r.csv"
+        code, err = main_exit(["verify", *flags, "--trials", 1, "--out", out], capsys)
+        assert code == 3
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--suite", "biorth", "--m-max", 0],
+        ["--suite", "decay", "--m-max", 1],
+        ["--suite", "lemma4", "--m-max", 2, "--p", 2],
+        ["--suite", "riesz", "--m-max", 2],
+        ["--suite", "embedding", "--m-max", 6],
+        ["--suite", "kron", "--p-grid", ","],
+    ])
+    def test_lowest_flags_run(self, tmp_path, capsys, flags):
+        out = tmp_path / "r.csv"
+        code, _ = main_exit(["verify", *flags, "--trials", 1, "--out", out], capsys)
+        assert code in (0, 1)
+        assert len(out.read_text().splitlines()) > 1
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("text, key", [
+        ("jmax = x\n", "jmax"), ("seed = 1.5\n", "seed"), ("q = abc\n", "q"),
+        ("n = 4\n", "n"), ("direction = sideways\n", "direction"),
+    ])
+    def test_bad_value_exits_3_naming_key(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        code, err = main_exit(["transform", "--config", cfg, "--generate", "random_decay",
+                               "--out", tmp_path / "u.coeffs"], capsys)
+        assert code == 3
+        assert err.startswith(f"error: config key '{key}'") and len(err.splitlines()) == 1
+
+    def test_line_without_key_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("= 3\n")
+        code, err = main_exit(["transform", "--config", cfg, "--generate", "random_decay",
+                               "--out", tmp_path / "u.coeffs"], capsys)
+        assert code == 3 and err == "error: malformed config line: '= 3'\n"
+
+
+class TestNegativeSeedAndJmax:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "kron", "--seed", -1],
+        ["transform", "--generate", "random_decay", "--seed", -2],
+        ["transform", "--generate", "random_decay", "--jmax", -3],
+        ["compare", "--jmax", -1],
+    ])
+    def test_exits_3(self, tmp_path, capsys, argv):
+        code, err = main_exit([*argv, "--out", tmp_path / "o"], capsys)
+        assert code == 3 and err.startswith("error: --") and len(err.splitlines()) == 1
+
+
+class TestLevelBeyondBasis:
+    @pytest.mark.parametrize("jmax", [33, 40])
+    def test_inverse_of_too_deep_file_exits_3(self, tmp_path, capsys, jmax):
+        path = tmp_path / "u.coeffs"
+        path.write_text(f"hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar jmax={jmax}\n"
+                        "1 1 0 0 1.5\n")
+        code, err = main_exit(["transform", "--direction", "inverse", "--coeffs", path,
+                               "--out", tmp_path / "b.arr"], capsys)
+        assert code == 3 and err == f"error: level {jmax} beyond max_level 32\n"
+
+
+def test_usage_error_returns_2(capsys):
+    assert main(["transform", "--jmax"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+def test_child_processes_import_this_source_tree(tmp_path):
+    r = subprocess.run([sys.executable, "-c", "import hyperwave; print(hyperwave.__file__)"],
+                       capture_output=True, text=True, cwd=tmp_path, env=child_env())
+    assert r.returncode == 0 and r.stdout.strip() == hyperwave.__file__
+
+
 class TestMainInProcess:
     def test_main_returns_int(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -405,10 +504,8 @@ def scipy_modules_after(tmp_path, *commands):
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "print(json.dumps([codes, loaded]))\n"
     )
-    path = [str(Path(hyperwave.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                       cwd=tmp_path, env=env)
+                       cwd=tmp_path, env=child_env())
     assert r.returncode == 0, r.stderr
     return json.loads(r.stdout.splitlines()[-1])
 

@@ -208,11 +208,12 @@ class TestChangeOfBasis:
         (0, (1, 1), (0, 0)),    # wavelet types start above the coarsest level
     ])
     def test_out_of_range_isotropic_index_rejected(self, haar, entry):
-        v = make_iso({entry: 1.0}, 2, 3)
+        # Built inside pytest.raises: a type outside {0,1}^n is rejected
+        # when the vector is constructed.
         with pytest.raises(DimensionMismatch):
-            hyper_from_iso(haar, v)
+            hyper_from_iso(haar, make_iso({entry: 1.0}, 2, 3))
         with pytest.raises(DimensionMismatch):
-            iso_synthesize(haar, v)
+            iso_synthesize(haar, make_iso({entry: 1.0}, 2, 3))
 
     def test_isotropic_l2_isometry_for_orthonormal_basis(self, haar):
         # The per-block factors are orthogonal for Haar, so the change of
@@ -387,3 +388,63 @@ class TestCoeffVectorValidation:
         with pytest.raises(UnsupportedDimension):
             CoeffVector("hyperbolic", 4, 2.0, 3, "haar",
                         np.zeros((0, 4), int), np.zeros((0, 4), int), np.zeros(0))
+
+
+class TestConstructionBoundary:
+    """Shapes, the type range and read-only arrays are checked once, when a
+    CoeffVector is built, for both systems."""
+
+    def test_three_level_columns_at_n2_rejected(self):
+        with pytest.raises(DimensionMismatch, match=r"levels of shape \(1, 3\), expected \(1, 2\)"):
+            CoeffVector("hyperbolic", 2, 2.0, 3, "haar", np.array([[1, 1, 1]]),
+                        np.array([[0, 0]]), np.array([1.0]))
+
+    @pytest.mark.parametrize("levels, positions, etypes", [
+        (np.array([[2, 2]]), np.array([[0, 0]]), np.array([[1, 1]])),  # (N, n) levels
+        (np.array([2]), np.array([[0, 0, 0]]), np.array([[1, 1]])),     # positions too wide
+        (np.array([2]), np.array([[0, 0]]), np.array([1, 1])),           # (n,) types
+    ])
+    def test_isotropic_shapes_rejected(self, levels, positions, etypes):
+        with pytest.raises(DimensionMismatch, match="of shape"):
+            CoeffVector("isotropic", 2, 2.0, 3, "haar", levels, positions, np.array([1.0]),
+                        etypes=etypes)
+
+    def test_types_on_hyperbolic_vector_rejected(self):
+        with pytest.raises(WrongSystem, match="hyperbolic vectors carry no type vectors"):
+            CoeffVector("hyperbolic", 2, 2.0, 3, "haar", np.array([[1, 1]]),
+                        np.array([[0, 0]]), np.array([1.0]), etypes=np.array([[1, 1]]))
+
+    @pytest.mark.parametrize("e", [(0, 2), (300, 1), (257, 1), (1, -1)])
+    def test_type_outside_binary_rejected_at_construction(self, e):
+        # 257 would read as 1 after an int8 cast: the check sees the given integers.
+        message = rf"^type \({e[0]}, {e[1]}\) not in \{{0,1\}}\^2$"
+        with pytest.raises(DimensionMismatch, match=message):
+            CoeffVector("isotropic", 2, 2.0, 3, "haar", np.array([2]), np.array([[0, 0]]),
+                        np.array([1.0]), etypes=np.array([e]))
+
+    def test_fractional_type_rejected(self):
+        with pytest.raises(DimensionMismatch, match=r"^type \(0\.5, 1\.0\) not in"):
+            CoeffVector("isotropic", 2, 2.0, 3, "haar", np.array([2]), np.array([[0, 0]]),
+                        np.array([1.0]), etypes=np.array([[0.5, 1.0]]))
+
+    def test_arrays_are_read_only_views(self):
+        levels, etypes = np.array([2, 1]), np.array([[0, 1], [1, 1]])
+        positions, values = np.array([[1, 0], [0, 0]]), np.array([1.5, -2.0])
+        v = CoeffVector("isotropic", 2, 2.0, 3, "haar", levels, positions, values,
+                        etypes=etypes)
+        for name in ("levels", "etypes", "positions", "values"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(v, name)[0] = 0
+        assert v.etypes.dtype == np.int8
+        # The caller's arrays stay writable, and the vector views them.
+        values[0] = 4.0
+        assert levels.flags.writeable and v.values[0] == 4.0
+
+    def test_derived_vectors_are_read_only(self, haar, tmp_path):
+        u = random_hyper(haar, np.random.default_rng(2), 2, 3)
+        save_coeffs(iso_from_hyper(haar, u), tmp_path / "v.coeffs")
+        derived = [u, iso_from_hyper(haar, u), rescale(u, 1.0), u.canonical_order(),
+                   u.with_values(np.ones(u.num_entries)), load_coeffs(tmp_path / "v.coeffs")]
+        for cv in derived:
+            for a in (cv.levels, cv.positions, cv.values):
+                assert not a.flags.writeable
