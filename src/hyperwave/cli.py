@@ -9,6 +9,7 @@ error, 3 validation error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -103,16 +104,21 @@ def _make_basis(arg: str) -> BasisSpec:
     raise HyperwaveError(f"--basis must be 'haar' or 'maskfile=PATH', got {arg!r}")
 
 
-def _check_counts(args) -> None:
-    """Reject an ``--nmin`` or ``--trials`` below 1 and a negative ``--seed``
-    or ``--jmax``: the N grid doubles from ``--nmin`` and would never pass
-    ``--nmax`` from 0 or below, zero trials would pass the randomized suites
-    with nothing checked, numpy seeds are non-negative and a sample grid has
-    2^jmax points per axis."""
+def _check_flag_values(args) -> None:
+    """Reject an ``--nmin`` or ``--trials`` below 1, a negative ``--seed``
+    or ``--jmax`` and a non-finite float flag: the N grid doubles from
+    ``--nmin`` and would never pass ``--nmax`` from 0 or below, zero trials
+    would pass the randomized suites with nothing checked, numpy seeds are
+    non-negative, a sample grid has 2^jmax points per axis, and a check run
+    on a nan or infinite exponent passes or fails on no meaning."""
     for flag, least in (("nmin", 1), ("trials", 1), ("seed", 0), ("jmax", 0)):
         value = getattr(args, flag, least)
         if value < least:
             raise HyperwaveError(f"--{flag} must be at least {least}, got {value}")
+    for flag in ("q", "s", "r", "beta", "p"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise HyperwaveError(f"--{flag} must be a finite number, got {value}")
 
 
 def _n_grid(nmin: int, nmax: int) -> list[int]:
@@ -188,8 +194,8 @@ def cmd_nterm(args) -> int:
         f"{u.basis},{u.n},{args.seed}"
         for n in grid
     ]
-    _write_csv(args.out, "N,E_N,q,r,tau,basis,n,seed", rows)
     s_hat = nterm.fit_rate(curve, args.nmin, args.nmax)
+    _write_csv(args.out, "N,E_N,q,r,tau,basis,n,seed", rows)
     print(f"s_hat={_fmt(s_hat)}")
     return 0
 
@@ -206,9 +212,9 @@ def cmd_compare(args) -> int:
     rows = [
         f"{n},{_fmt(curve_h.errors[n])},{_fmt(curve_i.errors[n])}" for n in grid
     ]
-    _write_csv(args.out, "N,E_hyperbolic,E_isotropic", rows)
     rate_h = nterm.fit_rate(curve_h, args.nmin, args.nmax)
     rate_i = nterm.fit_rate(curve_i, args.nmin, args.nmax)
+    _write_csv(args.out, "N,E_hyperbolic,E_isotropic", rows)
     print(f"rate_hyperbolic={_fmt(rate_h)}")
     print(f"rate_isotropic={_fmt(rate_i)}")
     return 0
@@ -240,7 +246,11 @@ def _check_suite_flags(spec, names, args) -> None:
     nothing to check, which would pass it unchecked or fail it on no data:
     no exponent for lemma1 or lemma4, or an ``--m-max`` below a suite's
     first level, or below its third for the running maxima of lemma4,
-    riesz and embedding (whose levels start at 4)."""
+    riesz and embedding (whose levels start at 4); also an ``--m-max``
+    beyond the finest level of the basis."""
+    if args.m_max > spec.max_level:
+        raise HyperwaveError(f"--m-max {args.m_max} is beyond the finest level "
+                             f"{spec.max_level} of the basis")
     lowest = {"biorth": spec.j0, "decay": spec.j0 + 1, "lemma4": spec.j0 + 2,
               "riesz": spec.j0 + 2, "embedding": 6}
     for name in names:
@@ -519,7 +529,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(parser, argv)
         args = parser.parse_args(argv)
-        _check_counts(args)
+        _check_flag_values(args)
         return args.func(args)
     except SystemExit as exc:  # argparse: usage error (2) or --help (0)
         return exc.code

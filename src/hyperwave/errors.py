@@ -38,7 +38,9 @@ class ExponentOutOfRange(HyperwaveError):
 
 
 class SizeTooLarge(HyperwaveError):
-    """Matrix factors too large to assemble a Kronecker product explicitly."""
+    """An array too large to build: the Kronecker product of matrix factors
+    assembled explicitly, or the dense multiscale grid of a coefficient
+    vector whose declared truncation level is too fine to allocate."""
 
 
 class UnknownKind(HyperwaveError):

@@ -9,6 +9,7 @@ lexicographic index order so results are deterministic across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,16 +26,42 @@ __all__ = [
 ]
 
 
+class _KeysOnFirstRead:
+    """The ``support`` field of :class:`NTermResult`, a data descriptor.
+
+    It holds either the key tuple or a zero-argument callable that builds
+    it; the first read calls the callable and keeps its tuple in its place.
+    Dataclass ``__init__`` stores the field through ``__set__``, and class
+    access raises, so the field has no default.
+    """
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            raise AttributeError("support")
+        keys = obj.__dict__["support"]
+        if callable(keys):
+            keys = obj.__dict__["support"] = keys()
+        return keys
+
+    def __set__(self, obj, value):
+        obj.__dict__["support"] = value
+
+
 @dataclass(frozen=True)
 class NTermResult:
     """Support of the largest requested truncation and the error curve.
+
+    ``support`` is a tuple of ``HyperIndex``/``IsoIndex`` keys in greedy
+    order.  :func:`error_curve` passes a builder instead, so the keys are
+    made by ``CoeffVector.index_keys`` the first time ``support`` is read,
+    and kept; until then the result holds the vector and the sort order.
 
     ``errors`` maps N to E_N, the l^2 norm of the discarded rescaled
     coefficients; E_N is nonincreasing, E_0 is the full weighted norm and
     E_N vanishes once N reaches the number of nonzeros.
     """
 
-    support: tuple
+    support: tuple = _KeysOnFirstRead()
     errors: dict[int, float]
     q: float
 
@@ -63,8 +90,7 @@ def error_curve(u: CoeffVector, q: float, n_list) -> NTermResult:
     total = u.num_entries
     errors = {n: float(tail[min(n, total)]) for n in n_list}
     n_sup = min(max(n_list, default=0), total)
-    support = u.index_keys(order[:n_sup])
-    return NTermResult(support=support, errors=errors, q=q)
+    return NTermResult(partial(u.index_keys, order[:n_sup]), errors, q)
 
 
 def best_nterm(u: CoeffVector, q: float, n: int) -> NTermResult:

@@ -16,7 +16,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis1d import BasisSpec
-from .errors import DimensionMismatch, InvalidExponent, UnsupportedDimension, WrongSystem
+from .errors import (
+    DimensionMismatch,
+    InvalidExponent,
+    SizeTooLarge,
+    UnsupportedDimension,
+    WrongSystem,
+)
 from .transform1d import _analyze_array, _apply_axis, _level_maps, _synthesize_array
 
 __all__ = [
@@ -205,7 +211,12 @@ def _to_multiscale_array(spec: BasisSpec, u: CoeffVector) -> np.ndarray:
     [0, lo_m) on the others.  These blocks tile the grid as the hyperbolic
     ones do."""
     iso, j0, mmax = u.system == ISOTROPIC, spec.j0, u.max_level
-    grid = np.zeros((spec.delta_size(mmax),) * u.n)
+    shape = (spec.delta_size(mmax),) * u.n
+    try:
+        grid = np.zeros(shape)
+    except (ValueError, MemoryError):  # numpy: "array is too big" or failed allocation
+        raise SizeTooLarge(f"a level-{mmax} grid of shape {shape} is too large to "
+                           "allocate") from None
     if not u.num_entries:
         return grid
     lo, width = np.zeros((2, mmax + 1), dtype=np.int64)  # by level, from j0 on
@@ -375,8 +386,9 @@ def iso_synthesize(spec: BasisSpec, v: CoeffVector) -> np.ndarray:
     the natural cross-check that both sides represent the same function.
     """
     _require_l2(v, ISOTROPIC)
+    blocks = _gather_iso_blocks(spec, v)  # first: its grid allocation is the checked one
     out = np.zeros((spec.delta_size(v.max_level),) * v.n)
-    for (m, e), block in _gather_iso_blocks(spec, v).items():
+    for (m, e), block in blocks.items():
         if any(e):
             quad = spec.masks(m)
             for axis, ei in enumerate(e):

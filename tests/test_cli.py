@@ -475,6 +475,83 @@ class TestLevelBeyondBasis:
         assert code == 3 and err == f"error: level {jmax} beyond max_level 32\n"
 
 
+class TestBadGridWritesNothing:
+    """The rate fit validates the N grid before any CSV row is written."""
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_nterm(self, tmp_path, capsys, to_file):
+        path = tmp_path / "u.coeffs"
+        save_coeffs(make_hyper({((1, 1), (0, 0)): 1.0, ((2, 1), (1, 0)): 0.5}, 2, 2), path)
+        out = ["--out", tmp_path / "x.csv"] if to_file else []
+        code = main(list(map(str, ["nterm", "--coeffs", path, "--nmax", -9, *out])))
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: rate fit needs at least 3 positive points in [16, -9]\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_compare(self, tmp_path, capsys, to_file):
+        out = ["--out", tmp_path / "x.csv"] if to_file else []
+        code = main(list(map(str, ["compare", "--jmax", 3, "--nmin", 4, "--nmax", 8, *out])))
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: rate fit needs at least 3 positive points in [4, 8]\n"
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestNonFiniteFloatFlags:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["q", "s", "r", "beta", "p"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_exits_3(self, tmp_path, capsys, flag, value, via_config):
+        if via_config:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(f"{flag} = {value}\n")
+            given = ["--config", cfg]
+        else:
+            given = [f"--{flag}={value}"]  # "--q -inf" would read -inf as an option
+        out = tmp_path / "r.csv"
+        code, err = main_exit(["verify", "--suite", "embedding", *given, "--trials", 1,
+                               "--m-max", 6, "--out", out], capsys)
+        assert code == 3
+        assert err == f"error: --{flag} must be a finite number, got {float(value)}\n"
+        assert not out.exists()
+
+
+class TestGridTooLarge:
+    def test_inverse_of_unallocatable_grid_exits_3(self, tmp_path, capsys):
+        # numpy rejects a 2^32 x 2^32 grid before allocating any of it.
+        path = tmp_path / "u.coeffs"
+        path.write_text("hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar jmax=32\n"
+                        "1 1 0 0 1.5\n")
+        out = tmp_path / "b.arr"
+        code, err = main_exit(["transform", "--direction", "inverse", "--coeffs", path,
+                               "--out", out], capsys)
+        assert code == 3
+        assert err == ("error: a level-32 grid of shape (4294967296, 4294967296) is too "
+                       "large to allocate\n")
+        assert not out.exists()
+
+
+class TestMMaxBeyondBasis:
+    @pytest.mark.parametrize("suite", ["decay", "riesz", "all"])
+    def test_exits_3_before_any_suite(self, tmp_path, suite):
+        # In a capped child: without the check, decay would run until killed.
+        out = tmp_path / "r.csv"
+        r = run_cli("verify", "--suite", suite, "--m-max", 1000, "--out", out,
+                    timeout=60, preexec_fn=cap_address_space)
+        assert r.returncode == 3
+        assert r.stderr == "error: --m-max 1000 is beyond the finest level 32 of the basis\n"
+        assert not out.exists()
+
+    def test_finest_level_passes_the_flag_check(self, tmp_path, capsys):
+        # The check lets 32 through; the suite would then run, so the run is
+        # stopped by an empty exponent grid, the next check in line.
+        code, err = main_exit(["verify", "--suite", "lemma1", "--m-max", 32, "--p-grid", ",",
+                               "--out", tmp_path / "r.csv"], capsys)
+        assert code == 3 and "lemma1" in err
+
+
 def test_usage_error_returns_2(capsys):
     assert main(["transform", "--jmax"]) == 2
     assert "expected one argument" in capsys.readouterr().err

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from hyperwave import (
+    CoeffVector,
     InsufficientPoints,
     NTermResult,
     NormParams,
@@ -11,6 +13,8 @@ from hyperwave import (
     best_nterm,
     error_curve,
     fit_rate,
+    hyper_forward,
+    iso_from_hyper,
     jackson_bernstein_ratios,
     sobolev_norm_hyper,
     weak_ltau,
@@ -115,6 +119,72 @@ class TestErrorCurve:
         u = random_sparse_hyper(haar, rng, 2, 3, 5)
         with pytest.raises(InsufficientPoints):
             error_curve(u, 0.0, [4, 2])
+
+
+def dense_vectors(spec):
+    """A hyperbolic vector and its isotropic image for each n = 1..3, with
+    repeated moduli so that the index tie-break decides part of the order."""
+    rng = np.random.default_rng(12)
+    for n, m in ((1, 5), (2, 3), (3, 2)):
+        size = spec.delta_size(m)
+        u = hyper_forward(spec, n, rng.integers(-2, 3, (size,) * n).astype(float))
+        yield u
+        yield iso_from_hyper(spec, u)
+
+
+def eager_support(u, q, n):
+    """The keys of the n largest H^q moduli, ties by index order, built at once."""
+    w = 2.0 ** (q * u.level_linf()) * np.abs(u.values)
+    order = np.lexsort((*u.index_columns().T[::-1], -w))
+    return u.index_keys(order[:n])
+
+
+class TestLazySupport:
+    def test_error_curve_builds_no_keys(self, haar, monkeypatch):
+        def refuse(self, rows=slice(None)):
+            raise AssertionError("index_keys called")
+
+        vectors = list(dense_vectors(haar))
+        expected = [error_curve(u, 0.3, [0, 2, 5, 10 ** 6]).errors for u in vectors]
+        monkeypatch.setattr(CoeffVector, "index_keys", refuse)
+        for u, errors in zip(vectors, expected):
+            res = error_curve(u, 0.3, [0, 2, 5, 10 ** 6])
+            assert res.errors == errors and res.q == 0.3
+            with pytest.raises(AssertionError, match="index_keys called"):
+                res.support
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3, "nnz+5"])
+    def test_first_read_equals_eager_keys(self, haar, n_max):
+        for u in dense_vectors(haar):
+            top = u.num_entries + 5 if n_max == "nnz+5" else n_max
+            support = error_curve(u, 0.25, [0, top]).support
+            assert support == eager_support(u, 0.25, top)
+            assert type(support) is tuple
+            assert len(support) == min(top, u.num_entries)
+
+    def test_second_read_returns_same_object(self, haar):
+        for u in dense_vectors(haar):
+            res = error_curve(u, 0.0, [3])
+            assert res.support is res.support
+
+    def test_equality_and_positional_construction(self, haar):
+        u = next(dense_vectors(haar))
+        lazy = error_curve(u, 0.5, [1, 4])
+        built = NTermResult(eager_support(u, 0.5, 4), dict(lazy.errors), 0.5)
+        assert built == error_curve(u, 0.5, [1, 4])
+        assert lazy == built and built == lazy
+        assert lazy != NTermResult(eager_support(u, 0.5, 3), dict(lazy.errors), 0.5)
+        assert lazy != NTermResult(built.support, {**lazy.errors, 4: 1.0}, 0.5)
+        assert lazy != NTermResult(built.support, dict(lazy.errors), 0.0)
+        assert NTermResult(support=built.support, errors=lazy.errors, q=0.5) == built
+        assert NTermResult((), {4: 1.0}, 0.0) == NTermResult((), {4: 1.0}, 0.0)
+
+    def test_frozen(self, haar):
+        res = error_curve(next(dense_vectors(haar)), 0.0, [2])
+        for name, value in (("support", ()), ("errors", {}), ("q", 1.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(res, name, value)
+        assert len(res.support) == 2
 
 
 class TestFitRate:

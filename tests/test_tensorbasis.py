@@ -9,6 +9,7 @@ from hyperwave import (
     HyperIndex,
     InvalidExponent,
     IsoIndex,
+    SizeTooLarge,
     UnsupportedDimension,
     WrongSystem,
     build_transform,
@@ -448,3 +449,17 @@ class TestConstructionBoundary:
         for cv in derived:
             for a in (cv.levels, cv.positions, cv.values):
                 assert not a.flags.writeable
+
+
+class TestGridTooLarge:
+    """A level-32 grid at n = 2 has 2^64 cells, which numpy rejects before
+    allocating anything; every map to the grid reports it as one error."""
+
+    @pytest.mark.parametrize("op", [hyper_inverse, hyper_from_iso, iso_synthesize])
+    def test_level_32_grid_rejected(self, haar, op):
+        if op is hyper_inverse:
+            u = make_hyper({((1, 1), (0, 0)): 1.5}, 2, 32)
+        else:
+            u = make_iso({(1, (1, 1), (0, 0)): 1.5}, 2, 32)
+        with pytest.raises(SizeTooLarge, match="too large to allocate"):
+            op(haar, u)
