@@ -8,14 +8,14 @@ Kronecker norm identities, embedding chains).
 
 All objects are immutable after construction and all operations are pure
 functions, safe to share across threads.  The fields some objects fill
-lazily (the scipy CSR and the diagonal runs of a ``BandMatrix``, the
-assembled transforms of a ``BasisSpec``, the ``support`` keys of an
-``NTermResult``) are written once and then only read, and the arrays a
-``BandMatrix`` hands out are read-only.  A
-``CoeffVector`` checks the shapes and types of its index arrays when it is
-built and keeps each array as a read-only view; the caller's own arrays
-stay writable.  scipy is imported only by the code that assembles sparse
-matrices.
+lazily (the scipy CSR and the per-direction product plans of a
+``BandMatrix``, the assembled transforms of a ``BasisSpec``, the
+``support`` keys of an ``NTermResult``) are written once and then only
+read, and the arrays a ``BandMatrix`` hands out are read-only.  A
+``CoeffVector`` checks the shapes and types of its index arrays when it
+is built and keeps each array as a read-only view; the caller's own
+arrays stay writable.  scipy is imported only by the code that assembles
+sparse matrices.
 """
 
 from .bandmatrix import BandMatrix

@@ -225,18 +225,6 @@ class BandMatrix:
             y += 0.0
         return y
 
-    def __matmul__(self, other):
-        if isinstance(other, BandMatrix):
-            if self.cols != other.rows:
-                raise DimensionMismatch("inner dimensions do not match")
-            return BandMatrix.from_csr(self.csr @ other.csr)
-        return self.apply(other)
-
-    def triples(self):
-        """Yield (row, col, value) sorted by row then column."""
-        r, c, v = self.entries()
-        return zip(r.tolist(), c.tolist(), v.tolist())
-
     def column_abs_pow_sums(self, p: float) -> np.ndarray:
         """Column sums of |a_ij|^p, including all-zero columns; each column
         is summed by ascending row."""

@@ -23,6 +23,7 @@ from .errors import (
     LevelTooCoarse,
     MaskInconsistent,
 )
+from .tables import read_lines, read_table, table_text
 
 __all__ = [
     "COMPACT_SUPPORT_ALPHA",
@@ -324,80 +325,63 @@ def evaluate_on_dyadic_grid(spec: BasisSpec, idx: LevelIndex, m: int) -> np.ndar
 
 # ---------------------------------------------------------------------------
 # Plain-text mask file format: per block a header line "level rows cols",
-# then one "row col value" triple per line, each block terminated by "#".
+# then one "row col value" line per entry, in the row grammar of
+# hyperwave.tables with k = 2, each block terminated by "#".
 # Blocks appear in groups of four per level, ordered M0, M1, Mt0, Mt1.
 # ---------------------------------------------------------------------------
 
 
-def save_mask_file(path, masks: dict[int, MaskQuad]) -> None:
-    lines = []
-    for j in sorted(masks):
-        for block in masks[j]:
-            lines.append(f"{j} {block.rows} {block.cols}")
-            for r, c, v in block.triples():
-                lines.append(f"{r} {c} {v:.17g}")
-            lines.append("#")
+def _write_blocks(path, blocks) -> None:
+    """Write (level, matrix) pairs as blocks."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for level, m in blocks:
+            r, c, v = m.entries()
+            rows = table_text(np.column_stack([r, c]), v)
+            fh.write(f"{level} {m.rows} {m.cols}\n{rows}#\n")
 
 
-def _parse_fields(line: str, kinds, what: str) -> tuple:
-    """The three fields of a block header or triple line, converted by ``kinds``."""
-    try:
-        return tuple(kind(x) for kind, x in zip(kinds, line.split(), strict=True))
-    except (ValueError, OverflowError):
-        raise DimensionMismatch(f"malformed {what}: {line!r}") from None
-
-
-def _parse_blocks(lines: list[str]) -> list[tuple[int, BandMatrix]]:
-    blocks: list[tuple[int, BandMatrix]] = []
-    i = 0
-    while i < len(lines):
-        level, rows, cols = _parse_fields(lines[i], (int, int, int), "block header")
-        i += 1
-        rr, cc, vv = [], [], []
-        while i < len(lines) and lines[i] != "#":
-            r, c, v = _parse_fields(lines[i], (np.int64, np.int64, float), "triple line")
-            rr.append(r)
-            cc.append(c)
-            vv.append(v)
-            i += 1
-        if i == len(lines):
-            raise DimensionMismatch("unterminated block (missing '#')")
-        i += 1  # skip '#'
-        blocks.append((level, BandMatrix(rows, cols, rr, cc, vv)))
+def _read_blocks(path) -> list[tuple[int, BandMatrix]]:
+    """The (level, matrix) pairs of the blocks of a mask or matrix file."""
+    lines = read_lines(path)
+    if lines and lines[-1] != "#":
+        raise DimensionMismatch(f"unterminated block in {path} (missing '#')")
+    ends = [i for i, ln in enumerate(lines) if ln == "#"]
+    blocks = []
+    for start, end in zip([0, *(e + 1 for e in ends)], ends):
+        try:
+            level, rows, cols = map(int, lines[start].split())
+        except ValueError:
+            raise DimensionMismatch(f"malformed block header in {path}: {lines[start]!r}") from None
+        try:
+            idx, values = read_table(lines[start + 1:end], 2)
+        except ValueError as exc:
+            raise DimensionMismatch(f"malformed mask line in {path}: {exc}") from None
+        blocks.append((level, BandMatrix(rows, cols, idx[:, 0], idx[:, 1], values)))
     return blocks
 
 
+def save_mask_file(path, masks: dict[int, MaskQuad]) -> None:
+    _write_blocks(path, ((j, block) for j in sorted(masks) for block in masks[j]))
+
+
 def load_mask_file(path) -> dict[int, MaskQuad]:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    blocks = _parse_blocks(lines)
+    blocks = _read_blocks(path)
     if not blocks:
         raise DimensionMismatch(f"mask file {path} holds no blocks")
-    quads: dict[int, MaskQuad] = {}
-    for n in range(0, len(blocks), 4):
-        group = blocks[n:n + 4]
-        if len(group) != 4 or len({lvl for lvl, _ in group}) != 1:
-            raise DimensionMismatch("expected four consecutive blocks per level")
-        quads[group[0][0]] = MaskQuad(*(b for _, b in group))
-    return quads
+    groups = [blocks[n:n + 4] for n in range(0, len(blocks), 4)]
+    if any(len(g) != 4 or len({level for level, _ in g}) != 1 for g in groups):
+        raise DimensionMismatch("expected four consecutive blocks per level")
+    return {g[0][0]: MaskQuad(*(b for _, b in g)) for g in groups}
 
 
 def save_matrix_file(path, matrix: BandMatrix, level: int = 0) -> None:
-    """Export a single matrix as one block of the mask triple format."""
-    lines = [f"{level} {matrix.rows} {matrix.cols}"]
-    lines.extend(f"{r} {c} {v:.17g}" for r, c, v in matrix.triples())
-    lines.append("#")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Export a single matrix as one block of the mask file format."""
+    _write_blocks(path, [(level, matrix)])
 
 
 def load_matrix_file(path) -> tuple[int, BandMatrix]:
     """Read one matrix block; returns (level, matrix)."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    blocks = _parse_blocks(lines)
+    blocks = _read_blocks(path)
     if len(blocks) != 1:
         raise DimensionMismatch(f"expected one block, found {len(blocks)}")
     return blocks[0]

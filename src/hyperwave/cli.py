@@ -25,10 +25,8 @@ from .basis1d import (
     make_mask_basis,
 )
 from .errors import HyperwaveError, UnsupportedDimension
+from .tables import fmt, header_fields, read_lines, read_table, write_table
 from .tensorbasis import (
-    _fmt,
-    _read_table,
-    _write_table,
     hyper_forward,
     hyper_from_iso,
     hyper_inverse,
@@ -48,7 +46,7 @@ def _map_ordered(fn, items):
 
 # ---------------------------------------------------------------------------
 # Array file format: header "hyperwave-array v1 n=<n> m=<m>", then one value
-# per line in C order: the table format of coefficient files with k = 0.
+# per line in C order: the rows of hyperwave.tables with k = 0.
 # ---------------------------------------------------------------------------
 
 
@@ -59,24 +57,23 @@ def _grid_level(size: int) -> int:
 def save_array(arr: np.ndarray, path) -> None:
     arr = np.asarray(arr, dtype=np.float64)
     head = f"hyperwave-array v1 n={arr.ndim} m={_grid_level(arr.shape[0])}"
-    _write_table(path, head, np.zeros((arr.size, 0), np.int64), arr.reshape(-1))
+    write_table(path, head, np.zeros((arr.size, 0), np.int64), arr.reshape(-1))
 
 
 def load_array(path) -> np.ndarray:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = read_lines(path)
     if not lines:
         raise OSError(f"empty input file: {path}")
     head = lines[0].split()
     if head[:2] != ["hyperwave-array", "v1"]:
         raise OSError(f"not a hyperwave array file: {path}")
     try:
-        fields = dict(part.split("=", 1) for part in head[2:])
+        fields = header_fields(head[2:])
         n, m = int(fields["n"]), int(fields["m"])
     except (KeyError, ValueError):
         raise HyperwaveError(f"malformed array file {path}: {lines[0]!r}") from None
     try:
-        _, values = _read_table(lines[1:], 0)
+        _, values = read_table(lines[1:], 0)
     except ValueError as exc:
         raise HyperwaveError(f"malformed array file {path}: {exc}") from None
     if not 1 <= n <= 3:
@@ -116,7 +113,7 @@ def _check_flag_values(args) -> None:
         if value < least:
             raise HyperwaveError(f"--{flag} must be at least {least}, got {value}")
     for flag in ("q", "s", "r", "beta", "p"):
-        value = getattr(args, flag)
+        value = getattr(args, flag, None)
         if value is not None and not math.isfinite(value):
             raise HyperwaveError(f"--{flag} must be a finite number, got {value}")
 
@@ -141,9 +138,9 @@ def _write_csv(path, header: str, rows) -> None:
         sys.stdout.write(text)
 
 
-def _generate(args) -> np.ndarray:
+def _generate(args, kind: str) -> np.ndarray:
     params = {"beta": args.beta, "q": args.q, "r": args.r, "seed": args.seed}
-    return testfunctions.sample_function(args.generate, params, args.n, args.jmax)
+    return testfunctions.sample_function(kind, params, args.n, args.jmax)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +152,7 @@ def cmd_transform(args) -> int:
     spec = _make_basis(args.basis)
     if args.direction == "forward":
         if args.generate:
-            data = _generate(args)
+            data = _generate(args, args.generate)
         elif args.input:
             data = load_array(args.input)
         else:
@@ -190,33 +187,31 @@ def cmd_nterm(args) -> int:
     grid = _n_grid(args.nmin, args.nmax)
     curve = nterm.error_curve(u, args.q, grid)
     rows = [
-        f"{n},{_fmt(curve.errors[n])},{_fmt(args.q)},{_fmt(args.r)},{_fmt(tau)},"
+        f"{n},{fmt(curve.errors[n])},{fmt(args.q)},{fmt(args.r)},{fmt(tau)},"
         f"{u.basis},{u.n},{args.seed}"
         for n in grid
     ]
     s_hat = nterm.fit_rate(curve, args.nmin, args.nmax)
     _write_csv(args.out, "N,E_N,q,r,tau,basis,n,seed", rows)
-    print(f"s_hat={_fmt(s_hat)}")
+    print(f"s_hat={fmt(s_hat)}")
     return 0
 
 
 def cmd_compare(args) -> int:
     spec = _make_basis(args.basis)
-    params = {"beta": args.beta, "q": args.q, "r": args.r, "seed": args.seed}
-    data = testfunctions.sample_function(args.kind, params, args.n, args.jmax)
-    u = hyper_forward(spec, args.n, data)
+    u = hyper_forward(spec, args.n, _generate(args, args.kind))
     v = iso_from_hyper(spec, u)
     grid = _n_grid(args.nmin, args.nmax)
     curve_h = nterm.error_curve(u, args.q, grid)
     curve_i = nterm.error_curve(v, args.q, grid)
     rows = [
-        f"{n},{_fmt(curve_h.errors[n])},{_fmt(curve_i.errors[n])}" for n in grid
+        f"{n},{fmt(curve_h.errors[n])},{fmt(curve_i.errors[n])}" for n in grid
     ]
     rate_h = nterm.fit_rate(curve_h, args.nmin, args.nmax)
     rate_i = nterm.fit_rate(curve_i, args.nmin, args.nmax)
     _write_csv(args.out, "N,E_hyperbolic,E_isotropic", rows)
-    print(f"rate_hyperbolic={_fmt(rate_h)}")
-    print(f"rate_isotropic={_fmt(rate_i)}")
+    print(f"rate_hyperbolic={fmt(rate_h)}")
+    print(f"rate_isotropic={fmt(rate_i)}")
     return 0
 
 
@@ -275,7 +270,7 @@ def _suite_decay(spec, args):
     rows = []
     for m in range(spec.j0 + 1, args.m_max + 1):
         ratio = check_entry_decay(spec, m, alpha)
-        rows.append(("decay", f"alpha={_fmt(alpha)}", m, ratio, 2.0, ratio <= 2.0))
+        rows.append(("decay", f"alpha={fmt(alpha)}", m, ratio, 2.0, ratio <= 2.0))
     return rows
 
 
@@ -298,7 +293,7 @@ def _suite_lemma1(spec, args):
             if bound > 0:
                 worst = max(worst, est / bound)
             ok = ok and est <= bound
-        rows.append(("lemma1", f"p={_fmt(p)}", 0, worst, 1.0, ok))
+        rows.append(("lemma1", f"p={fmt(p)}", 0, worst, 1.0, ok))
     return rows
 
 
@@ -308,13 +303,13 @@ def _suite_lemma4(spec, args):
         out = []
         for row in report.rows:
             out.append(
-                ("lemma4_T_scaled", f"p={_fmt(p)}", row.m, row.t_norm_scaled, float("nan"), True)
+                ("lemma4_T_scaled", f"p={fmt(p)}", row.m, row.t_norm_scaled, float("nan"), True)
             )
             out.append(
-                ("lemma4_Tt", f"p={_fmt(p)}", row.m, row.t_trans_norm, float("nan"), True)
+                ("lemma4_Tt", f"p={fmt(p)}", row.m, row.t_trans_norm, float("nan"), True)
             )
         flags = report.bounded
-        out.append(("lemma4_bounded", f"p={_fmt(p)}", args.m_max,
+        out.append(("lemma4_bounded", f"p={fmt(p)}", args.m_max,
                     float(all(flags.values())), 1.0, all(flags.values())))
         if p == 2.0:
             dev = max(abs(r.t_norm - 1.0) for r in report.rows)
@@ -334,7 +329,7 @@ def _suite_kron(spec, args):
             b = BandMatrix.from_dense(rng.standard_normal((4, 4)))
             lhs, rhs = verify.check_kron_identity(a, b, p)
             worst = max(worst, abs(lhs - rhs))
-        label = "inf" if np.isinf(p) else _fmt(p)
+        label = "inf" if np.isinf(p) else fmt(p)
         rows.append(("kron", f"p={label}", 0, worst, tol, worst <= tol))
     return rows
 
@@ -368,11 +363,11 @@ def _suite_embedding(spec, args):
             up = max(up, hi)
         maxima_low.append(low)
         maxima_up.append(up)
-        rows.append(("embedding_lower", f"q={_fmt(q)},s={_fmt(s)}", m, low, float("nan"), True))
-        rows.append(("embedding_upper", f"q={_fmt(q)},s={_fmt(s)}", m, up, float("nan"), True))
+        rows.append(("embedding_lower", f"q={fmt(q)},s={fmt(s)}", m, low, float("nan"), True))
+        rows.append(("embedding_upper", f"q={fmt(q)},s={fmt(s)}", m, up, float("nan"), True))
     ok = verify.running_max_stabilizes(maxima_low, rel=0.25) and \
         verify.running_max_stabilizes(maxima_up, rel=0.25)
-    rows.append(("embedding_stable", f"q={_fmt(q)},s={_fmt(s)}", m_cap,
+    rows.append(("embedding_stable", f"q={fmt(q)},s={fmt(s)}", m_cap,
                  float(ok), 1.0, ok))
     return rows
 
@@ -402,14 +397,14 @@ def cmd_verify(args) -> int:
     for name in names:
         all_rows.extend(SUITES[name](spec, args))
     csv_rows = [
-        f"{check},{param},{m},{_fmt(value)},{_fmt(bound)},{str(ok).lower()}"
+        f"{check},{param},{m},{fmt(value)},{fmt(bound)},{str(ok).lower()}"
         for check, param, m, value, bound, ok in all_rows
     ]
     _write_csv(args.out, "check,param,m,value,bound,pass", csv_rows)
     failures = [r for r in all_rows if not r[5]]
     print(f"checks: {len(all_rows)}  failures: {len(failures)}")
     for check, param, m, value, bound, _ in failures:
-        print(f"FAIL {check} {param} m={m} value={_fmt(value)} bound={_fmt(bound)}")
+        print(f"FAIL {check} {param} m={m} value={fmt(value)} bound={fmt(bound)}")
     return 1 if failures else 0
 
 
@@ -419,17 +414,26 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p):
+_SHARED_FLAGS = {
+    "n": dict(type=int, default=2, choices=(1, 2, 3)),
+    "jmax": dict(type=int, default=5),
+    "q": dict(type=float, default=0.0),
+    "s": dict(type=float, default=0.25),
+    "r": dict(type=float, default=1.0),
+    "p": dict(type=float, default=None, help="single integrability exponent; overrides --p-grid"),
+    "beta": dict(type=float, default=1.0),
+    "nmin": dict(type=int, default=16),
+    "nmax": dict(type=int, default=4096),
+}
+
+
+def _add_common(p, *flags):
+    """The flags of every command, and the shared flags named in ``flags``."""
     p.add_argument("--config", default=None, help="flat key = value config file")
     p.add_argument("--basis", default="haar", help="haar or maskfile=PATH")
-    p.add_argument("--n", type=int, default=2, choices=(1, 2, 3))
-    p.add_argument("--jmax", type=int, default=5)
-    p.add_argument("--q", type=float, default=0.0)
-    p.add_argument("--s", type=float, default=0.25)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--p", type=float, default=None,
-                   help="single integrability exponent; overrides --p-grid")
-    p.add_argument("--beta", type=float, default=1.0)
+    for name, kwargs in _SHARED_FLAGS.items():
+        if name in flags:
+            p.add_argument(f"--{name}", **kwargs)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
 
@@ -440,10 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hyperbolic wavelet transforms, sequence norms, N-term "
         "approximation and verification suites on the unit cube.",
     )
+    # No prefix matching: a flag a command lacks never reads as another (--s as --seed).
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("transform", help="forward/inverse multiscale transform")
-    _add_common(p)
+    p = sub.add_parser("transform", help="forward/inverse multiscale transform", allow_abbrev=False)
+    _add_common(p, "n", "jmax", "q", "r", "beta")
     p.add_argument("--input", default=None, help="array or coefficient file")
     p.add_argument("--coeffs", default=None, help="coefficient file (inverse)")
     p.add_argument("--generate", default=None, choices=testfunctions.KINDS,
@@ -452,15 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", default="hyper", choices=("hyper", "iso"))
     p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("nterm", help="best N-term error curve and fitted rate")
-    _add_common(p)
+    p = sub.add_parser("nterm", help="best N-term error curve and fitted rate", allow_abbrev=False)
+    _add_common(p, "q", "r", "nmin", "nmax")
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--nmin", type=int, default=16)
-    p.add_argument("--nmax", type=int, default=4096)
     p.set_defaults(func=cmd_nterm)
 
-    p = sub.add_parser("verify", help="numerical verification suites")
-    _add_common(p)
+    p = sub.add_parser("verify", help="numerical verification suites", allow_abbrev=False)
+    _add_common(p, "n", "q", "s", "p")
     p.add_argument("--suite", default="all")
     p.add_argument("--m-max", dest="m_max", type=int, default=12,
                    help="finest level; the embedding and riesz suites cap "
@@ -469,11 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("compare", help="isotropic vs hyperbolic N-term curves")
-    _add_common(p)
+    p = sub.add_parser("compare", help="isotropic vs hyperbolic N-term curves", allow_abbrev=False)
+    _add_common(p, "n", "jmax", "q", "r", "beta", "nmin", "nmax")
     p.add_argument("--kind", default="tensor_kink", choices=testfunctions.KINDS)
-    p.add_argument("--nmin", type=int, default=16)
-    p.add_argument("--nmax", type=int, default=4096)
     p.set_defaults(func=cmd_compare)
 
     return parser

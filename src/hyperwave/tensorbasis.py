@@ -23,6 +23,7 @@ from .errors import (
     UnsupportedDimension,
     WrongSystem,
 )
+from .tables import fmt, header_fields, read_lines, read_table, write_table
 from .transform1d import _analyze_array, _apply_axis, _level_maps, _synthesize_array
 
 __all__ = [
@@ -420,59 +421,28 @@ def rescale(c: CoeffVector, new_p: float) -> CoeffVector:
 
 
 # ---------------------------------------------------------------------------
-# Table files (bit-exact contract): a header, then per entry k int64 columns
-# and the value as %.17g.  Coefficient files have the header
+# Coefficient files (bit-exact contract): the header
 #   hyperwave-coeffs v1 <system> n=<n> p=<p> basis=<name> jmax=<m>
-# and the rows of CoeffVector.index_columns() in lexicographic order.
-# Array files (cli) are the k = 0 case.
+# then the rows of CoeffVector.index_columns() in lexicographic order, each
+# followed by its value, in the row grammar of hyperwave.tables.
 # ---------------------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _write_table(path, head: str, columns: np.ndarray, values: np.ndarray) -> None:
-    """The header line, then one row per entry of ``columns`` (N, k) and ``values``."""
-    cells = np.concatenate([columns, values[:, None]], axis=1, dtype=object)
-    row = "%d " * columns.shape[1] + "%.17g\n"
-    with open(path, "w") as fh:
-        fh.write(head + "\n" + "".join([row] * len(cells)) % tuple(cells.ravel().tolist()))
-
-
-def _read_table(rows: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(N, k) int64 columns and (N,) float64 values of the table rows; a
-    row that is not k base-10 int64 tokens and one float raises ValueError
-    with the first such row, quoted, as its message."""
-    dtype = np.dtype([("i", np.int64, (k,)), ("v", np.float64)])
-    try:
-        table = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1) if rows else np.zeros(0, dtype)
-    except ValueError:
-        for row in rows:
-            try:
-                np.loadtxt([row], dtype=dtype, comments=None)
-            except ValueError:
-                raise ValueError(repr(row.strip())) from None
-        raise
-    return table["i"], table["v"]
 
 
 def save_coeffs(cv: CoeffVector, path) -> None:
     cv = cv.canonical_order()
-    head = (f"hyperwave-coeffs v1 {cv.system} n={cv.n} p={_fmt(cv.p_norm)} "
+    head = (f"hyperwave-coeffs v1 {cv.system} n={cv.n} p={fmt(cv.p_norm)} "
             f"basis={cv.basis} jmax={cv.max_level}")
-    _write_table(path, head, cv.index_columns(), cv.values)
+    write_table(path, head, cv.index_columns(), cv.values)
 
 
 def load_coeffs(path) -> CoeffVector:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("hyperwave-coeffs v1 "):
+    lines = read_lines(path)
+    head = lines[0].split() if lines else []
+    if head[:2] != ["hyperwave-coeffs", "v1"]:
         raise DimensionMismatch("not a hyperwave coefficient file")
-    head = lines[0].split()
     try:
         system = head[2]
-        fields = dict(part.split("=", 1) for part in head[3:])
+        fields = header_fields(head[3:])
         n = int(fields["n"])
         p = float(fields["p"])
         basis = fields["basis"]
@@ -482,7 +452,7 @@ def load_coeffs(path) -> CoeffVector:
     if not 1 <= n <= 3:
         raise UnsupportedDimension(f"dimension n={n} not in 1..3")
     try:
-        columns, values = _read_table(lines[1:], 2 * n + (system == ISOTROPIC))
+        columns, values = read_table(lines[1:], 2 * n + (system == ISOTROPIC))
         cv = CoeffVector.from_index_columns(system, n, p, mmax, basis, columns, values)
     except (ValueError, DimensionMismatch) as exc:
         raise DimensionMismatch(f"malformed coefficient line in {path}: {exc}") from None

@@ -2,7 +2,8 @@
 
 Every check returns plain numbers or small report structures; asymptotic
 statements ("uniformly bounded in m") are operationalized as running
-maxima that change by less than 10% across the last three levels tested.
+maxima that change by less than 10% (25% for the embedding suite) across
+the last three levels tested.
 Kronecker products are formed explicitly only for small factors; these
 are identity checks, not scalability features.
 """

@@ -29,7 +29,9 @@ def haar_quads(j0, max_level):
 class TestBandMatrix:
     def test_triples_sorted_and_read_only(self):
         a = BandMatrix(3, 2, [2, 0, 1, 0], [0, 1, 1, 0], [4.0, 2.0, 3.0, 1.0])
-        assert list(a.triples()) == [(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0), (2, 0, 4.0)]
+        r, c, v = a.entries()
+        assert list(zip(r.tolist(), c.tolist(), v.tolist())) == \
+            [(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0), (2, 0, 4.0)]
         for arr in a.entries():
             assert not arr.flags.writeable
         np.testing.assert_array_equal(a.T.to_dense(), a.to_dense().T)

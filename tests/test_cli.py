@@ -363,14 +363,14 @@ class TestCountFlags:
         ("verify", "--trials", 0), ("verify", "--trials", -1),
     ])
     def test_count_below_one_exits_3(self, tmp_path, command, flag, value):
-        extra = []
+        extra = ["--jmax", 3]
         if command == "nterm":
             path = tmp_path / "u.coeffs"
             save_coeffs(make_hyper({((1, 1), (0, 0)): 1.0}, 2, 2), path)
             extra = ["--coeffs", path]
         elif command == "verify":
             extra = ["--suite", "lemma1"]
-        r = run_cli(command, *extra, flag, value, "--jmax", 3, "--out", tmp_path / "c.csv",
+        r = run_cli(command, *extra, flag, value, "--out", tmp_path / "c.csv",
                     timeout=60, preexec_fn=cap_address_space)
         assert r.returncode == 3
         assert r.stderr == f"error: {flag} must be at least 1, got {value}\n"
@@ -511,11 +511,83 @@ class TestNonFiniteFloatFlags:
         else:
             given = [f"--{flag}={value}"]  # "--q -inf" would read -inf as an option
         out = tmp_path / "r.csv"
-        code, err = main_exit(["verify", "--suite", "embedding", *given, "--trials", 1,
-                               "--m-max", 6, "--out", out], capsys)
+        # verify reads --q, --s and --p; compare reads --r and --beta.
+        command = (["compare", "--jmax", 3] if flag in ("r", "beta") else
+                   ["verify", "--suite", "embedding", "--trials", 1, "--m-max", 6])
+        code, err = main_exit([*command, *given, "--out", out], capsys)
         assert code == 3
         assert err == f"error: --{flag} must be a finite number, got {float(value)}\n"
         assert not out.exists()
+
+
+BAD_INDICES = ["1_0", "0x10", "1.5", "99999999999999999999"]
+BAD_VALUES = ["1_0", "0x10", "1 # c"]
+
+
+def bad_rows(k):
+    """Rows of k indices and a value, each with one bad token: the value,
+    or the first index when there is one."""
+    rows = [" ".join(["0"] * k + [v]) for v in BAD_VALUES]
+    return rows + [" ".join([i] + ["0"] * (k - 1) + ["1"]) for i in BAD_INDICES if k]
+
+
+ROW_FILES = {
+    "coeffs": ("hyperwave-coeffs v1 hyperbolic n=1 p=2 basis=haar jmax=3\n{}\n",
+               ["nterm", "--nmin", 1, "--nmax", 2, "--coeffs"]),
+    "array": ("hyperwave-array v1 n=1 m=0\n{}\n", ["transform", "--input"]),
+    "mask": ("1 2 1\n{}\n#\n", ["verify", "--suite", "biorth", "--m-max", 2, "--basis"]),
+}
+
+
+class TestRowGrammar:
+    """Coefficient, array and mask files read their rows by one grammar:
+    a bad row ends in exit 3 and one line that names the file and quotes
+    the row."""
+
+    @pytest.mark.parametrize("kind, row", [
+        (kind, row) for kind, k in (("coeffs", 2), ("array", 0), ("mask", 2))
+        for row in bad_rows(k)
+    ])
+    def test_bad_row_exits_3(self, tmp_path, capsys, kind, row):
+        text, argv = ROW_FILES[kind]
+        path = tmp_path / f"bad.{kind}"
+        path.write_text(text.format(row))
+        out = tmp_path / "out"
+        code, err = main_exit([*argv, f"maskfile={path}" if kind == "mask" else path,
+                               "--out", out], capsys)
+        assert code == 3
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(path) in err and repr(row) in err
+        assert not out.exists()
+
+
+class TestCommandFlags:
+    """Each command takes only the flags it reads."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("transform", "--s"), ("transform", "--p"),
+        ("nterm", "--n"), ("nterm", "--jmax"), ("nterm", "--s"), ("nterm", "--p"),
+        ("nterm", "--beta"),
+        ("verify", "--jmax"), ("verify", "--r"), ("verify", "--beta"),
+        ("compare", "--s"), ("compare", "--p"),
+    ])
+    def test_flag_not_read_exits_2(self, tmp_path, capsys, command, flag):
+        extra = ["--coeffs", tmp_path / "u.coeffs"] if command == "nterm" else []
+        out = tmp_path / "out"
+        code, err = main_exit([command, *extra, flag, 1, "--out", out], capsys)
+        assert code == 2
+        assert f"unrecognized arguments: {flag} 1" in err
+        assert not out.exists()
+
+    def test_config_key_of_a_flag_not_read_is_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("s = nan\np = 0.3\n")
+        argv = ["compare", "--jmax", "3", "--nmin", "4", "--nmax", "16"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert plain.out.startswith("N,") and plain.err == ""
+        assert main([*argv, "--config", str(cfg)]) == 0
+        assert capsys.readouterr() == plain
 
 
 class TestGridTooLarge:

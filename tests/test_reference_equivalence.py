@@ -6,7 +6,9 @@ The table codec of coefficient and array files against the per-line
 writers and readers it replaced.  The assembled transforms, now the
 synthesis cascade run on a sparse identity, against the product of
 padded per-level factors they replaced.  The numpy mask products of
-``BandMatrix`` against the scipy CSR products they replaced."""
+``BandMatrix`` against the scipy CSR products they replaced.  The mask and
+matrix files, now blocks of the table codec, against the per-line writers
+and parser they replaced."""
 
 import tracemalloc
 import warnings
@@ -35,6 +37,7 @@ from hyperwave import (
     rescale,
 )
 from hyperwave import hyper_forward, hyper_from_iso, iso_synthesize, load_coeffs, save_coeffs
+from hyperwave import load_mask_file, load_matrix_file, save_mask_file, save_matrix_file
 from hyperwave.cli import load_array, save_array
 from hyperwave.nterm import _tail_errors, _weights_and_order
 from hyperwave.seqnorms import _block_norm, _outer_norm
@@ -690,7 +693,7 @@ class TestMaskProductsBitwise:
     def test_products_match_scipy(self, request, name):
         rng = np.random.default_rng(3)
         masks = masks_of(request, name)
-        assert max(len({int(r) - 2 * int(c) for r, c, _ in m.triples()}) for m in masks) \
+        assert max(len(np.unique(r - 2 * c)) for r, c, _ in (m.entries() for m in masks)) \
             == (6 if name == "lifted" else 2)
         for mask in masks:
             for width in (None, 1, 2, 7, 64, 4096):
@@ -738,3 +741,100 @@ class TestMaskProductsBitwise:
         got = mask.apply(eye)
         assert sp.issparse(got)
         assert (got != mask.csr).nnz == 0
+
+
+def reference_triples(matrix):
+    r, c, v = matrix.entries()
+    return zip(r.tolist(), c.tolist(), v.tolist())
+
+
+def reference_save_mask_file(path, masks):
+    lines = []
+    for j in sorted(masks):
+        for block in masks[j]:
+            lines.append(f"{j} {block.rows} {block.cols}")
+            for r, c, v in reference_triples(block):
+                lines.append(f"{r} {c} {v:.17g}")
+            lines.append("#")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_save_matrix_file(path, matrix, level=0):
+    lines = [f"{level} {matrix.rows} {matrix.cols}"]
+    lines.extend(f"{r} {c} {v:.17g}" for r, c, v in reference_triples(matrix))
+    lines.append("#")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_parse_fields(line, kinds, what):
+    try:
+        return tuple(kind(x) for kind, x in zip(kinds, line.split(), strict=True))
+    except (ValueError, OverflowError):
+        raise DimensionMismatch(f"malformed {what}: {line!r}") from None
+
+
+def reference_parse_blocks(path):
+    """The (level, matrix) pairs of a mask or matrix file, line by line."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    blocks = []
+    i = 0
+    while i < len(lines):
+        level, rows, cols = reference_parse_fields(lines[i], (int, int, int), "block header")
+        i += 1
+        rr, cc, vv = [], [], []
+        while i < len(lines) and lines[i] != "#":
+            r, c, v = reference_parse_fields(lines[i], (np.int64, np.int64, float), "triple line")
+            rr.append(r)
+            cc.append(c)
+            vv.append(v)
+            i += 1
+        if i == len(lines):
+            raise DimensionMismatch("unterminated block (missing '#')")
+        i += 1
+        blocks.append((level, BandMatrix(rows, cols, rr, cc, vv)))
+    return blocks
+
+
+def quads_of(request, name):
+    """The masks of ``masks_of`` as a dict of quadruples by level."""
+    masks = masks_of(request, name)
+    first = 1 if name == "lifted" else request.getfixturevalue(name).j0 + 1
+    return {first + i: MaskQuad(*masks[4 * i:4 * i + 4]) for i in range(len(masks) // 4)}
+
+
+def same_blocks(got, want):
+    """Equal levels, shapes and entry bits of two lists of (level, matrix)."""
+    assert [(level, m.shape) for level, m in got] == [(level, m.shape) for level, m in want]
+    for (_, a), (_, b) in zip(got, want):
+        for x, y in zip(a.entries(), b.entries()):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+SPECIAL_BLOCK = BandMatrix(3, 4, [0, 0, 1, 1, 2, 2], [0, 3, 1, 2, 0, 3],
+                           [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300])
+
+
+@pytest.mark.filterwarnings("error")
+class TestMaskCodecBitwise:
+    @pytest.mark.parametrize("name", ["haar", "haar_j2", "scaled", "lifted"])
+    def test_mask_files(self, request, tmp_path, name):
+        quads = quads_of(request, name)
+        new, ref = tmp_path / "new.masks", tmp_path / "ref.masks"
+        save_mask_file(new, quads)
+        reference_save_mask_file(ref, quads)
+        assert new.read_bytes() == ref.read_bytes()
+        got = load_mask_file(ref)
+        same_blocks([(j, b) for j in got for b in got[j]], reference_parse_blocks(ref))
+
+    @pytest.mark.parametrize("name", ["haar", "haar_j2", "scaled", "lifted", "special"])
+    def test_matrix_files(self, request, tmp_path, name):
+        blocks = [SPECIAL_BLOCK] if name == "special" else masks_of(request, name)
+        for i, block in enumerate(blocks):
+            new, ref = tmp_path / f"{i}.mat", tmp_path / f"{i}.ref.mat"
+            save_matrix_file(new, block, level=i)
+            reference_save_matrix_file(ref, block, level=i)
+            assert new.read_bytes() == ref.read_bytes()
+            same_blocks([load_matrix_file(ref)], reference_parse_blocks(ref))
