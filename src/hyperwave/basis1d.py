@@ -23,7 +23,7 @@ from .errors import (
     LevelTooCoarse,
     MaskInconsistent,
 )
-from .tables import read_lines, read_table, table_text
+from .tables import parse_ints, read_lines, read_table, table_text
 
 __all__ = [
     "COMPACT_SUPPORT_ALPHA",
@@ -349,14 +349,17 @@ def _read_blocks(path) -> list[tuple[int, BandMatrix]]:
     blocks = []
     for start, end in zip([0, *(e + 1 for e in ends)], ends):
         try:
-            level, rows, cols = map(int, lines[start].split())
+            level, rows, cols = parse_ints(lines[start].split())
         except ValueError:
             raise DimensionMismatch(f"malformed block header in {path}: {lines[start]!r}") from None
         try:
             idx, values = read_table(lines[start + 1:end], 2)
         except ValueError as exc:
             raise DimensionMismatch(f"malformed mask line in {path}: {exc}") from None
-        blocks.append((level, BandMatrix(rows, cols, idx[:, 0], idx[:, 1], values)))
+        try:
+            blocks.append((level, BandMatrix(rows, cols, idx[:, 0], idx[:, 1], values)))
+        except DimensionMismatch as exc:
+            raise DimensionMismatch(f"bad block {lines[start]!r} in {path}: {exc}") from None
     return blocks
 
 

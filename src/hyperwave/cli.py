@@ -25,7 +25,7 @@ from .basis1d import (
     make_mask_basis,
 )
 from .errors import HyperwaveError, UnsupportedDimension
-from .tables import fmt, header_fields, read_lines, read_table, write_table
+from .tables import fmt, header_fields, parse_ints, read_lines, read_table, write_table
 from .tensorbasis import (
     hyper_forward,
     hyper_from_iso,
@@ -69,7 +69,7 @@ def load_array(path) -> np.ndarray:
         raise OSError(f"not a hyperwave array file: {path}")
     try:
         fields = header_fields(head[2:])
-        n, m = int(fields["n"]), int(fields["m"])
+        n, m = parse_ints([fields["n"], fields["m"]])
     except (KeyError, ValueError):
         raise HyperwaveError(f"malformed array file {path}: {lines[0]!r}") from None
     try:

@@ -4,6 +4,13 @@ Because the level-weighted coefficient system is a Riesz basis of H^q, the
 best N-term approximant keeps the N rescaled coefficients of largest
 modulus; no combinatorial search is involved.  Ties are broken by
 lexicographic index order so results are deterministic across platforms.
+
+The Jackson and Bernstein ratios are sequence-space facts, not tests of a
+basis: with p = tau and r >= 0 both are at most 1 on every vector
+(Stechkin's lemma and Hoelder's inequality, see
+:func:`jackson_bernstein_ratios`).  A bound above 1 on them cannot fail;
+what depends on the basis is the norm equivalence behind them, which the
+riesz, lemma4 and embedding checks of ``verify`` test.
 """
 
 from __future__ import annotations
@@ -133,6 +140,14 @@ def jackson_bernstein_ratios(u: CoeffVector, q: float, r: float) -> tuple[float,
     norm of u_N is the tau-th root of a prefix sum of
     (2^{q |j|_inf + r |j|_1} |u^{(tau)}|)^tau in greedy order, and the H^q
     quantity the square root of a prefix sum of (2^{q |j|_inf} |u^{(2)}|)^2.
+
+    Since 2^{r |j|_1} |u^{(tau)}| = |u^{(2)}|, that Besov norm is the
+    l^tau norm of a = 2^{q |j|_inf} |u^{(2)}|, the weights whose l^2 tail
+    is E_N.  For r >= 0 (tau <= 2) both ratios are therefore at most 1 on
+    every vector: E_N <= N^{-r} |a|_tau by Stechkin's lemma (and
+    E_0 = |a|_2 <= |a|_tau), and |u_N|_tau <= N^r |u_N|_2 by Hoelder's
+    inequality, with equality at N = 1.  Up to rounding, a ratio above 1
+    is a fault of this code, never of the basis.
     """
     tau = 1.0 / (r + 0.5)
     denom = besov_hybrid_norm(u, NormParams(q=q, s=r, p=tau, tau=tau))

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fmt", "read_lines", "header_fields", "read_table", "table_text", "write_table"]
+__all__ = [
+    "fmt", "read_lines", "header_fields", "parse_ints", "read_table", "table_text", "write_table",
+]
 
 
 def fmt(x: float) -> str:
@@ -40,6 +42,15 @@ def read_table(rows: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
                 raise ValueError(repr(row.strip())) from None
         raise
     return table["i"], table["v"]
+
+
+def parse_ints(tokens) -> tuple[int, ...]:
+    """The tokens of a header as Python ints, each read as an int column of
+    a table row is, so that a header accepts no number a row would reject
+    (``1_0``, ``1.0``, ``0x10``, non-ASCII digits, values beyond int64);
+    any other token raises ValueError."""
+    columns, _ = read_table([" ".join(tokens) + " 0"], len(tokens))
+    return tuple(columns[0].tolist())
 
 
 def table_text(columns: np.ndarray, values: np.ndarray) -> str:

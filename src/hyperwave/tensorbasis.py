@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedDimension,
     WrongSystem,
 )
-from .tables import fmt, header_fields, read_lines, read_table, write_table
+from .tables import fmt, header_fields, parse_ints, read_lines, read_table, write_table
 from .transform1d import _analyze_array, _apply_axis, _level_maps, _synthesize_array
 
 __all__ = [
@@ -196,10 +196,38 @@ def hyper_forward(spec: BasisSpec, n: int, data: np.ndarray) -> CoeffVector:
     return _from_multiscale_array(spec, out, n, m)
 
 
+def _nonzero_cells(block: np.ndarray, *axis_maps) -> tuple[np.ndarray, ...]:
+    """The values of the nonzero cells of an n-D ``block`` in C order, then
+    one (N, n) int64 array per tuple of n per-axis maps, whose column a
+    holds map_a at each cell's axis-a index.
+
+    One boolean mask selects the cells ``np.nonzero`` would (NaN kept, -0.0
+    left out) without building their n-D index arrays: the last-axis index
+    is selected through the mask, and each other axis is constant along a
+    line of the last axis, so its map value is repeated by the line's count
+    of selected cells.  A masked selection per axis would cost a
+    mispredicted branch per cell of a half-filled grid.
+    """
+    mask = block != 0
+    values = block[mask]
+    lines = block.shape[:-1]
+    counts = mask.sum(axis=-1).ravel()
+    last = np.broadcast_to(np.arange(block.shape[-1]), block.shape)[mask]
+    out = [values]
+    for maps in axis_maps:
+        cols = np.empty((values.size, block.ndim), dtype=np.int64)
+        for a, amap in enumerate(maps[:-1]):
+            per_line = np.empty(lines, dtype=np.int64)
+            per_line[...] = amap.reshape([-1 if i == a else 1 for i in range(len(lines))])
+            cols[:, a] = np.repeat(per_line.ravel(), counts)
+        cols[:, -1] = maps[-1][last]
+        out.append(cols)
+    return tuple(out)
+
+
 def _from_multiscale_array(spec, arr, n, m) -> CoeffVector:
-    idx = np.nonzero(arr)
-    values = np.ascontiguousarray(arr[idx])
-    levels, positions = (np.stack([t[ix] for ix in idx], axis=1) for t in _level_maps(spec, m))
+    lvl, pos = _level_maps(spec, m)
+    values, levels, positions = _nonzero_cells(arr, (lvl,) * n, (pos,) * n)
     return CoeffVector(HYPERBOLIC, n, 2.0, m, spec.name, levels, positions, values)
 
 
@@ -345,12 +373,11 @@ def iso_from_hyper(spec: BasisSpec, u: CoeffVector) -> CoeffVector:
     parts = []
     for m, e in blocks:
         block = _on_scaling_axes(_synthesize_array, spec, arr[_iso_block_slices(spec, m, e)], m, e)
-        k = np.nonzero(block)
-        size = k[0].size
-        parts.append((np.full(size, m, dtype=np.int64),
-                      np.tile(np.array(e, dtype=np.int8), (size, 1)),
-                      np.stack(k, axis=1), block[k]))
-    levels, etypes, positions, values = (np.concatenate(col) for col in zip(*parts))
+        parts.append(_nonzero_cells(block, [np.arange(s) for s in block.shape]))
+    sizes = [values.size for values, _ in parts]
+    levels = np.repeat(np.array([m for m, _ in blocks], dtype=np.int64), sizes)
+    etypes = np.repeat(np.array([e for _, e in blocks], dtype=np.int8), sizes, axis=0)
+    values, positions = (np.concatenate(col) for col in zip(*parts))
     return CoeffVector(ISOTROPIC, n, 2.0, mmax, u.basis, levels, positions, values, etypes=etypes)
 
 
@@ -443,10 +470,9 @@ def load_coeffs(path) -> CoeffVector:
     try:
         system = head[2]
         fields = header_fields(head[3:])
-        n = int(fields["n"])
+        n, mmax = parse_ints([fields["n"], fields["jmax"]])
         p = float(fields["p"])
         basis = fields["basis"]
-        mmax = int(fields["jmax"])
     except (IndexError, KeyError, ValueError):
         raise DimensionMismatch(f"malformed coefficient header in {path}: {lines[0]!r}") from None
     if not 1 <= n <= 3:

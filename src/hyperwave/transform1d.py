@@ -8,19 +8,22 @@ the default.  It multiplies by the masks with the numpy products of
 ``BandMatrix.apply`` and ``apply_transpose``, which add the terms of each
 entry in the order scipy's sparse kernels do and so give their results bit
 for bit (up to the sign of a NaN) without importing scipy.  The
-verification checks assemble T_m and Tdual_m explicitly by running the
-same cascade on a sparse identity; that is the one place here where scipy
-is loaded, and each (spec, m) is assembled once per spec.
+verification checks assemble T_m and Tdual_m explicitly, the one place
+here where scipy is loaded: each level takes one sparse cascade step from
+the level below, T_m = M0_m [T_{m-1} | 0] + M1_m [rows of I for level m],
+and every assembled level is kept on the spec.  When every level's dual
+masks equal its primal masks (an orthonormal basis such as Haar), Tdual_m
+is T_m, and the pair holds one matrix twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bandmatrix import BandMatrix
-from .basis1d import BasisSpec, MaskQuad
+from .basis1d import BasisSpec
 from .errors import DimensionMismatch, LevelBelowCoarsest
 
 __all__ = [
@@ -97,27 +100,59 @@ def _level_maps(spec: BasisSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
     return lvl, pos
 
 
-def _dual_spec(spec: BasisSpec) -> BasisSpec:
-    """The basis with primal and dual masks exchanged: its T_m is Tdual_m."""
-    return replace(spec, _masks=lambda j: MaskQuad(*spec.masks(j)[2:], *spec.masks(j)[:2]))
+def _same_mask(a: BandMatrix, b: BandMatrix) -> bool:
+    """True when two masks have the same shape and bitwise equal entries."""
+    return a is b or (a.shape == b.shape and all(
+        x.tobytes() == y.tobytes() for x, y in zip(a.entries(), b.entries())))
+
+
+def _cascade_step(t_prev: BandMatrix, m0: BandMatrix, m1: BandMatrix, lo: int, hi: int):
+    """The scipy CSR matrix M0 [T_{m-1} | 0] + M1 [rows lo..hi of I], both
+    operands widened with zero columns to |Delta_m| = hi.  These are the
+    product and sum of one step of the synthesis cascade run on the
+    identity, so the entries, and the zeros the sum drops, are the same."""
+    import scipy.sparse as sp
+
+    prev = t_prev.csr
+    padded = sp.csr_matrix((prev.data, prev.indices, prev.indptr), shape=(prev.shape[0], hi))
+    eye_rows = sp.csr_matrix(
+        (np.ones(hi - lo), np.arange(lo, hi), np.arange(hi - lo + 1)), shape=(hi - lo, hi))
+    return m0.apply(padded) + m1.apply(eye_rows)
 
 
 def build_transform(spec: BasisSpec, m: int) -> tuple[BandMatrix, BandMatrix]:
-    """Assemble T_m and its dual as sparse matrices: the synthesis cascade,
-    over the primal and over the exchanged masks, applied to the sparse
-    identity, so column blocks follow the multiscale ordering.  The pair
-    is kept on the spec and built once per (spec, m)."""
+    """Assemble T_m and its dual as sparse matrices, column blocks in the
+    multiscale ordering.
+
+    Starting from the highest level already kept on the spec (or from the
+    identity at j0), each level takes one cascade step, over the primal
+    masks for T and over the dual masks for Tdual, and every level built on
+    the way is kept, so each (spec, m) pair is built once.  While every
+    level so far has dual masks bitwise equal to its primal masks, the
+    dual is the same ``BandMatrix`` object as T_m.
+    """
     if m < spec.j0:
         raise LevelBelowCoarsest(f"level {m} below coarsest level {spec.j0}")
-    pair = spec._transforms.get(m)
-    if pair is None:
-        import scipy.sparse as sp
+    pairs = spec._transforms
+    if m not in pairs:
+        top = max((j for j in pairs if j < m), default=spec.j0)
+        if top not in pairs:
+            import scipy.sparse as sp
 
-        eye = sp.identity(spec.delta_size(m), format="csr")
-        t = _synthesize_array(spec, eye, m)
-        t_dual = _synthesize_array(_dual_spec(spec), eye, m)
-        pair = spec._transforms[m] = (BandMatrix.from_csr(t), BandMatrix.from_csr(t_dual))
-    return pair
+            eye = BandMatrix.from_csr(sp.identity(spec.delta_size(top), format="csr"))
+            pairs[top] = (eye, eye)
+        t, t_dual = pairs[top]
+        for level in range(top + 1, m + 1):
+            quad = spec.masks(level)
+            lo, hi = spec.block_slice(level)
+            t_next = BandMatrix.from_csr(_cascade_step(t, quad.m0, quad.m1, lo, hi))
+            if t_dual is t and _same_mask(quad.mt0, quad.m0) and _same_mask(quad.mt1, quad.m1):
+                t_dual = t_next
+            else:
+                t_dual = BandMatrix.from_csr(_cascade_step(t_dual, quad.mt0, quad.mt1, lo, hi))
+            t = t_next
+            pairs[level] = (t, t_dual)
+    return pairs[m]
 
 
 def forward(spec: BasisSpec, c_m: np.ndarray) -> MultiscaleVector:

@@ -197,7 +197,9 @@ def check_transform_norms(
     The transpose norms are expected O(1); the transform norms are
     expected O(2^{m(1/p - 1/2)}) and are reported normalized by that
     growth factor, counted from the coarsest level so the m = j0 row is
-    exactly 1 for an orthonormal basis.
+    exactly 1 for an orthonormal basis.  When ``build_transform`` returns
+    one matrix for T_m and its dual, each estimate is made once and used
+    for both.
     """
     if not (1.0 / spec.alpha < p <= 2.0):
         raise ExponentOutOfRange(
@@ -208,14 +210,19 @@ def check_transform_norms(
         t, t_dual = build_transform(spec, m)
         scale = 2.0 ** (-(m - spec.j0) * (1.0 / p - 0.5))
         tn = _p_norm_estimate(t, p, trials, seed)
-        tdn = _p_norm_estimate(t_dual, p, trials, seed)
+        ttn = _p_norm_estimate(t.T, p, trials, seed)
+        if t_dual is t:
+            tdn, tdtn = tn, ttn
+        else:
+            tdn = _p_norm_estimate(t_dual, p, trials, seed)
+            tdtn = _p_norm_estimate(t_dual.T, p, trials, seed)
         rows.append(
             TransformNormRow(
                 m=m,
                 t_norm=tn,
                 t_dual_norm=tdn,
-                t_trans_norm=_p_norm_estimate(t.T, p, trials, seed),
-                t_dual_trans_norm=_p_norm_estimate(t_dual.T, p, trials, seed),
+                t_trans_norm=ttn,
+                t_dual_trans_norm=tdtn,
                 t_norm_scaled=tn * scale,
                 t_dual_norm_scaled=tdn * scale,
             )

@@ -12,6 +12,7 @@ from hyperwave import (
     MaskQuad,
     evaluate_on_dyadic_grid,
     load_mask_file,
+    load_matrix_file,
     make_haar_basis,
     make_mask_basis,
     save_mask_file,
@@ -167,6 +168,14 @@ class TestMaskFile:
         path.write_text("1 2 1\n0 0 0.5\n")  # missing terminator
         with pytest.raises(DimensionMismatch):
             load_mask_file(path)
+
+    @pytest.mark.parametrize("head", ["1_0 2 1", "1 2.0 1", "1 2 0x1", "1 2", "1 2 1 1"])
+    def test_matrix_block_header_read_as_row_ints(self, tmp_path, head):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{head}\n0 0 1\n#\n")
+        with pytest.raises(DimensionMismatch, match="malformed block header") as err:
+            load_matrix_file(path)
+        assert str(path) in str(err.value) and repr(head) in str(err.value)
 
     def test_single_matrix_export(self, tmp_path):
         from hyperwave import build_transform, load_matrix_file, save_matrix_file

@@ -561,6 +561,50 @@ class TestRowGrammar:
         assert not out.exists()
 
 
+HEADER_FILES = {
+    "coeffs-n": ("hyperwave-coeffs v1 hyperbolic n={} p=2 basis=haar jmax=3", "1\n0 0 1\n",
+                 ["nterm", "--nmin", 1, "--nmax", 2, "--coeffs"]),
+    "coeffs-jmax": ("hyperwave-coeffs v1 hyperbolic n=1 p=2 basis=haar jmax={}", "3\n0 0 1\n",
+                    ["nterm", "--nmin", 1, "--nmax", 2, "--coeffs"]),
+    "array-n": ("hyperwave-array v1 n={} m=0", "1\n1\n", ["transform", "--input"]),
+    "array-m": ("hyperwave-array v1 n=1 m={}", "0\n1\n", ["transform", "--input"]),
+    "mask-level": ("{} 2 1", "1\n0 0 1\n#\n", ["verify", "--suite", "biorth", "--basis"]),
+    "mask-rows": ("1 {} 1", "2\n0 0 1\n#\n", ["verify", "--suite", "biorth", "--basis"]),
+}
+
+
+class TestHeaderInts:
+    """Header numbers follow the grammar of a row's int columns: a token
+    a row would reject, such as 1_0, ends in exit 3 and one line that names
+    the file and quotes the header."""
+
+    @pytest.mark.parametrize("place", HEADER_FILES)
+    @pytest.mark.parametrize("token", ["1_0", "+1_0", "1.0", "٣"])
+    def test_bad_header_int_exits_3(self, tmp_path, capsys, place, token):
+        head, good, argv = HEADER_FILES[place]
+        path = tmp_path / f"bad.{place}"
+        path.write_text(head.format(token) + "\n" + good.split("\n", 1)[1], encoding="utf-8")
+        out = tmp_path / "out"
+        code, err = main_exit([*argv, f"maskfile={path}" if place.startswith("mask") else path,
+                               "--out", out], capsys)
+        assert code == 3
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(path) in err and repr(head.format(token)) in err
+        assert not out.exists()
+
+
+def test_rejected_mask_block_names_the_file(tmp_path, capsys):
+    """An entry outside its block's dimensions is reported with the path
+    and the block header, as a row-grammar error is."""
+    path = tmp_path / "oob.masks"
+    path.write_text("1 2 1\n5 0 1\n#\n")
+    code, err = main_exit(["verify", "--suite", "biorth", "--m-max", 2,
+                           "--basis", f"maskfile={path}", "--out", tmp_path / "b.csv"], capsys)
+    assert code == 3
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert str(path) in err and repr("1 2 1") in err and "row index outside" in err
+
+
 class TestCommandFlags:
     """Each command takes only the flags it reads."""
 

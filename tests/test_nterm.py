@@ -242,6 +242,22 @@ class TestJacksonBernstein:
                 assert jackson <= 4.0
                 assert bernstein <= 4.0
 
+    @pytest.mark.parametrize("tail", ["flat", "gaussian", "pareto"])
+    def test_ratios_never_exceed_one(self, haar, tail):
+        """With p = tau the Besov norm is the l^tau norm of the H^q-weighted
+        moduli, so Stechkin's lemma bounds the Jackson ratio and Hoelder's
+        inequality the Bernstein ratio by 1 for r >= 0, on any vector."""
+        rng = np.random.default_rng(11)
+        for n, m, nnz in ((1, 8, 40), (2, 6, 64), (2, 8, 300), (3, 4, 100)):
+            for q, r in ((0.0, 0.25), (0.25, 0.5), (-0.25, 1.0), (0.5, 2.0), (0.0, 0.0)):
+                u = random_sparse_hyper(haar, rng, n, m, nnz)
+                values = {"flat": np.ones(nnz), "gaussian": rng.standard_normal(nnz),
+                          "pareto": rng.pareto(0.7, nnz) + 1e-3}[tail]
+                u = u.with_values(values * rng.choice([-1.0, 1.0], nnz))
+                jackson, bernstein = jackson_bernstein_ratios(u, q, r)
+                assert jackson <= 1.0 + 1e-12
+                assert bernstein <= 1.0 + 1e-12
+
     def test_zero_vector_raises(self):
         u = make_hyper({((1, 1), (0, 0)): 1.0}, 2, 2).with_values(np.array([0.0]))
         with pytest.raises(ZeroDivisionError):

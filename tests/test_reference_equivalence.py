@@ -3,12 +3,14 @@ formulations they replaced: row-wise block grouping with
 ``np.unique(axis=0)`` and one rebuilt truncation per N.  The
 dimension-generic change of basis against the bivariate one it replaced.
 The table codec of coefficient and array files against the per-line
-writers and readers it replaced.  The assembled transforms, now the
-synthesis cascade run on a sparse identity, against the product of
-padded per-level factors they replaced.  The numpy mask products of
-``BandMatrix`` against the scipy CSR products they replaced.  The mask and
-matrix files, now blocks of the table codec, against the per-line writers
-and parser they replaced."""
+writers and readers it replaced.  The grid-to-index-column conversion
+against the ``np.nonzero`` route it replaced.  The assembled transforms,
+now one cascade step per level with a shared dual for equal masks,
+against the product of padded per-level factors they replaced, and the
+transform norm rows against four separate estimates.  The numpy mask
+products of ``BandMatrix`` against the scipy CSR products they replaced.
+The mask and matrix files, now blocks of the table codec, against the
+per-line writers and parser they replaced."""
 
 import tracemalloc
 import warnings
@@ -34,6 +36,7 @@ from hyperwave import (
     iso_from_hyper,
     jackson_bernstein_ratios,
     make_haar_basis,
+    make_mask_basis,
     rescale,
 )
 from hyperwave import hyper_forward, hyper_from_iso, iso_synthesize, load_coeffs, save_coeffs
@@ -44,9 +47,11 @@ from hyperwave.seqnorms import _block_norm, _outer_norm
 from hyperwave.tensorbasis import (
     _from_multiscale_array,
     _gather_iso_blocks,
+    _nonzero_cells,
     _to_multiscale_array,
 )
 from hyperwave.transform1d import _analyze_array, _synthesize_array
+from hyperwave.verify import TransformNormRow, _p_norm_estimate, check_transform_norms
 from conftest import make_hyper, make_iso, random_hyper, random_sparse_hyper
 
 
@@ -422,6 +427,45 @@ class TestChangeOfBasisBitwise:
         assert iso_synthesize(haar, v).tobytes() == reference_iso_synthesize(haar, v).tobytes()
 
 
+def reference_nonzero_cells(block, *axis_maps):
+    """The np.nonzero route: the index arrays of the nonzero cells, then
+    one gather per axis and map, stacked."""
+    idx = np.nonzero(block)
+    cols = (np.stack([t[ix] for t, ix in zip(maps, idx)], axis=1) for maps in axis_maps)
+    return (np.ascontiguousarray(block[idx]), *cols)
+
+
+def special_blocks(rng, n):
+    """n-D grids of several shapes and densities holding -0.0 and NaN, all
+    zero grids of both signs, and strided views such as iso blocks are."""
+    for shape in ((17,) * n, (1,) * n, tuple(range(3, 3 + n))):
+        for zeros in (0.0, 0.3, 0.9):
+            block = rng.standard_normal(shape)
+            block[rng.random(shape) < zeros] = 0.0
+            block[rng.random(shape) < 0.1] = -0.0
+            block[rng.random(shape) < 0.05] = np.nan
+            yield block
+        yield np.zeros(shape)
+        yield np.full(shape, -0.0)
+    big = rng.standard_normal((9,) * n)
+    big[rng.random(big.shape) < 0.5] = 0.0
+    yield big[(slice(1, None, 2),) * n]
+
+
+class TestNonzeroCellsBitwise:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cells_match_nonzero_route(self, n):
+        rng = np.random.default_rng(40 + n)
+        for block in special_blocks(rng, n):
+            maps = (tuple(rng.integers(-5, 50, s) for s in block.shape),
+                    tuple(np.arange(s) for s in block.shape))
+            got, want = _nonzero_cells(block, *maps), reference_nonzero_cells(block, *maps)
+            assert len(got) == len(want) == 3
+            for x, y in zip(got, want):
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes()
+
+
 class TestIsoBlockGrouping:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_blocks_match_mask_per_block(self, haar, haar_j2, n):
@@ -625,19 +669,61 @@ def reference_build_transform(spec, m):
     return BandMatrix.from_csr(t), BandMatrix.from_csr(t_dual)
 
 
+def assert_same_csr(got, want):
+    got, want = got.csr, want.csr
+    got.sort_indices()
+    want.sort_indices()
+    assert got.shape == want.shape
+    for field in ("indptr", "indices", "data"):
+        x, y = getattr(got, field), getattr(want, field)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 class TestBuildTransformBitwise:
-    @pytest.mark.parametrize("name", ["haar", "haar_j2", "scaled"])
+    @pytest.mark.parametrize("name", ["haar", "haar_j2", "scaled", "lifted"])
     def test_transforms_match(self, request, name):
         spec = request.getfixturevalue(name)
-        for m in range(spec.j0, 11):
+        for m in range(spec.j0, min(spec.max_level, 10) + 1):
             for got, want in zip(build_transform(spec, m), reference_build_transform(spec, m)):
-                got, want = got.csr, want.csr
-                got.sort_indices()
-                want.sort_indices()
-                assert got.shape == want.shape
-                for field in ("indptr", "indices", "data"):
-                    x, y = getattr(got, field), getattr(want, field)
-                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                assert_same_csr(got, want)
+
+    def test_dual_shared_only_when_masks_equal(self, haar, lifted):
+        for m in range(1, 9):
+            t, t_dual = build_transform(haar, m)
+            assert t_dual is t
+            t, t_dual = build_transform(lifted, m)
+            assert t_dual is not t
+
+    @pytest.mark.parametrize("name", ["haar", "lifted"])
+    def test_build_order_does_not_matter(self, name):
+        make = lifted_spec if name == "lifted" else make_haar_basis
+        up, down = make(), make()
+        pairs_up = [build_transform(up, m) for m in (5, 8)]
+        pairs_down = [build_transform(down, m) for m in (8, 5)][::-1]
+        for got, want in zip(pairs_up, pairs_down):
+            for a, b in zip(got, want):
+                assert_same_csr(a, b)
+
+
+def reference_check_transform_norms(spec, p, m_max, trials=20, seed=0):
+    """Rows of check_transform_norms with all four operators estimated."""
+    rows = []
+    for m in range(spec.j0, m_max + 1):
+        t, t_dual = build_transform(spec, m)
+        scale = 2.0 ** (-(m - spec.j0) * (1.0 / p - 0.5))
+        tn, tdn = (_p_norm_estimate(a, p, trials, seed) for a in (t, t_dual))
+        ttn, tdtn = (_p_norm_estimate(a.T, p, trials, seed) for a in (t, t_dual))
+        rows.append(TransformNormRow(m, tn, tdn, ttn, tdtn, tn * scale, tdn * scale))
+    return rows
+
+
+class TestTransformNormsOfSharedDual:
+    @pytest.mark.parametrize("name", ["haar", "lifted"])
+    @pytest.mark.parametrize("p", [0.6, 1.0, 1.5, 2.0])
+    def test_rows_match_four_estimates(self, request, name, p):
+        spec = request.getfixturevalue(name)
+        got = check_transform_norms(spec, p, 8, trials=5, seed=3).rows
+        assert list(got) == reference_check_transform_norms(spec, p, 8, trials=5, seed=3)
 
 
 def lifted_haar_quad(rng, j):
@@ -653,12 +739,23 @@ def lifted_haar_quad(rng, j):
     return MaskQuad(*(BandMatrix.from_dense(a) for a in (m0, m1 + m0 @ k, mt0 - mt1 @ k.T, mt1)))
 
 
+def lifted_spec():
+    """A biorthogonal basis that is not orthonormal: lifted Haar masks on
+    levels 1-8, so its dual masks differ from its primal ones."""
+    rng = np.random.default_rng(7)
+    return make_mask_basis({j: lifted_haar_quad(rng, j) for j in range(1, 9)},
+                           d=1, d_tilde=1, gamma=0.5, gamma_tilde=0.5, alpha=64.0, j0=0,
+                           name="lifted")
+
+
+@pytest.fixture(scope="module")
+def lifted():
+    return lifted_spec()
+
+
 def masks_of(request, name):
-    if name == "lifted":
-        rng = np.random.default_rng(7)
-        return [b for j in range(1, 9) for b in lifted_haar_quad(rng, j)]
     spec = request.getfixturevalue(name)
-    return [b for j in range(spec.j0 + 1, 11) for b in spec.masks(j)]
+    return [b for j in range(spec.j0 + 1, min(spec.max_level, 10) + 1) for b in spec.masks(j)]
 
 
 def special_operand(rng, length, width):

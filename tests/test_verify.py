@@ -166,6 +166,19 @@ class TestTransformNorms:
         report = check_transform_norms(scaled, 1.0, 9)
         assert all(report.bounded.values())
 
+    def test_shared_dual_estimated_once(self, tmp_path, monkeypatch):
+        """Haar's dual transforms are its transforms, so lemma4 with default
+        flags estimates each spectral norm once, not once per dual: 26
+        calls, where estimating all four operators makes 52."""
+        from hyperwave import cli, verify
+
+        calls = []
+        spectral = verify._spectral_norm
+        monkeypatch.setattr(verify, "_spectral_norm",
+                            lambda *a, **k: calls.append(a[0]) or spectral(*a, **k))
+        assert cli.main(["verify", "--suite", "lemma4", "--out", str(tmp_path / "l4.csv")]) == 0
+        assert len(calls) == 26
+
     def test_exponent_window_enforced(self, haar):
         with pytest.raises(ExponentOutOfRange):
             check_transform_norms(haar, 2.5, 4)
