@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from . import nterm, testfunctions, verify
-from .bandmatrix import BandMatrix
 from .basis1d import (
     COMPACT_SUPPORT_ALPHA,
     BasisSpec,
@@ -24,7 +23,7 @@ from .basis1d import (
     make_haar_basis,
     make_mask_basis,
 )
-from .errors import HyperwaveError, UnsupportedDimension
+from .errors import HyperwaveError
 from .tables import fmt, header_fields, parse_ints, read_lines, read_table, write_table
 from .tensorbasis import (
     hyper_forward,
@@ -34,13 +33,12 @@ from .tensorbasis import (
     load_coeffs,
     save_coeffs,
 )
-from .transform1d import check_entry_decay
 
 __all__ = ["main", "load_array", "save_array"]
 
 
 def _map_ordered(fn, items):
-    """fn over items, in order; bench/spans.py rebinds this to trace sweeps."""
+    """fn over items, in order; bench/spans.py rebinds this to trace the suites."""
     return [fn(it) for it in items]
 
 
@@ -128,14 +126,20 @@ def _n_grid(nmin: int, nmax: int) -> list[int]:
 
 
 def _write_csv(path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(rows)
-    text = "\n".join(lines) + "\n"
+    text = "\n".join([header, *rows]) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _load_coeffs(path, spec: BasisSpec):
+    cv = load_coeffs(path)
+    if cv.basis != spec.name:
+        raise HyperwaveError(f"coefficient file basis {cv.basis!r} does not match "
+                             f"--basis {spec.name!r}")
+    return cv
 
 
 def _generate(args, kind: str) -> np.ndarray:
@@ -165,11 +169,7 @@ def cmd_transform(args) -> int:
         source = args.coeffs if args.coeffs else args.input
         if not source:
             raise HyperwaveError("inverse transform needs --coeffs or --input")
-        cv = load_coeffs(source)
-        if cv.basis != spec.name:
-            raise HyperwaveError(
-                f"coefficient file basis {cv.basis!r} does not match --basis {spec.name!r}"
-            )
+        cv = _load_coeffs(source, spec)
         if cv.system == "isotropic":
             cv = hyper_from_iso(spec, cv)
         save_array(hyper_inverse(spec, cv), args.out)
@@ -178,11 +178,7 @@ def cmd_transform(args) -> int:
 
 def cmd_nterm(args) -> int:
     spec = _make_basis(args.basis)
-    u = load_coeffs(args.coeffs)
-    if u.basis != spec.name:
-        raise HyperwaveError(
-            f"coefficient file basis {u.basis!r} does not match --basis {spec.name!r}"
-        )
+    u = _load_coeffs(args.coeffs, spec)
     tau = 1.0 / (args.r + 0.5)
     grid = _n_grid(args.nmin, args.nmax)
     curve = nterm.error_curve(u, args.q, grid)
@@ -215,192 +211,40 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> list[float]:
+def _exponents(args) -> list[float]:
+    """``--p``, or else the values of ``--p-grid``; each must be finite and positive."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        ps = [args.p] if args.p is not None else \
+            [float(tok) for tok in args.p_grid.split(",") if tok.strip()]
     except ValueError:
-        raise HyperwaveError(f"--p-grid must be comma-separated numbers, got {text!r}") from None
+        raise HyperwaveError(f"--p-grid must be comma-separated numbers, "
+                             f"got {args.p_grid!r}") from None
+    for p in ps:
+        if not (math.isfinite(p) and p > 0):
+            raise HyperwaveError(f"--p/--p-grid values must be finite and positive, got {p}")
+    return ps
 
 
-def _p_values(args) -> list[float]:
-    if args.p is not None:
-        return [args.p]
-    return _parse_grid(args.p_grid)
-
-
-def _suite_ps(spec, args, suite: str) -> list[float]:
-    """The exponents of ``--p``/``--p-grid`` that the lemma1 (p <= 1) or
-    lemma4 (1/alpha < p <= 2) suite checks."""
-    if suite == "lemma1":
-        return [p for p in _p_values(args) if p <= 1.0]
-    return [p for p in _p_values(args) if 1.0 / spec.alpha < p <= 2.0]
-
-
-def _check_suite_flags(spec, names, args) -> None:
-    """Reject, before any suite runs, flags that leave a selected suite
-    nothing to check, which would pass it unchecked or fail it on no data:
-    no exponent for lemma1 or lemma4, or an ``--m-max`` below a suite's
-    first level, or below its third for the running maxima of lemma4,
-    riesz and embedding (whose levels start at 4); also an ``--m-max``
-    beyond the finest level of the basis."""
-    if args.m_max > spec.max_level:
-        raise HyperwaveError(f"--m-max {args.m_max} is beyond the finest level "
-                             f"{spec.max_level} of the basis")
-    lowest = {"biorth": spec.j0, "decay": spec.j0 + 1, "lemma4": spec.j0 + 2,
-              "riesz": spec.j0 + 2, "embedding": 6}
-    for name in names:
-        if name in ("lemma1", "lemma4") and not _suite_ps(spec, args, name):
-            raise HyperwaveError(f"--p/--p-grid hold no exponent in the range of the {name} suite")
-        if args.m_max < lowest.get(name, args.m_max):
-            raise HyperwaveError(f"--m-max {args.m_max} leaves the {name} suite nothing to "
-                                 f"check; it needs at least {lowest[name]}")
-
-
-def _suite_biorth(spec, args):
-    tol = 1e-12 if spec.name == "haar" else 1e-10
-    rows = []
-    for m in range(spec.j0, args.m_max + 1):
-        defect = verify.check_biorthogonality(spec, m)
-        rows.append(("biorth", "", m, defect, tol, defect <= tol))
-    return rows
-
-
-def _suite_decay(spec, args):
-    alpha = min(4.0, spec.alpha)
-    rows = []
-    for m in range(spec.j0 + 1, args.m_max + 1):
-        ratio = check_entry_decay(spec, m, alpha)
-        rows.append(("decay", f"alpha={fmt(alpha)}", m, ratio, 2.0, ratio <= 2.0))
-    return rows
-
-
-def _suite_lemma1(spec, args):
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    for p in _suite_ps(spec, args, "lemma1"):
-        worst = 0.0
-        ok = True
-        for _ in range(args.trials):
-            size = rng.integers(2, 9)
-            dense = np.zeros((size, size))
-            nnz = rng.integers(1, size * size + 1)
-            ii = rng.integers(0, size, nnz)
-            jj = rng.integers(0, size, nnz)
-            dense[ii, jj] = rng.standard_normal(nnz)
-            a = BandMatrix.from_dense(dense)
-            bound = verify.matrix_p_norm_bound(a, p)
-            est = verify.operator_p_norm_estimate(a, p, trials=10, seed=int(rng.integers(1 << 30)))
-            if bound > 0:
-                worst = max(worst, est / bound)
-            ok = ok and est <= bound
-        rows.append(("lemma1", f"p={fmt(p)}", 0, worst, 1.0, ok))
-    return rows
-
-
-def _suite_lemma4(spec, args):
-    def one(p):
-        report = verify.check_transform_norms(spec, p, args.m_max, seed=args.seed)
-        out = []
-        for row in report.rows:
-            out.append(
-                ("lemma4_T_scaled", f"p={fmt(p)}", row.m, row.t_norm_scaled, float("nan"), True)
-            )
-            out.append(
-                ("lemma4_Tt", f"p={fmt(p)}", row.m, row.t_trans_norm, float("nan"), True)
-            )
-        flags = report.bounded
-        out.append(("lemma4_bounded", f"p={fmt(p)}", args.m_max,
-                    float(all(flags.values())), 1.0, all(flags.values())))
-        if p == 2.0:
-            dev = max(abs(r.t_norm - 1.0) for r in report.rows)
-            out.append(("lemma4_p2_unit", "p=2", args.m_max, dev, 1e-10, dev <= 1e-10))
-        return out
-
-    return [row for rows in _map_ordered(one, _suite_ps(spec, args, "lemma4")) for row in rows]
-
-
-def _suite_kron(spec, args):
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    for p, tol in ((1.0, 1e-12), (np.inf, 1e-12), (2.0, 1e-9)):
-        worst = 0.0
-        for _ in range(args.trials):
-            a = BandMatrix.from_dense(rng.standard_normal((4, 4)))
-            b = BandMatrix.from_dense(rng.standard_normal((4, 4)))
-            lhs, rhs = verify.check_kron_identity(a, b, p)
-            worst = max(worst, abs(lhs - rhs))
-        label = "inf" if np.isinf(p) else fmt(p)
-        rows.append(("kron", f"p={label}", 0, worst, tol, worst <= tol))
-    return rows
-
-
-def _suite_riesz(spec, args):
-    rows = []
-    conds = []
-    m_cap = min(args.m_max, 10)  # dense eigendecomposition beyond is too slow
-    for m in range(spec.j0, m_cap + 1):
-        cond = verify.check_riesz(spec, m)
-        conds.append(cond)
-        rows.append(("riesz", "", m, cond, float("nan"), True))
-    ok = verify.running_max_stabilizes(conds)
-    rows.append(("riesz_bounded", "", m_cap, float(ok), 1.0, ok))
-    return rows
-
-
-def _suite_embedding(spec, args):
-    rng = np.random.default_rng(args.seed)
-    q, s = args.q, args.s
-    maxima_low, maxima_up = [], []
-    rows = []
-    m_cap = min(args.m_max, 8)  # dense random vectors beyond are too slow
-    for m in range(4, m_cap + 1):
-        size = spec.delta_size(m)
-        low = up = 0.0
-        for _ in range(args.trials):
-            u = hyper_forward(spec, args.n, rng.standard_normal((size,) * args.n))
-            lo, hi = verify.check_embedding_chain(spec, u, q, s)
-            low = max(low, lo)
-            up = max(up, hi)
-        maxima_low.append(low)
-        maxima_up.append(up)
-        rows.append(("embedding_lower", f"q={fmt(q)},s={fmt(s)}", m, low, float("nan"), True))
-        rows.append(("embedding_upper", f"q={fmt(q)},s={fmt(s)}", m, up, float("nan"), True))
-    ok = verify.running_max_stabilizes(maxima_low, rel=0.25) and \
-        verify.running_max_stabilizes(maxima_up, rel=0.25)
-    rows.append(("embedding_stable", f"q={fmt(q)},s={fmt(s)}", m_cap,
-                 float(ok), 1.0, ok))
-    return rows
-
-
-SUITES = {
-    "biorth": _suite_biorth,
-    "decay": _suite_decay,
-    "lemma1": _suite_lemma1,
-    "lemma4": _suite_lemma4,
-    "kron": _suite_kron,
-    "riesz": _suite_riesz,
-    "embedding": _suite_embedding,
-}
+SUITES = dict(verify.SUITES)  # name -> suite(spec, args); bench/spans.py rebinds entries
 
 
 def cmd_verify(args) -> int:
+    """Check the flags against every selected record of ``verify.SUITES``,
+    so that nothing runs when one suite would have nothing to check; then
+    run the suites in table order, write the CSV and print the summary."""
     spec = _make_basis(args.basis)
+    if args.suite != "all" and args.suite not in SUITES:
+        raise HyperwaveError(f"unknown suite {args.suite!r}; options: "
+                             + ", ".join(sorted(SUITES)) + ", all")
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    args.ps = _exponents(args)
     for name in names:
-        if name not in SUITES:
-            raise HyperwaveError(f"unknown suite {args.suite!r}; options: "
-                                 + ", ".join(sorted(SUITES)) + ", all")
-    if "embedding" in names and args.n != 2:
-        raise UnsupportedDimension(f"the embedding suite is implemented for --n 2, got {args.n}")
-    _check_suite_flags(spec, names, args)
-    all_rows = []
-    for name in names:
-        all_rows.extend(SUITES[name](spec, args))
-    csv_rows = [
-        f"{check},{param},{m},{fmt(value)},{fmt(bound)},{str(ok).lower()}"
-        for check, param, m, value, bound, ok in all_rows
-    ]
-    _write_csv(args.out, "check,param,m,value,bound,pass", csv_rows)
+        verify.SUITES[name].check(spec, args)
+    all_rows = [row for rows in _map_ordered(lambda name: SUITES[name](spec, args), names)
+                for row in rows]
+    _write_csv(args.out, "check,param,m,value,bound,pass",
+               [f"{check},{param},{m},{fmt(value)},{fmt(bound)},{str(ok).lower()}"
+                for check, param, m, value, bound, ok in all_rows])
     failures = [r for r in all_rows if not r[5]]
     print(f"checks: {len(all_rows)}  failures: {len(failures)}")
     for check, param, m, value, bound, _ in failures:
@@ -466,8 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "n", "q", "s", "p")
     p.add_argument("--suite", default="all")
     p.add_argument("--m-max", dest="m_max", type=int, default=12,
-                   help="finest level; the embedding and riesz suites cap "
-                        "their own depth at 8 and 10 for tractability")
+                   help="finest level; for tractability " + ", ".join(
+                       f"{s.name} stops at {s.cap}" for s in verify.SUITES.values()
+                       if s.cap < math.inf))
     p.add_argument("--p-grid", dest="p_grid", default="0.6,1,1.5,2")
     p.add_argument("--trials", type=int, default=20)
     p.set_defaults(func=cmd_verify)

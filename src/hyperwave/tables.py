@@ -8,7 +8,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "fmt", "read_lines", "header_fields", "parse_ints", "read_table", "table_text", "write_table",
+    "fmt", "read_lines", "header_fields", "parse_row", "parse_ints", "read_table", "table_text",
+    "write_table",
 ]
 
 
@@ -44,13 +45,19 @@ def read_table(rows: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
     return table["i"], table["v"]
 
 
+def parse_row(tokens) -> tuple[tuple[int, ...], float]:
+    """Header tokens read as one table row: all but the last as the row's
+    int columns, the last as its float, so that a header accepts no number
+    a row would reject (``1_0``, ``1.0`` or ``0x10`` as an int, ``2_0`` as a
+    float, non-ASCII digits, ints beyond int64); any other token, or an
+    empty one, raises ValueError."""
+    columns, values = read_table([" ".join(tokens)], len(tokens) - 1)
+    return tuple(columns[0].tolist()), float(values[0])
+
+
 def parse_ints(tokens) -> tuple[int, ...]:
-    """The tokens of a header as Python ints, each read as an int column of
-    a table row is, so that a header accepts no number a row would reject
-    (``1_0``, ``1.0``, ``0x10``, non-ASCII digits, values beyond int64);
-    any other token raises ValueError."""
-    columns, _ = read_table([" ".join(tokens) + " 0"], len(tokens))
-    return tuple(columns[0].tolist())
+    """The tokens of a header as Python ints, read as by ``parse_row``."""
+    return parse_row([*tokens, "0"])[0]
 
 
 def table_text(columns: np.ndarray, values: np.ndarray) -> str:

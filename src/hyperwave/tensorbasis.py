@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedDimension,
     WrongSystem,
 )
-from .tables import fmt, header_fields, parse_ints, read_lines, read_table, write_table
+from .tables import fmt, header_fields, parse_row, read_lines, read_table, write_table
 from .transform1d import _analyze_array, _apply_axis, _level_maps, _synthesize_array
 
 __all__ = [
@@ -470,8 +470,7 @@ def load_coeffs(path) -> CoeffVector:
     try:
         system = head[2]
         fields = header_fields(head[3:])
-        n, mmax = parse_ints([fields["n"], fields["jmax"]])
-        p = float(fields["p"])
+        (n, mmax), p = parse_row([fields["n"], fields["jmax"], fields["p"]])
         basis = fields["basis"]
     except (IndexError, KeyError, ValueError):
         raise DimensionMismatch(f"malformed coefficient header in {path}: {lines[0]!r}") from None

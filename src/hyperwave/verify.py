@@ -6,12 +6,17 @@ maxima that change by less than 10% (25% for the embedding suite) across
 the last three levels tested.
 Kronecker products are formed explicitly only for small factors; these
 are identity checks, not scalability features.
+
+``SUITES`` is the one table of the ``verify`` command's suites, with the
+levels, depth cap, exponent range and dimensions of each.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -19,16 +24,20 @@ from .bandmatrix import BandMatrix
 from .basis1d import BasisSpec
 from .errors import (
     ExponentOutOfRange,
+    HyperwaveError,
     InvalidExponent,
     SizeTooLarge,
     UnsupportedDimension,
     WrongSystem,
 )
 from .seqnorms import NormParams, _iso_level_norms, _outer_norm, besov_hybrid_norm
-from .tensorbasis import HYPERBOLIC, CoeffVector, iso_from_hyper
-from .transform1d import build_transform
+from .tables import fmt
+from .tensorbasis import HYPERBOLIC, CoeffVector, hyper_forward, iso_from_hyper
+from .transform1d import build_transform, check_entry_decay
 
 __all__ = [
+    "SUITES",
+    "Suite",
     "TransformNormReport",
     "check_biorthogonality",
     "check_embedding_chain",
@@ -45,9 +54,19 @@ POWER_ITER_TOL = 1e-10
 POWER_ITER_MAX = 10_000
 
 
+def _lemma1_p(p: float, spec: BasisSpec | None = None) -> bool:
+    """Lemma 1's exponent range 0 < p <= 1; the basis does not enter."""
+    return 0 < p <= 1
+
+
+def _lemma4_p(p: float, spec: BasisSpec) -> bool:
+    """Lemma 4's exponent range 1/alpha < p <= 2 of the basis."""
+    return 1.0 / spec.alpha < p <= 2.0
+
+
 def matrix_p_norm_bound(a: BandMatrix, p: float) -> float:
     """Upper bound (max_j sum_i |a_ij|^p)^{1/p} for the p-quasinorm, p <= 1."""
-    if not 0 < p <= 1:
+    if not _lemma1_p(p):
         raise InvalidExponent(f"bound requires 0 < p <= 1, got {p}")
     sums = a.column_abs_pow_sums(p)
     return float(sums.max() ** (1.0 / p)) if sums.size else 0.0
@@ -165,24 +184,15 @@ class TransformNormReport:
     p: float
     rows: tuple[TransformNormRow, ...] = field(default_factory=tuple)
 
-    def series(self, name: str) -> list[float]:
-        return [getattr(r, name) for r in self.rows]
-
     @property
     def bounded(self) -> dict[str, bool]:
-        return {
-            name: running_max_stabilizes(self.series(name))
-            for name in (
-                "t_trans_norm",
-                "t_dual_trans_norm",
-                "t_norm_scaled",
-                "t_dual_norm_scaled",
-            )
-        }
+        names = ("t_trans_norm", "t_dual_trans_norm", "t_norm_scaled", "t_dual_norm_scaled")
+        return {name: running_max_stabilizes([getattr(r, name) for r in self.rows])
+                for name in names}
 
 
 def _p_norm_estimate(a: BandMatrix, p: float, trials: int, seed: int) -> float:
-    if p <= 1:
+    if _lemma1_p(p):
         # For p <= 1 the column bound is attained by a coordinate vector,
         # so the estimate is the exact quasinorm.
         return matrix_p_norm_bound(a, p)
@@ -201,7 +211,7 @@ def check_transform_norms(
     one matrix for T_m and its dual, each estimate is made once and used
     for both.
     """
-    if not (1.0 / spec.alpha < p <= 2.0):
+    if not _lemma4_p(p, spec):
         raise ExponentOutOfRange(
             f"check requires 1/alpha < p <= 2, got p={p} with alpha={spec.alpha}"
         )
@@ -216,17 +226,7 @@ def check_transform_norms(
         else:
             tdn = _p_norm_estimate(t_dual, p, trials, seed)
             tdtn = _p_norm_estimate(t_dual.T, p, trials, seed)
-        rows.append(
-            TransformNormRow(
-                m=m,
-                t_norm=tn,
-                t_dual_norm=tdn,
-                t_trans_norm=ttn,
-                t_dual_trans_norm=tdtn,
-                t_norm_scaled=tn * scale,
-                t_dual_norm_scaled=tdn * scale,
-            )
-        )
+        rows.append(TransformNormRow(m, tn, tdn, ttn, tdtn, tn * scale, tdn * scale))
     return TransformNormReport(p=p, rows=tuple(rows))
 
 
@@ -290,3 +290,154 @@ def check_embedding_chain(
     if iso_high == 0.0:
         raise ZeroDivisionError("embedding ratios undefined: isotropic norm vanishes")
     return iso_low / hybrid, hybrid / iso_high
+
+
+# The verify suites.  A row generator takes (spec, args, levels, ps), with the
+# levels and exponents its record allows, and yields the report rows
+# (check, param, m, value, bound, pass).
+
+
+def _biorth_rows(spec, args, levels, ps):
+    tol = 1e-12 if spec.name == "haar" else 1e-10
+    for m in levels:
+        defect = check_biorthogonality(spec, m)
+        yield ("biorth", "", m, defect, tol, defect <= tol)
+
+
+def _decay_rows(spec, args, levels, ps):
+    alpha = min(4.0, spec.alpha)
+    for m in levels:
+        ratio = check_entry_decay(spec, m, alpha)
+        yield ("decay", f"alpha={fmt(alpha)}", m, ratio, 2.0, ratio <= 2.0)
+
+
+def _lemma1_rows(spec, args, levels, ps):
+    rng = np.random.default_rng(args.seed)
+    for p in ps:
+        worst, ok = 0.0, True
+        for _ in range(args.trials):
+            size = rng.integers(2, 9)
+            dense = np.zeros((size, size))
+            nnz = rng.integers(1, size * size + 1)
+            ii = rng.integers(0, size, nnz)
+            jj = rng.integers(0, size, nnz)
+            dense[ii, jj] = rng.standard_normal(nnz)
+            a = BandMatrix.from_dense(dense)
+            bound = matrix_p_norm_bound(a, p)
+            est = operator_p_norm_estimate(a, p, trials=10, seed=int(rng.integers(1 << 30)))
+            if bound > 0:
+                worst = max(worst, est / bound)
+            ok = ok and est <= bound
+        yield ("lemma1", f"p={fmt(p)}", 0, worst, 1.0, ok)
+
+
+def _lemma4_rows(spec, args, levels, ps):
+    for p in ps:
+        report = check_transform_norms(spec, p, levels[-1], seed=args.seed)
+        for row in report.rows:
+            yield ("lemma4_T_scaled", f"p={fmt(p)}", row.m, row.t_norm_scaled, np.nan, True)
+            yield ("lemma4_Tt", f"p={fmt(p)}", row.m, row.t_trans_norm, np.nan, True)
+        ok = all(report.bounded.values())
+        yield ("lemma4_bounded", f"p={fmt(p)}", levels[-1], float(ok), 1.0, ok)
+        if p == 2.0:
+            dev = max(abs(r.t_norm - 1.0) for r in report.rows)
+            yield ("lemma4_p2_unit", "p=2", levels[-1], dev, 1e-10, dev <= 1e-10)
+
+
+def _kron_rows(spec, args, levels, ps):
+    rng = np.random.default_rng(args.seed)
+    for p, tol in ((1.0, 1e-12), (np.inf, 1e-12), (2.0, 1e-9)):
+        worst = 0.0
+        for _ in range(args.trials):
+            a = BandMatrix.from_dense(rng.standard_normal((4, 4)))
+            b = BandMatrix.from_dense(rng.standard_normal((4, 4)))
+            lhs, rhs = check_kron_identity(a, b, p)
+            worst = max(worst, abs(lhs - rhs))
+        yield ("kron", "p=inf" if np.isinf(p) else f"p={fmt(p)}", 0, worst, tol, worst <= tol)
+
+
+def _riesz_rows(spec, args, levels, ps):
+    conds = [check_riesz(spec, m) for m in levels]
+    yield from (("riesz", "", m, cond, np.nan, True) for m, cond in zip(levels, conds))
+    ok = running_max_stabilizes(conds)
+    yield ("riesz_bounded", "", levels[-1], float(ok), 1.0, ok)
+
+
+def _embedding_rows(spec, args, levels, ps):
+    rng = np.random.default_rng(args.seed)
+    param = f"q={fmt(args.q)},s={fmt(args.s)}"
+    maxima = []
+    for m in levels:
+        size = spec.delta_size(m)
+        low = up = 0.0
+        for _ in range(args.trials):
+            u = hyper_forward(spec, args.n, rng.standard_normal((size,) * args.n))
+            lo, hi = check_embedding_chain(spec, u, args.q, args.s)
+            low, up = max(low, lo), max(up, hi)
+        maxima.append((low, up))
+        yield ("embedding_lower", param, m, low, np.nan, True)
+        yield ("embedding_upper", param, m, up, np.nan, True)
+    ok = all(running_max_stabilizes(series, rel=0.25) for series in zip(*maxima))
+    yield ("embedding_stable", param, levels[-1], float(ok), 1.0, ok)
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One ``verify`` suite and every fact its flags are checked against.
+
+    It runs the levels ``first(spec)`` to ``min(args.m_max, cap)``; its check
+    needs ``needs`` of them (3 for a running maximum, 0 if it reads none).
+    ``p_range(p, spec)`` selects the exponents ``args.ps`` it reads; ``dims``
+    are the ``--n`` it supports.  ``suite(spec, args)`` returns its rows.
+    """
+
+    name: str
+    rows: Callable
+    first: Callable[[BasisSpec], int] = lambda spec: spec.j0
+    needs: int = 1
+    cap: float = math.inf
+    p_range: Callable | None = None
+    dims: tuple[int, ...] = (1, 2, 3)
+
+    def check(self, spec: BasisSpec, args) -> None:
+        """Raise HyperwaveError when ``args`` leave the suite nothing to check
+        (passing it unchecked or failing it on no data): an ``--n`` it does not
+        support, no exponent in its range, or ``min(--m-max, cap)`` below its
+        last needed level; also an ``--m-max`` beyond the basis's finest level."""
+        if args.m_max > spec.max_level:
+            raise HyperwaveError(f"--m-max {args.m_max} is beyond the finest level "
+                                 f"{spec.max_level} of the basis")
+        if args.n not in self.dims:
+            raise UnsupportedDimension(f"the {self.name} suite is implemented for --n "
+                                       f"{' or '.join(map(str, self.dims))}, got {args.n}")
+        if self.p_range and not self._exponents(spec, args.ps):
+            raise HyperwaveError(f"--p/--p-grid hold no exponent in the range of the "
+                                 f"{self.name} suite")
+        first, least = self.first(spec), self.first(spec) + self.needs - 1
+        if self.needs and args.m_max < least:
+            raise HyperwaveError(f"--m-max {args.m_max} leaves the {self.name} suite nothing to "
+                                 f"check; it needs at least {least}")
+        if self.needs and self.cap < least:
+            raise HyperwaveError(f"the {self.name} suite stops at level {self.cap}, but its "
+                                 f"check needs levels {first} to {least}")
+
+    def _exponents(self, spec, ps) -> list[float]:
+        return [p for p in ps if self.p_range(p, spec)] if self.p_range else []
+
+    def __call__(self, spec: BasisSpec, args) -> list[tuple]:
+        levels = range(self.first(spec), min(args.m_max, self.cap) + 1)
+        return list(self.rows(spec, args, levels, self._exponents(spec, args.ps)))
+
+
+SUITES = {suite.name: suite for suite in (
+    Suite("biorth", _biorth_rows),
+    Suite("decay", _decay_rows, first=lambda spec: spec.j0 + 1),
+    Suite("lemma1", _lemma1_rows, needs=0, p_range=_lemma1_p),
+    Suite("lemma4", _lemma4_rows, needs=3, p_range=_lemma4_p),
+    Suite("kron", _kron_rows, needs=0),
+    # One dense eigendecomposition per level: deeper is too slow.
+    Suite("riesz", _riesz_rows, needs=3, cap=10),
+    # Dense random vectors of (2^m)^n entries: deeper is too slow.
+    Suite("embedding", _embedding_rows, first=lambda spec: max(4, spec.j0), needs=3, cap=8,
+          dims=(2,)),
+)}

@@ -1,14 +1,16 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hyperwave
-from hyperwave import save_coeffs
+from hyperwave import cli, save_coeffs, save_mask_file, verify
 from hyperwave.cli import load_array, main, save_array
-from conftest import child_env, make_hyper
+from conftest import child_env, make_hyper, scaled_haar_masks
 
 
 def run_cli(*args, cwd=None, timeout=None, preexec_fn=None):
@@ -16,6 +18,13 @@ def run_cli(*args, cwd=None, timeout=None, preexec_fn=None):
         [sys.executable, "-m", "hyperwave", *map(str, args)], capture_output=True,
         text=True, cwd=cwd, timeout=timeout, preexec_fn=preexec_fn, env=child_env(),
     )
+
+
+def scaled_basis(tmp_path, j0: int, max_level: int = 8) -> str:
+    """The ``--basis`` value of a scaled-Haar mask file with coarsest level j0."""
+    path = tmp_path / f"scaled{j0}.masks"
+    save_mask_file(path, scaled_haar_masks(j0, max_level))
+    return f"maskfile={path}"
 
 
 def cap_address_space():
@@ -394,6 +403,14 @@ class TestNothingToCheck:
     """Flags that leave a selected verify suite nothing to check end in one
     line and exit 3 before any suite runs; the lowest allowed values run."""
 
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        """The suites that ran: each ``cli.SUITES`` entry only records its name."""
+        ran = []
+        for name in cli.SUITES:
+            monkeypatch.setitem(cli.SUITES, name, lambda spec, args, name=name: ran.append(name))
+        return ran
+
     @pytest.mark.parametrize("flags", [
         ["--suite", "lemma1", "--p-grid", ","],
         ["--suite", "lemma4", "--p-grid", ","],
@@ -409,12 +426,27 @@ class TestNothingToCheck:
         ["--suite", "embedding", "--m-max", 5],
         ["--suite", "all", "--m-max", 5],
     ])
-    def test_exits_3_before_any_suite(self, tmp_path, capsys, flags):
+    def test_exits_3_before_any_suite(self, tmp_path, capsys, ran, flags):
         out = tmp_path / "r.csv"
         code, err = main_exit(["verify", *flags, "--trials", 1, "--out", out], capsys)
         assert code == 3
         assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert not out.exists()
+        assert not out.exists() and ran == []
+
+    @pytest.mark.parametrize("flags", [
+        ["--suite", "lemma1", "--p-grid", "nan,1"],
+        ["--suite", "lemma4", "--p-grid", "inf,1.5"],
+        ["--suite", "all", "--p-grid=0,1.5"],
+        ["--suite", "lemma4", "--p-grid=-1,2"],
+        ["--suite", "kron", "--p-grid", "2,-inf"],
+        ["--suite", "lemma1", "--p", 0],
+    ])
+    def test_bad_exponent_exits_3_before_any_suite(self, tmp_path, capsys, ran, flags):
+        out = tmp_path / "r.csv"
+        code, err = main_exit(["verify", *flags, "--out", out], capsys)
+        assert code == 3 and ran == [] and not out.exists()
+        assert err.startswith("error: --p/--p-grid values must be finite and positive, got ")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("flags", [
         ["--suite", "biorth", "--m-max", 0],
@@ -429,6 +461,52 @@ class TestNothingToCheck:
         code, _ = main_exit(["verify", *flags, "--trials", 1, "--out", out], capsys)
         assert code in (0, 1)
         assert len(out.read_text().splitlines()) > 1
+
+    # (first level, lowest --m-max) of each suite that reads levels, on a
+    # basis whose coarsest level is j0: the lowest --m-max is the first level
+    # plus the levels the check needs, less one.
+    LEVELS = {
+        0: {"biorth": (0, 0), "decay": (1, 1), "lemma4": (0, 2), "riesz": (0, 2),
+            "embedding": (4, 6)},
+        2: {"biorth": (2, 2), "decay": (3, 3), "lemma4": (2, 4), "riesz": (2, 4),
+            "embedding": (4, 6)},
+    }
+
+    @pytest.mark.parametrize("j0", sorted(LEVELS))
+    @pytest.mark.parametrize("name", [n for n, suite in verify.SUITES.items() if suite.needs])
+    def test_level_bounds_of_the_table(self, tmp_path, capsys, j0, name):
+        first, lowest = self.LEVELS[j0][name]
+        argv = ["verify", "--suite", name, "--basis", scaled_basis(tmp_path, j0), "--trials", 1]
+        out = tmp_path / "r.csv"
+        code, _ = main_exit([*argv, "--m-max", lowest, "--out", out], capsys)
+        assert code in (0, 1)
+        # m is the fourth field from the end: an embedding param holds a comma.
+        levels = {int(row.split(",")[-4]) for row in out.read_text().splitlines()[1:]}
+        assert levels == set(range(first, lowest + 1))
+        out.unlink()
+        code, err = main_exit([*argv, "--m-max", lowest - 1, "--out", out], capsys)
+        assert code == 3 and not out.exists()
+        assert err == (f"error: --m-max {lowest - 1} leaves the {name} suite nothing to check; "
+                       f"it needs at least {lowest}\n")
+
+    @pytest.mark.parametrize("j0, suite, message", [
+        (9, "riesz", "the riesz suite stops at level 10, but its check needs levels 9 to 11"),
+        (9, "all", "the riesz suite stops at level 10, but its check needs levels 9 to 11"),
+        (7, "embedding", "the embedding suite stops at level 8, but its check needs levels 7 to 9"),
+    ])
+    def test_cap_below_needed_levels_exits_3(self, tmp_path, capsys, j0, suite, message):
+        out = tmp_path / "r.csv"
+        code, err = main_exit(["verify", "--suite", suite, "--m-max", 12, "--trials", 1,
+                               "--basis", scaled_basis(tmp_path, j0, 12), "--out", out], capsys)
+        assert code == 3 and err == f"error: {message}\n" and not out.exists()
+
+    def test_embedding_starts_at_coarsest_level(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code, _ = main_exit(["verify", "--suite", "embedding", "--m-max", 12, "--trials", 1,
+                             "--basis", scaled_basis(tmp_path, 5, 12), "--out", out], capsys)
+        assert code == 0
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert [int(row[-4]) for row in rows] == [5, 5, 6, 6, 7, 7, 8, 8, 8]
 
 
 class TestConfigValues:
@@ -593,6 +671,18 @@ class TestHeaderInts:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("token", ["2_0", "+2_0", "٢", "0x2"])
+def test_bad_header_p_exits_3(tmp_path, capsys, token):
+    """The header p= of a coefficient file follows the float column of a row."""
+    head = f"hyperwave-coeffs v1 hyperbolic n=1 p={token} basis=haar jmax=3"
+    path = tmp_path / "bad.coeffs"
+    path.write_text(head + "\n0 0 1\n", encoding="utf-8")
+    code, err = main_exit(["nterm", "--nmin", 1, "--nmax", 2, "--coeffs", path,
+                           "--out", tmp_path / "c.csv"], capsys)
+    assert code == 3 and len(err.splitlines()) == 1
+    assert err.startswith("error: malformed coefficient header") and str(path) in err
+
+
 def test_rejected_mask_block_names_the_file(tmp_path, capsys):
     """An entry outside its block's dimensions is reported with the path
     and the block header, as a row-grammar error is."""
@@ -666,6 +756,30 @@ class TestMMaxBeyondBasis:
         code, err = main_exit(["verify", "--suite", "lemma1", "--m-max", 32, "--p-grid", ",",
                                "--out", tmp_path / "r.csv"], capsys)
         assert code == 3 and "lemma1" in err
+
+
+class TestVerifyReportPinned:
+    """The stdout and CSV of ``verify --suite X`` for every suite and ``all``,
+    at ``--m-max 8 --seed 3 --trials 3`` on Haar and on scaled-Haar mask
+    files at j0 = 0 and 2, match the sha256 recorded in
+    verify_report_sha256.json byte for byte."""
+
+    PINNED = json.loads((Path(__file__).parent / "verify_report_sha256.json").read_text())
+
+    @pytest.mark.parametrize("basis", ["haar", "scaled_j0=0", "scaled_j0=2"])
+    def test_bytes(self, tmp_path, capsys, basis):
+        arg = "haar" if basis == "haar" else scaled_basis(tmp_path, int(basis[-1]))
+        want = {key: v for key, v in self.PINNED.items() if key.split("/")[0] == basis}
+        got = {}
+        for key in want:
+            out = tmp_path / "r.csv"
+            code = main(["verify", "--suite", key.split("/")[1], "--basis", arg, "--m-max", "8",
+                         "--seed", "3", "--trials", "3", "--out", str(out)])
+            got[key] = {"exit": code,
+                        "stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+                        "csv": hashlib.sha256(out.read_bytes()).hexdigest()}
+            out.unlink()
+        assert len(want) == 8 and got == want
 
 
 def test_usage_error_returns_2(capsys):
