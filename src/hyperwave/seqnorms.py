@@ -101,22 +101,33 @@ def besov_hybrid_norm(u: CoeffVector, params: NormParams) -> float:
     if u.num_entries == 0:
         return 0.0
     up = rescale(u, params.p)
-    # One integer code per level vector, its digits the levels offset by the
-    # smallest one: ascending codes are the lexicographic order of the blocks.
+    # Levels offset by the smallest one, so the codes span few blocks.
     levels = u.levels.astype(np.int64, copy=False)
     lo = int(levels.min())
     base = int(u.max_level) - lo + 1
     if base ** u.n > np.iinfo(np.int64).max:
         raise DimensionMismatch(f"levels {lo}..{u.max_level} span too many blocks to index")
-    code = levels[:, 0] - lo
-    for a in range(1, u.n):
-        code = code * base + (levels[:, a] - lo)
-    codes, inner = _grouped_block_norms(code, base ** u.n, up.values, params.p)
-    blocks = codes[:, None] // base ** np.arange(u.n - 1, -1, -1) % base + lo
-    linf = blocks.max(axis=1)
-    l1 = blocks.sum(axis=1)
-    weighted = 2.0 ** (params.q * linf + params.s * l1) * inner
-    return _outer_norm(weighted, params.tau)
+    codes, inner = _grouped_block_norms(_level_code(levels.T, lo, base), base ** u.n,
+                                        up.values, params.p)
+    return _outer_norm(_hybrid_weights(codes, lo, base, u.n, params.q, params.s) * inner,
+                       params.tau)
+
+
+def _level_code(columns, lo: int, base: int):
+    """One integer per level vector, given as one level array per axis in
+    ``columns``: its digits in base ``base`` are the levels less ``lo``, so
+    ascending codes are the lexicographic order of the level vectors."""
+    code = columns[0] - lo
+    for levels in columns[1:]:
+        code = code * base + (levels - lo)
+    return code
+
+
+def _hybrid_weights(codes: np.ndarray, lo: int, base: int, n: int, q: float, s: float):
+    """The weight 2^{q |j|_inf + s |j|_1} of the level vector j of each of
+    ``codes``, made by :func:`_level_code` from n levels."""
+    blocks = codes[:, None] // base ** np.arange(n - 1, -1, -1) % base + lo
+    return 2.0 ** (q * blocks.max(axis=1) + s * blocks.sum(axis=1))
 
 
 def _iso_level_norms(v: CoeffVector, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +155,12 @@ def besov_iso_norm(v: CoeffVector, alpha: float, p: float = 2.0, tau: float = 2.
     if not (p > 0) or not (tau > 0):
         raise InvalidExponent("p and tau must lie in (0, inf]")
     levels, inner = _iso_level_norms(v, p)
-    return _outer_norm(2.0 ** (alpha * levels) * inner, tau)
+    return _outer_norm(_level_weights(levels, alpha) * inner, tau)
+
+
+def _level_weights(levels: np.ndarray, alpha: float) -> np.ndarray:
+    """The weight 2^{alpha m} of each isotropic level m."""
+    return 2.0 ** (alpha * levels)
 
 
 def gk_norm(u: CoeffVector, q: float, s: float) -> float:

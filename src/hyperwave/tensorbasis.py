@@ -190,10 +190,15 @@ def hyper_forward(spec: BasisSpec, n: int, data: np.ndarray) -> CoeffVector:
     m = spec.level_of_size(data.shape[0])
     if any(s != data.shape[0] for s in data.shape):
         raise DimensionMismatch(f"data must be cubic, got shape {data.shape}")
-    out = data
-    for axis in range(n):
-        out = _apply_axis(lambda a: _analyze_array(spec, a, m), out, axis)
-    return _from_multiscale_array(spec, out, n, m)
+    return _from_multiscale_array(spec, _analyze_grids(spec, data, n, m), n, m)
+
+
+def _analyze_grids(spec: BasisSpec, data: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The 1-D analysis at level m along each of the last n axes of ``data``;
+    leading axes index a batch of grids, each analysed as if alone."""
+    for axis in range(data.ndim - n, data.ndim):
+        data = _apply_axis(lambda a: _analyze_array(spec, a, m), data, axis)
+    return data
 
 
 def _nonzero_cells(block: np.ndarray, *axis_maps) -> tuple[np.ndarray, ...]:
@@ -348,11 +353,24 @@ def _iso_block_slices(spec: BasisSpec, m: int, e: tuple[int, ...]) -> tuple[slic
 
 def _on_scaling_axes(cascade, spec: BasisSpec, block: np.ndarray, m: int, e) -> np.ndarray:
     """Apply the univariate ``cascade`` at level m - 1 along the axes with
-    e_i = 0 of a level-m block; a type-0 block passes unchanged."""
-    for axis, ei in enumerate(e):
+    e_i = 0 of a level-m block, the last n = len(e) axes of ``block``; a
+    type-0 block passes unchanged."""
+    for axis, ei in enumerate(e, start=block.ndim - len(e)):
         if any(e) and not ei:
             block = _apply_axis(lambda a: cascade(spec, a, m - 1), block, axis)
     return block
+
+
+def _iso_blocks(spec: BasisSpec, grid: np.ndarray, n: int, mmax: int):
+    """(m, e, block) for each isotropic block, in the order of
+    :func:`iso_from_hyper`: the coarse type-0 block at j0, then each level m
+    and type e in {0,1}^n \\ {0} in ``itertools.product`` order.  ``block``
+    is the synthesised level-m type-e block of the multiscale ``grid``, held
+    in its last n axes; leading axes index a batch of grids."""
+    types = [e for e in itertools.product((0, 1), repeat=n) if any(e)]
+    for m, e in [(spec.j0, (0,) * n), *itertools.product(range(spec.j0 + 1, mmax + 1), types)]:
+        view = grid[(..., *_iso_block_slices(spec, m, e))]
+        yield m, e, _on_scaling_axes(_synthesize_array, spec, view, m, e)
 
 
 def iso_from_hyper(spec: BasisSpec, u: CoeffVector) -> CoeffVector:
@@ -367,12 +385,9 @@ def iso_from_hyper(spec: BasisSpec, u: CoeffVector) -> CoeffVector:
     """
     _require_l2(u, HYPERBOLIC)
     n, mmax = u.n, u.max_level
-    arr = _to_multiscale_array(spec, u)
-    types = [e for e in itertools.product((0, 1), repeat=n) if any(e)]
-    blocks = [(spec.j0, (0,) * n), *itertools.product(range(spec.j0 + 1, mmax + 1), types)]
-    parts = []
-    for m, e in blocks:
-        block = _on_scaling_axes(_synthesize_array, spec, arr[_iso_block_slices(spec, m, e)], m, e)
+    blocks, parts = [], []
+    for m, e, block in _iso_blocks(spec, _to_multiscale_array(spec, u), n, mmax):
+        blocks.append((m, e))
         parts.append(_nonzero_cells(block, [np.arange(s) for s in block.shape]))
     sizes = [values.size for values, _ in parts]
     levels = np.repeat(np.array([m for m, _ in blocks], dtype=np.int64), sizes)
@@ -441,10 +456,16 @@ def rescale(c: CoeffVector, new_p: float) -> CoeffVector:
         raise InvalidExponent(f"normalization exponent must be positive, got {new_p}")
     if new_p == c.p_norm:
         return c
-    inv_old = 0.0 if np.isinf(c.p_norm) else 1.0 / c.p_norm
-    inv_new = 0.0 if np.isinf(new_p) else 1.0 / new_p
-    factor = 2.0 ** (c.level_l1() * (inv_old - inv_new))
+    factor = _rescale_factor(c.level_l1(), c.p_norm, new_p)
     return replace(c, values=c.values * factor, p_norm=float(new_p))
+
+
+def _rescale_factor(l1: np.ndarray, old_p: float, new_p: float) -> np.ndarray:
+    """2^{l1 (1/old_p - 1/new_p)}, the factor of :func:`rescale` for
+    entries of level sums ``l1``."""
+    inv_old = 0.0 if np.isinf(old_p) else 1.0 / old_p
+    inv_new = 0.0 if np.isinf(new_p) else 1.0 / new_p
+    return 2.0 ** (l1 * (inv_old - inv_new))
 
 
 # ---------------------------------------------------------------------------

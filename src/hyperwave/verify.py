@@ -8,7 +8,11 @@ Kronecker products are formed explicitly only for small factors; these
 are identity checks, not scalability features.
 
 ``SUITES`` is the one table of the ``verify`` command's suites, with the
-levels, depth cap, exponent range and dimensions of each.
+levels, depth cap, exponent range, dimensions and flag limits of each.
+The embedding suite draws each level's trials in one call and checks them
+in batches of at most ``EMBEDDING_BATCH_CELLS`` (2^16) grid cells, on the
+dense grids, with rows identical to those of one ``check_embedding_chain``
+per trial.
 """
 
 from __future__ import annotations
@@ -30,10 +34,18 @@ from .errors import (
     UnsupportedDimension,
     WrongSystem,
 )
-from .seqnorms import NormParams, _iso_level_norms, _outer_norm, besov_hybrid_norm
+from .seqnorms import _block_norm, _hybrid_weights, _level_code, _level_weights, _outer_norm
 from .tables import fmt
-from .tensorbasis import HYPERBOLIC, CoeffVector, hyper_forward, iso_from_hyper
-from .transform1d import build_transform, check_entry_decay
+from .tensorbasis import (
+    HYPERBOLIC,
+    CoeffVector,
+    _analyze_grids,
+    _iso_blocks,
+    _require_l2,
+    _rescale_factor,
+    _to_multiscale_array,
+)
+from .transform1d import _level_maps, build_transform, check_entry_decay
 
 __all__ = [
     "SUITES",
@@ -266,30 +278,89 @@ def check_embedding_chain(
     lower_ratio compares the isotropic norm of regularity q + s against
     the hybrid norm; upper_ratio compares the hybrid norm against the
     isotropic norm of regularity q + 2s.  Both are expected uniformly
-    bounded over the truncation level.
+    bounded over the truncation level.  The hybrid norm adds the terms of
+    each block in index order, as ``besov_hybrid_norm`` does for entries
+    stored in that order (those of ``hyper_forward``).
     """
     if u.system != HYPERBOLIC:
         raise WrongSystem("embedding check expects hyperbolic coefficients")
     if u.n != 2:
         raise UnsupportedDimension("embedding check is implemented for n = 2")
+    _require_l2(u, HYPERBOLIC)
+    grid = _to_multiscale_array(spec, u)[None]
+    # Every stored entry marks its block present, a stored zero included.
+    base = u.max_level - spec.j0 + 1
+    present = np.zeros((1, base ** u.n), dtype=bool)
+    present[0, _level_code(u.levels.T, spec.j0, base)] = True
+    return _embedding_ratios(spec, grid, u.n, q, s, present)[0]
+
+
+EMBEDDING_BATCH_CELLS = 2 ** 16  # grid cells per batch of embedding trials
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a norm that is not finite is raised below
+def _embedding_ratios(spec, grids, n, q, s, present=None) -> list[tuple[float, float]]:
+    """The ratios of :func:`check_embedding_chain` for each of k multiscale
+    grids, stacked in ``grids`` of shape (k, size, ..., size).
+
+    A block or level enters a norm exactly when the sparse coefficients
+    would hold an entry in it: a nonzero cell, or for the hybrid blocks the
+    (k, blocks) mask ``present`` when given.  Each norm bins the rescaled
+    cells of all k grids at once, by trial and block, and adds the terms of
+    a block in the order the sparse norms add its entries, so the ratios
+    equal theirs bit for bit.
+    """
+    if not s + 0.5 > 0:
+        raise InvalidExponent(f"the embedding needs 1/tau = s + 1/2 > 0, got s={s}")
     if not (s < spec.alpha - 0.5 and min(q + s, q + 2 * s) > max(0.0, 2 * (s - 0.5))):
         warnings.warn(
             f"(q={q}, s={s}) outside the embedding window of basis "
             f"{spec.name!r}; ratios may degenerate",
-            stacklevel=2,
+            stacklevel=4,  # the caller of check_embedding_chain or of the suite
         )
     tau = 1.0 / (s + 0.5)
-    hybrid = besov_hybrid_norm(u, NormParams(q=q, s=s, p=tau, tau=tau))
-    if hybrid == 0.0:
-        raise ZeroDivisionError("embedding ratios undefined for the zero vector")
-    # Both isotropic norms weight one set of per-level sums, as
-    # besov_iso_norm(v, alpha, tau, tau) would for each alpha.
-    levels, inner = _iso_level_norms(iso_from_hyper(spec, u), tau)
-    iso_low = _outer_norm(2.0 ** ((q + s) * levels) * inner, tau)
-    iso_high = _outer_norm(2.0 ** ((q + 2 * s) * levels) * inner, tau)
-    if iso_high == 0.0:
-        raise ZeroDivisionError("embedding ratios undefined: isotropic norm vanishes")
-    return iso_low / hybrid, hybrid / iso_high
+    k, m = len(grids), spec.level_of_size(grids.shape[-1])
+    trial = np.arange(k).reshape((k,) + (1,) * n)
+    levels = np.arange(spec.j0, m + 1)
+    nl = levels.size
+
+    # Hybrid blocks: the level of each cell along each axis, broadcast.
+    lvl, _ = _level_maps(spec, m)
+    axes = [lvl.reshape([-1 if i == a else 1 for i in range(n)]) for a in range(n)]
+    values = grids * _rescale_factor(np.arange(n * m + 1), 2.0, tau)[sum(axes)]
+    inner = _block_norm(values.ravel(), (_level_code(axes, spec.j0, nl) + trial * nl ** n).ravel(),
+                        k * nl ** n, tau)
+    weighted = _hybrid_weights(np.arange(nl ** n), spec.j0, nl, n, q, s) * inner.reshape(k, -1)
+    if present is None:
+        present = grids != 0
+        starts = [spec.block_slice(j)[0] for j in levels.tolist()]
+        for axis in range(1, n + 1):
+            present = np.logical_or.reduceat(present, starts, axis=axis)
+        present = present.reshape(k, -1)
+    hybrid = [_outer_norm(w[p], tau) for w, p in zip(weighted, present)]
+
+    # Isotropic levels: the blocks of all trials, each level's in iso order.
+    parts = [(m_, block.reshape(k, -1)) for m_, _, block in _iso_blocks(spec, grids, n, m)]
+    cells = np.concatenate([block for _, block in parts], axis=1)
+    level_of = np.repeat([m_ - spec.j0 for m_, _ in parts], [b.shape[1] for _, b in parts])
+    values = cells * _rescale_factor(n * levels, 2.0, tau)[level_of]
+    inner = _block_norm(values.ravel(), (level_of + trial.reshape(k, 1) * nl).ravel(),
+                        k * nl, tau).reshape(k, nl)
+    starts = np.searchsorted(level_of, np.arange(nl))
+    iso_present = np.logical_or.reduceat(cells != 0, starts, axis=1)
+    ratios = []
+    for h, w, p in zip(hybrid, inner, iso_present):
+        low, high = (_outer_norm((_level_weights(levels, alpha) * w)[p], tau)
+                     for alpha in (q + s, q + 2 * s))
+        if h == 0.0:
+            raise ZeroDivisionError("embedding ratios undefined for the zero vector")
+        if high == 0.0:
+            raise ZeroDivisionError("embedding ratios undefined: isotropic norm vanishes")
+        if not all(map(math.isfinite, (h, low, high))):
+            raise HyperwaveError(f"embedding norms not finite in float64: hybrid {fmt(h)}, "
+                                 f"isotropic {fmt(low)} and {fmt(high)}")
+        ratios.append((low / h, h / high))
+    return ratios
 
 
 # The verify suites.  A row generator takes (spec, args, levels, ps), with the
@@ -368,12 +439,15 @@ def _embedding_rows(spec, args, levels, ps):
     param = f"q={fmt(args.q)},s={fmt(args.s)}"
     maxima = []
     for m in levels:
-        size = spec.delta_size(m)
+        shape = (spec.delta_size(m),) * args.n
+        batch = max(1, EMBEDDING_BATCH_CELLS // math.prod(shape))
         low = up = 0.0
-        for _ in range(args.trials):
-            u = hyper_forward(spec, args.n, rng.standard_normal((size,) * args.n))
-            lo, hi = check_embedding_chain(spec, u, args.q, args.s)
-            low, up = max(low, lo), max(up, hi)
+        for done in range(0, args.trials, batch):
+            # One draw of k grids gives the stream of k draws of one grid.
+            data = rng.standard_normal((min(batch, args.trials - done), *shape))
+            grids = _analyze_grids(spec, data, args.n, m)
+            for lo, hi in _embedding_ratios(spec, grids, args.n, args.q, args.s):
+                low, up = max(low, lo), max(up, hi)
         maxima.append((low, up))
         yield ("embedding_lower", param, m, low, np.nan, True)
         yield ("embedding_upper", param, m, up, np.nan, True)
@@ -388,7 +462,9 @@ class Suite:
     It runs the levels ``first(spec)`` to ``min(args.m_max, cap)``; its check
     needs ``needs`` of them (3 for a running maximum, 0 if it reads none).
     ``p_range(p, spec)`` selects the exponents ``args.ps`` it reads; ``dims``
-    are the ``--n`` it supports.  ``suite(spec, args)`` returns its rows.
+    are the ``--n`` it supports; each (flag, test, text) of ``limits`` names
+    a flag whose value must pass ``test``, the condition ``text`` states.
+    ``suite(spec, args)`` returns its rows.
     """
 
     name: str
@@ -398,18 +474,24 @@ class Suite:
     cap: float = math.inf
     p_range: Callable | None = None
     dims: tuple[int, ...] = (1, 2, 3)
+    limits: tuple[tuple[str, Callable[[float], bool], str], ...] = ()
 
     def check(self, spec: BasisSpec, args) -> None:
         """Raise HyperwaveError when ``args`` leave the suite nothing to check
         (passing it unchecked or failing it on no data): an ``--n`` it does not
-        support, no exponent in its range, or ``min(--m-max, cap)`` below its
-        last needed level; also an ``--m-max`` beyond the basis's finest level."""
+        support, a flag outside its ``limits``, no exponent in its range, or
+        ``min(--m-max, cap)`` below its last needed level; also an ``--m-max``
+        beyond the basis's finest level."""
         if args.m_max > spec.max_level:
             raise HyperwaveError(f"--m-max {args.m_max} is beyond the finest level "
                                  f"{spec.max_level} of the basis")
         if args.n not in self.dims:
             raise UnsupportedDimension(f"the {self.name} suite is implemented for --n "
                                        f"{' or '.join(map(str, self.dims))}, got {args.n}")
+        for flag, test, text in self.limits:
+            if not test(value := getattr(args, flag)):
+                raise HyperwaveError(f"--{flag} {fmt(value)} is out of range: the {self.name} "
+                                     f"suite needs {text}")
         if self.p_range and not self._exponents(spec, args.ps):
             raise HyperwaveError(f"--p/--p-grid hold no exponent in the range of the "
                                  f"{self.name} suite")
@@ -439,5 +521,5 @@ SUITES = {suite.name: suite for suite in (
     Suite("riesz", _riesz_rows, needs=3, cap=10),
     # Dense random vectors of (2^m)^n entries: deeper is too slow.
     Suite("embedding", _embedding_rows, first=lambda spec: max(4, spec.j0), needs=3, cap=8,
-          dims=(2,)),
+          dims=(2,), limits=(("s", lambda s: s + 0.5 > 0, "1/tau = s + 1/2 > 0"),)),
 )}

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -425,6 +427,9 @@ class TestNothingToCheck:
         ["--suite", "embedding", "--m-max", 2],
         ["--suite", "embedding", "--m-max", 5],
         ["--suite", "all", "--m-max", 5],
+        ["--suite", "embedding", "--s", -0.5],
+        ["--suite", "embedding", "--s", -1],
+        ["--suite", "all", "--s", -0.5],
     ])
     def test_exits_3_before_any_suite(self, tmp_path, capsys, ran, flags):
         out = tmp_path / "r.csv"
@@ -432,6 +437,15 @@ class TestNothingToCheck:
         assert code == 3
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not out.exists() and ran == []
+
+    @pytest.mark.parametrize("suite", ["embedding", "all"])
+    @pytest.mark.parametrize("s", [-0.5, -1, -7.25])
+    def test_s_without_fine_index_names_the_flag(self, tmp_path, capsys, ran, suite, s):
+        out = tmp_path / "r.csv"
+        code, err = main_exit(["verify", "--suite", suite, "--s", s, "--out", out], capsys)
+        assert code == 3 and ran == [] and not out.exists()
+        assert err == (f"error: --s {s:g} is out of range: the embedding suite needs "
+                       "1/tau = s + 1/2 > 0\n")
 
     @pytest.mark.parametrize("flags", [
         ["--suite", "lemma1", "--p-grid", "nan,1"],
@@ -499,6 +513,17 @@ class TestNothingToCheck:
         code, err = main_exit(["verify", "--suite", suite, "--m-max", 12, "--trials", 1,
                                "--basis", scaled_basis(tmp_path, j0, 12), "--out", out], capsys)
         assert code == 3 and err == f"error: {message}\n" and not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--q", 400], ["--s", 200]])
+    def test_overflowing_norms_exit_3(self, tmp_path, capsys, flag):
+        # The norms overflow float64: the suite fails instead of passing on ratios of 0.
+        out = tmp_path / "r.csv"
+        with pytest.warns(UserWarning) if flag[0] == "--s" else contextlib.nullcontext():
+            code, err = main_exit(["verify", "--suite", "embedding", "--m-max", 6, *flag,
+                                   "--out", out], capsys)
+        assert code == 3 and not out.exists()
+        assert err.startswith("error: embedding norms not finite in float64: ")
+        assert len(err.splitlines()) == 1
 
     def test_embedding_starts_at_coarsest_level(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -761,8 +786,9 @@ class TestMMaxBeyondBasis:
 class TestVerifyReportPinned:
     """The stdout and CSV of ``verify --suite X`` for every suite and ``all``,
     at ``--m-max 8 --seed 3 --trials 3`` on Haar and on scaled-Haar mask
-    files at j0 = 0 and 2, match the sha256 recorded in
-    verify_report_sha256.json byte for byte."""
+    files at j0 = 0 and 2, and of ``verify --suite embedding`` with default
+    flags, match the sha256 recorded in verify_report_sha256.json byte for
+    byte."""
 
     PINNED = json.loads((Path(__file__).parent / "verify_report_sha256.json").read_text())
 
@@ -780,6 +806,35 @@ class TestVerifyReportPinned:
                         "csv": hashlib.sha256(out.read_bytes()).hexdigest()}
             out.unlink()
         assert len(want) == 8 and got == want
+
+    def test_default_embedding_bytes(self, tmp_path, capsys):
+        """``verify --suite embedding`` with default flags: 20 trials per level,
+        so levels 6 to 8 take more than one batch of trials."""
+        want = self.PINNED["default/embedding"]
+        out = tmp_path / "r.csv"
+        code = main(["verify", "--suite", "embedding", "--out", str(out)])
+        assert {"exit": code,
+                "stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+                "csv": hashlib.sha256(out.read_bytes()).hexdigest()} == want
+
+
+def peak_rss_kb(argv) -> int:
+    """Exit code 0 asserted, the peak resident set of a ``python -m hyperwave``
+    child in KiB, as ``wait4`` reports it for that child alone."""
+    proc = subprocess.Popen([sys.executable, "-m", "hyperwave", *map(str, argv)],
+                            stdout=subprocess.DEVNULL, env=child_env())
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_maxrss
+
+
+def test_embedding_memory_does_not_grow_with_trials(tmp_path):
+    """Trials run in batches of bounded size, so 60 trials per level peak
+    within 10 MB of one."""
+    argv = ["verify", "--suite", "embedding", "--out", tmp_path / "r.csv", "--trials"]
+    one, many = peak_rss_kb([*argv, 1]), peak_rss_kb([*argv, 60])
+    assert many - one < 10 * 1024
 
 
 def test_usage_error_returns_2(capsys):

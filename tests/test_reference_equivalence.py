@@ -10,17 +10,22 @@ against the product of padded per-level factors they replaced, and the
 transform norm rows against four separate estimates.  The numpy mask
 products of ``BandMatrix`` against the scipy CSR products they replaced.
 The mask and matrix files, now blocks of the table codec, against the
-per-line writers and parser they replaced."""
+per-line writers and parser they replaced.  The embedding suite, now
+batches of dense grids, against one analysis and one
+``check_embedding_chain`` per trial."""
 
+import itertools
 import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from hyperwave import (
+    HYPERBOLIC,
     BandMatrix,
     CoeffVector,
     DimensionMismatch,
@@ -38,12 +43,15 @@ from hyperwave import (
     make_haar_basis,
     make_mask_basis,
     rescale,
+    running_max_stabilizes,
+    verify,
 )
 from hyperwave import hyper_forward, hyper_from_iso, iso_synthesize, load_coeffs, save_coeffs
 from hyperwave import load_mask_file, load_matrix_file, save_mask_file, save_matrix_file
 from hyperwave.cli import load_array, save_array
 from hyperwave.nterm import _tail_errors, _weights_and_order
 from hyperwave.seqnorms import _block_norm, _outer_norm
+from hyperwave.tables import fmt
 from hyperwave.tensorbasis import (
     _from_multiscale_array,
     _gather_iso_blocks,
@@ -224,16 +232,65 @@ class TestSortFreeGrouping:
         spec = request.getfixturevalue(name)
         rng = np.random.default_rng(6)
         for m in range(spec.j0 + 2, spec.j0 + 6):
-            u = random_hyper(spec, rng, 2, m)
-            for q, s in ((0.0, 0.25), (0.3, 0.1)):
-                tau = 1.0 / (s + 0.5)
-                hybrid = besov_hybrid_norm(u, NormParams(q=q, s=s, p=tau, tau=tau))
-                v = iso_from_hyper(spec, u)
-                want = (besov_iso_norm(v, q + s, tau, tau) / hybrid,
-                        hybrid / besov_iso_norm(v, q + 2 * s, tau, tau))
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    assert check_embedding_chain(spec, u, q, s) == want
+            for u in (random_hyper(spec, rng, 2, m), *sparse_embedding_cases(spec, rng, m)):
+                self.assert_embedding_chain_matches(spec, u)
+
+    @staticmethod
+    def assert_embedding_chain_matches(spec, u):
+        for q, s in ((0.0, 0.25), (0.3, 0.1)):
+            tau = 1.0 / (s + 0.5)
+            hybrid = besov_hybrid_norm(u, NormParams(q=q, s=s, p=tau, tau=tau))
+            v = iso_from_hyper(spec, u)
+            want = (besov_iso_norm(v, q + s, tau, tau) / hybrid,
+                    hybrid / besov_iso_norm(v, q + 2 * s, tau, tau))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert check_embedding_chain(spec, u, q, s) == want
+
+
+class TestEmbeddingBatches:
+    @pytest.mark.parametrize("trials", [1, 3, 7, 20])
+    def test_embedding_suite_matches_one_trial_at_a_time(self, haar, trials):
+        # At --m-max 8 a batch holds 16 trials of level 6, 4 of level 7, 1 of level 8.
+        args = SimpleNamespace(seed=trials, trials=trials, q=0.0, s=0.25, n=2, m_max=8, ps=[])
+        assert (list(verify.SUITES["embedding"](haar, args))
+                == reference_embedding_rows(haar, args, range(4, 9)))
+
+
+def sparse_embedding_cases(spec, rng, m):
+    """Sparse bivariate vectors at truncation m in index order: one with
+    mostly empty blocks, the same without level j0 + 1 on any axis, and
+    that one with a stored 0.0 and a stored -0.0, each alone in one of the
+    first two empty blocks."""
+    u = random_sparse_hyper(spec, rng, 2, m, 12)
+    keep = (u.levels != spec.j0 + 1).all(axis=1)
+    gap = replace(u, levels=u.levels[keep], positions=u.positions[keep], values=u.values[keep])
+    taken = set(map(tuple, gap.levels.tolist()))
+    free = [j for j in itertools.product(range(spec.j0, m + 1), repeat=2) if j not in taken]
+    zeros = CoeffVector(HYPERBOLIC, 2, 2.0, m, u.basis,
+                        np.concatenate([gap.levels, free[:2]]),
+                        np.concatenate([gap.positions, np.zeros((2, 2), dtype=np.int64)]),
+                        np.concatenate([gap.values, [0.0, -0.0]])).canonical_order()
+    return u, gap, zeros
+
+
+def reference_embedding_rows(spec, args, levels):
+    """The embedding suite's rows from one analysis and one check per trial."""
+    rng = np.random.default_rng(args.seed)
+    param = f"q={fmt(args.q)},s={fmt(args.s)}"
+    rows, maxima = [], []
+    for m in levels:
+        size = spec.delta_size(m)
+        low = up = 0.0
+        for _ in range(args.trials):
+            u = hyper_forward(spec, args.n, rng.standard_normal((size,) * args.n))
+            lo, hi = check_embedding_chain(spec, u, args.q, args.s)
+            low, up = max(low, lo), max(up, hi)
+        maxima.append((low, up))
+        rows += [("embedding_lower", param, m, low, np.nan, True),
+                 ("embedding_upper", param, m, up, np.nan, True)]
+    ok = all(running_max_stabilizes(series, rel=0.25) for series in zip(*maxima))
+    return rows + [("embedding_stable", param, levels[-1], float(ok), 1.0, ok)]
 
 
 class TestJacksonBernsteinEquivalence:

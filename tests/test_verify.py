@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from hyperwave import (
     BandMatrix,
     ExponentOutOfRange,
+    HyperwaveError,
     InvalidExponent,
     SizeTooLarge,
     check_biorthogonality,
@@ -247,6 +249,20 @@ class TestEmbeddingChain:
         u = make_hyper({((1, 1), (0, 0)): 1.0}, 2, 2).with_values(np.array([0.0]))
         with pytest.raises(ZeroDivisionError):
             check_embedding_chain(haar, u, 0.0, 0.25)
+
+    @pytest.mark.parametrize("s", [-0.5, -1.0])
+    def test_no_fine_index_raises(self, haar, s):
+        u = make_hyper({((1, 1), (0, 0)): 1.0}, 2, 2)
+        with pytest.raises(InvalidExponent, match="1/tau = s \\+ 1/2 > 0"):
+            check_embedding_chain(haar, u, 0.0, s)
+
+    @pytest.mark.parametrize("q, s", [(400.0, 0.25), (0.0, 200.0)])
+    def test_overflowing_norms_raise(self, haar, q, s):
+        u = random_hyper(haar, np.random.default_rng(3), 2, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # (0, 200) is outside the window
+            with pytest.raises(HyperwaveError, match="^embedding norms not finite"):
+                check_embedding_chain(haar, u, q, s)
 
     def test_warns_outside_theorem_window(self, haar):
         u = make_hyper({((1, 1), (0, 0)): 1.0}, 2, 2)
