@@ -348,10 +348,10 @@ def _embedding_ratios(spec, grids, n, q, s, present=None) -> list[tuple[float, f
                         k * nl, tau).reshape(k, nl)
     starts = np.searchsorted(level_of, np.arange(nl))
     iso_present = np.logical_or.reduceat(cells != 0, starts, axis=1)
+    weights = [_level_weights(levels, alpha) for alpha in (q + s, q + 2 * s)]
     ratios = []
     for h, w, p in zip(hybrid, inner, iso_present):
-        low, high = (_outer_norm((_level_weights(levels, alpha) * w)[p], tau)
-                     for alpha in (q + s, q + 2 * s))
+        low, high = (_outer_norm((weight * w)[p], tau) for weight in weights)
         if h == 0.0:
             raise ZeroDivisionError("embedding ratios undefined for the zero vector")
         if high == 0.0:
