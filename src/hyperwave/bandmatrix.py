@@ -42,7 +42,9 @@ class BandMatrix:
     entries no run reaches are zeroed.  Adding 0.0 once at the end turns an
     all -0.0 sum into +0.0, as a sum started from zeros does, so both
     products are bitwise equal to ``csr @ x`` and ``csr.T @ x``, except for
-    the sign of a NaN made where two NaNs meet in one sum.  The scipy CSR
+    the sign of a NaN made where two NaNs meet in one sum.  Along another
+    axis of an n-D operand, that axis takes the place of the rows and each
+    term runs over all the other axes at once.  The scipy CSR
     copy is built on first use of ``csr``, which is the only place scipy is
     imported; sparse operands are multiplied through it.  A matrix made by
     ``from_csr`` keeps that CSR and derives its triples from it when they
@@ -187,43 +189,55 @@ class BandMatrix:
             plan = self._plans[transpose] = (tuple(steps), np.flatnonzero(~written))
         return plan
 
-    def _operand(self, x, length: int) -> np.ndarray:
+    def _operand(self, x, length: int, axis: int | None) -> tuple[np.ndarray, int]:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (1, 2):
-            raise DimensionMismatch(f"operand must be 1-D or 2-D, got {x.ndim}-D")
-        if x.shape[0] != length:
+        if axis is None:
+            if x.ndim not in (1, 2):
+                raise DimensionMismatch(f"operand must be 1-D or 2-D, got {x.ndim}-D")
+            axis = 0
+        elif not 0 <= axis < x.ndim:
+            raise DimensionMismatch(f"axis {axis} out of range for a {x.ndim}-D operand")
+        if x.shape[axis] != length:
             raise DimensionMismatch(
-                f"operand has leading dimension {x.shape[0]}, expected {length}"
+                f"operand has length {x.shape[axis]} along axis {axis}, expected {length}"
             )
-        return x
+        return x, axis
 
-    def apply(self, x):
-        """M @ x for a 1-D or 2-D array; a scipy sparse operand gives ``csr @ x``."""
+    def apply(self, x, axis: int | None = None):
+        """M @ x for a 1-D or 2-D array, or along ``axis`` of an n-D array;
+        a scipy sparse operand gives ``csr @ x``."""
         if _is_sparse(x):
             return self.csr @ x
-        return self._accumulate(self._operand(x, self.cols), transpose=False)
+        return self._accumulate(*self._operand(x, self.cols, axis), transpose=False)
 
-    def apply_transpose(self, x):
-        """M^T @ x for a 1-D or 2-D array; a scipy sparse operand gives ``csr.T @ x``."""
+    def apply_transpose(self, x, axis: int | None = None):
+        """M^T @ x for a 1-D or 2-D array, or along ``axis`` of an n-D array;
+        a scipy sparse operand gives ``csr.T @ x``."""
         if _is_sparse(x):
             return self.csr.T @ x
-        return self._accumulate(self._operand(x, self.rows), transpose=True)
+        return self._accumulate(*self._operand(x, self.rows, axis), transpose=True)
 
-    def _accumulate(self, x, transpose: bool) -> np.ndarray:
+    def _accumulate(self, x, axis: int, transpose: bool) -> np.ndarray:
+        """The product along ``axis`` of ``x``, written to an output in the
+        axis order of ``x``: a strided view of a larger grid is read where
+        it lies, and each term runs over the other axes in memory order."""
         steps, untouched = self._plan(transpose)
-        y = np.empty((self.cols if transpose else self.rows,) + x.shape[1:])
+        shape = list(x.shape)
+        shape[axis] = self.cols if transpose else self.rows
+        out = np.empty(shape)
+        x, y = x.swapaxes(0, axis), out.swapaxes(0, axis)
         if untouched.size:
             y[untouched] = 0.0
         # Like scipy's kernels, do not warn about inf - inf or overflow.
         with np.errstate(invalid="ignore", over="ignore"):
             for first, dst, src, v in steps:
-                w = v if x.ndim == 1 else v[:, None]
+                w = v if x.ndim == 1 else v.reshape((-1,) + (1,) * (x.ndim - 1))
                 if first:
                     np.multiply(w, x[src], out=y[dst])
                 else:
                     y[dst] += w * x[src]
-            y += 0.0
-        return y
+            out += 0.0
+        return out
 
     def column_abs_pow_sums(self, p: float) -> np.ndarray:
         """Column sums of |a_ij|^p, including all-zero columns; each column

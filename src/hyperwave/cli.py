@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -240,8 +241,16 @@ def cmd_verify(args) -> int:
     args.ps = _exponents(args)
     for name in names:
         verify.SUITES[name].check(spec, args)
-    all_rows = [row for rows in _map_ordered(lambda name: SUITES[name](spec, args), names)
-                for row in rows]
+    # A library warning, such as parameters outside a theorem's window, is
+    # one stderr line here, not a file path and a source line.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            all_rows = [row for rows in _map_ordered(lambda name: SUITES[name](spec, args), names)
+                        for row in rows]
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
     _write_csv(args.out, "check,param,m,value,bound,pass",
                [f"{check},{param},{m},{fmt(value)},{fmt(bound)},{str(ok).lower()}"
                 for check, param, m, value, bound, ok in all_rows])

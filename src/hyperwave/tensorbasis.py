@@ -3,8 +3,10 @@
 Two index systems coexist: hyperbolic (tensor-product) coefficients keyed
 by one level per axis, and isotropic coefficients keyed by a single level
 plus a binary type vector.  Coefficients are held in columnar sparse form;
-the change of basis between the systems applies, for every n, the
-univariate transforms along the scaling axes (e_i = 0) of each type block.
+the change of basis between the systems is, for every n, one in-place
+cascade sweep per axis of the dense multiscale grid, which applies the
+univariate transforms along the scaling axes (e_i = 0) of all type blocks
+at once.
 """
 
 from __future__ import annotations
@@ -351,37 +353,68 @@ def _iso_block_slices(spec: BasisSpec, m: int, e: tuple[int, ...]) -> tuple[slic
     return tuple(slice(lo, hi) if ei or not any(e) else slice(0, lo) for ei in e)
 
 
-def _on_scaling_axes(cascade, spec: BasisSpec, block: np.ndarray, m: int, e) -> np.ndarray:
-    """Apply the univariate ``cascade`` at level m - 1 along the axes with
-    e_i = 0 of a level-m block, the last n = len(e) axes of ``block``; a
-    type-0 block passes unchanged."""
-    for axis, ei in enumerate(e, start=block.ndim - len(e)):
-        if any(e) and not ei:
-            block = _apply_axis(lambda a: cascade(spec, a, m - 1), block, axis)
-    return block
+def _scaling_sweep(spec: BasisSpec, grid: np.ndarray, n: int, mmax: int,
+                   analysis: bool) -> None:
+    """The change of basis in place on the multiscale ``grid``, held in its
+    last n axes (leading axes index a batch): along each of those axes in
+    turn, every line whose other coordinates reach top level M > j0 gets
+    the univariate synthesis T_{M-1} on its cells of level below M, or with
+    ``analysis`` the dual analysis Tdual_{M-1}^T.
+
+    Such a line runs through the level-M blocks of the types with e_i = 0
+    on the swept axis, and its cells below level M are their scaling
+    positions along it.  All lines of top level at least k + 1 take
+    cascade step k together, as n - 1 boxes: box i holds the lines whose
+    other axis i is at least |Delta_k| and whose other axes before it are
+    below.  So each line gets the mask products its block's own cascade
+    would, in the same order and axis by axis, with O(m) products in all.
+    """
+    levels = range(spec.j0 + 1, mmax)
+    for axis in range(grid.ndim - n, grid.ndim):
+        others = [b for b in range(grid.ndim - n, grid.ndim) if b != axis]
+        for k in reversed(levels) if analysis else levels:
+            quad = spec.masks(k)
+            lo, hi = spec.block_slice(k)
+            for i, b in enumerate(others):
+                box = [slice(None)] * grid.ndim
+                for c in others[:i]:
+                    box[c] = slice(0, hi)
+                box[b] = slice(hi, None)
+                whole, coarse, detail = (tuple(box[:axis] + [cut] + box[axis + 1:])
+                                         for cut in (slice(0, hi), slice(0, lo), slice(lo, hi)))
+                if analysis:
+                    line = grid[whole]
+                    grid[detail], grid[coarse] = (quad.mt1.apply_transpose(line, axis),
+                                                  quad.mt0.apply_transpose(line, axis))
+                else:
+                    line = quad.m0.apply(grid[coarse], axis)
+                    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN
+                        line += quad.m1.apply(grid[detail], axis)
+                    grid[whole] = line
 
 
-def _iso_blocks(spec: BasisSpec, grid: np.ndarray, n: int, mmax: int):
+def _iso_blocks(spec: BasisSpec, grid: np.ndarray, n: int, mmax: int) -> list:
     """(m, e, block) for each isotropic block, in the order of
     :func:`iso_from_hyper`: the coarse type-0 block at j0, then each level m
-    and type e in {0,1}^n \\ {0} in ``itertools.product`` order.  ``block``
-    is the synthesised level-m type-e block of the multiscale ``grid``, held
-    in its last n axes; leading axes index a batch of grids."""
+    and type e in {0,1}^n \\ {0} in ``itertools.product`` order.  The
+    synthesis sweep runs in place on the multiscale ``grid``, which it
+    consumes, and ``block`` is the view of the level-m type-e block in its
+    last n axes; leading axes index a batch of grids."""
+    _scaling_sweep(spec, grid, n, mmax, analysis=False)
     types = [e for e in itertools.product((0, 1), repeat=n) if any(e)]
-    for m, e in [(spec.j0, (0,) * n), *itertools.product(range(spec.j0 + 1, mmax + 1), types)]:
-        view = grid[(..., *_iso_block_slices(spec, m, e))]
-        yield m, e, _on_scaling_axes(_synthesize_array, spec, view, m, e)
+    blocks = [(spec.j0, (0,) * n), *itertools.product(range(spec.j0 + 1, mmax + 1), types)]
+    return [(m, e, grid[(..., *_iso_block_slices(spec, m, e))]) for m, e in blocks]
 
 
 def iso_from_hyper(spec: BasisSpec, u: CoeffVector) -> CoeffVector:
     """Isotropic coefficients of the function represented by hyperbolic ones.
 
-    Blockwise for each level m and type e in {0,1}^n \\ {0}, in
-    ``itertools.product`` order: the block keeps the level-m wavelet
-    positions on the axes with e_i = 1, and the univariate synthesis
-    T_{m-1} turns the multiscale positions coarser than m on the other
-    axes into level-(m-1) scaling positions.  The coarse block at j0 is
-    copied to type 0.
+    One synthesis sweep per axis on the multiscale grid of ``u`` turns the
+    positions coarser than m, on the axes with e_i = 0 of each level-m
+    block, into level-(m-1) scaling positions by T_{m-1}, and keeps the
+    level-m wavelet positions on the axes with e_i = 1.  The blocks are
+    read in the order of the levels m and types e in {0,1}^n \\ {0}, in
+    ``itertools.product`` order, after the coarse block at j0 as type 0.
     """
     _require_l2(u, HYPERBOLIC)
     n, mmax = u.n, u.max_level
@@ -397,20 +430,18 @@ def iso_from_hyper(spec: BasisSpec, u: CoeffVector) -> CoeffVector:
 
 
 def hyper_from_iso(spec: BasisSpec, v: CoeffVector) -> CoeffVector:
-    """Inverse change of basis: the dual analysis Tdual_{m-1}^T along the
-    axes with e_i = 0 of each type block, in place on the grid of ``v``."""
+    """Inverse change of basis: the analysis sweep, Tdual_{m-1}^T along the
+    axes with e_i = 0 of each level-m block, in place on the grid of ``v``."""
     _require_l2(v, ISOTROPIC)
     arr = _to_multiscale_array(spec, v)
-    for (m, e), block in _gather_iso_blocks(spec, v, arr).items():
-        block[...] = _on_scaling_axes(_analyze_array, spec, block, m, e)
+    _scaling_sweep(spec, arr, v.n, v.max_level, analysis=True)
     return _from_multiscale_array(spec, arr, v.n, v.max_level)
 
 
-def _gather_iso_blocks(spec: BasisSpec, v: CoeffVector, grid=None) -> dict:
-    """Views of ``grid`` (by default the multiscale grid of ``v``) for the
-    (m, e) blocks that hold entries of ``v``, in block-code order."""
-    if grid is None:
-        grid = _to_multiscale_array(spec, v)
+def _gather_iso_blocks(spec: BasisSpec, v: CoeffVector) -> dict:
+    """Views of the multiscale grid of ``v`` for the (m, e) blocks that
+    hold entries of ``v``, in block-code order."""
+    grid = _to_multiscale_array(spec, v)
     blocks = {}
     for code in np.flatnonzero(np.bincount(_block_code(v))).tolist():
         m, bits = divmod(code, 2 ** v.n)

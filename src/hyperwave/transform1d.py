@@ -76,7 +76,8 @@ def _synthesize_array(spec: BasisSpec, a, m: int):
     for level in range(spec.j0 + 1, m + 1):
         quad = spec.masks(level)
         lo, hi = spec.block_slice(level)
-        cur = quad.m0.apply(cur) + quad.m1.apply(a[lo:hi])
+        with np.errstate(invalid="ignore", over="ignore"):  # as in the mask products
+            cur = quad.m0.apply(cur) + quad.m1.apply(a[lo:hi])
     return cur
 
 

@@ -301,7 +301,9 @@ EMBEDDING_BATCH_CELLS = 2 ** 16  # grid cells per batch of embedding trials
 @np.errstate(over="ignore", invalid="ignore")  # a norm that is not finite is raised below
 def _embedding_ratios(spec, grids, n, q, s, present=None) -> list[tuple[float, float]]:
     """The ratios of :func:`check_embedding_chain` for each of k multiscale
-    grids, stacked in ``grids`` of shape (k, size, ..., size).
+    grids, stacked in ``grids`` of shape (k, size, ..., size).  The
+    isotropic side sweeps the change of basis in place on ``grids`` once
+    the hybrid side has read them: the call consumes ``grids``.
 
     A block or level enters a norm exactly when the sparse coefficients
     would hold an entry in it: a nonzero cell, or for the hybrid blocks the

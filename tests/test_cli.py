@@ -1,4 +1,3 @@
-import contextlib
 import hashlib
 import json
 import os
@@ -119,6 +118,17 @@ class TestTransformCommand:
                         "--jmax", 4, "--seed", 9, "--out", out)
             assert r.returncode == 0, r.stderr
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_inverse_of_infinite_entry_keeps_stderr_empty(self, tmp_path):
+        """inf - inf in the synthesis cascade is NaN without a numpy warning;
+        the array file holds the same bytes as before."""
+        coeffs, out = tmp_path / "v.coeffs", tmp_path / "back.arr"
+        coeffs.write_text("hyperwave-coeffs v1 isotropic n=2 p=2 basis=haar jmax=3\n"
+                          "3 1 0 0 0 inf\n")
+        r = run_cli("transform", "--coeffs", coeffs, "--direction", "inverse", "--out", out)
+        assert (r.returncode, r.stderr) == (0, "")
+        rows = ["inf"] * 2 + ["nan"] * 6 + ["-inf"] * 2 + ["nan"] * 6 + ["0"] * 48
+        assert out.read_text() == "hyperwave-array v1 n=2 m=3\n" + "\n".join(rows) + "\n"
 
     def test_empty_input_exits_2(self, tmp_path):
         empty = tmp_path / "empty.arr"
@@ -242,6 +252,16 @@ class TestVerifyCommand:
         r = run_cli("verify", "--suite", "lemma4", "--m-max", 10,
                     "--p-grid", "0.6,2", "--out", tmp_path / "l4.csv")
         assert r.returncode == 0, r.stderr
+
+    def test_window_warning_is_one_line(self, tmp_path):
+        out = tmp_path / "r.csv"
+        r = run_cli("verify", "--suite", "embedding", "--m-max", 6, "--q", -1, "--trials", 1,
+                    "--out", out)
+        assert r.returncode == 0 and r.stdout == "checks: 7  failures: 0\n"
+        assert r.stderr == ("warning: (q=-1.0, s=0.25) outside the embedding window of basis "
+                            "'haar'; ratios may degenerate\n")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "6415a5513a798510b673537b32ed60a9d442be07806734f2961b8a0bddd7b1c7"
 
     def test_unknown_suite_exits_3(self):
         assert run_cli("verify", "--suite", "nonsense").returncode == 3
@@ -517,13 +537,17 @@ class TestNothingToCheck:
     @pytest.mark.parametrize("flag", [["--q", 400], ["--s", 200]])
     def test_overflowing_norms_exit_3(self, tmp_path, capsys, flag):
         # The norms overflow float64: the suite fails instead of passing on ratios of 0.
+        # --s 200 also lies outside the embedding window, which comes first, in one line.
         out = tmp_path / "r.csv"
-        with pytest.warns(UserWarning) if flag[0] == "--s" else contextlib.nullcontext():
-            code, err = main_exit(["verify", "--suite", "embedding", "--m-max", 6, *flag,
-                                   "--out", out], capsys)
+        code, err = main_exit(["verify", "--suite", "embedding", "--m-max", 6, *flag,
+                               "--out", out], capsys)
         assert code == 3 and not out.exists()
-        assert err.startswith("error: embedding norms not finite in float64: ")
-        assert len(err.splitlines()) == 1
+        lines = err.splitlines()
+        if flag[0] == "--s":
+            assert lines.pop(0) == ("warning: (q=0.0, s=200.0) outside the embedding window "
+                                    "of basis 'haar'; ratios may degenerate")
+        assert len(lines) == 1 and lines[0].startswith("error: embedding norms not finite in "
+                                                       "float64: ")
 
     def test_embedding_starts_at_coarsest_level(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -1,9 +1,11 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hyperwave import (
+    BandMatrix,
     CoeffVector,
     DimensionMismatch,
     HyperIndex,
@@ -13,6 +15,7 @@ from hyperwave import (
     UnsupportedDimension,
     WrongSystem,
     build_transform,
+    check_embedding_chain,
     forward,
     hyper_forward,
     hyper_from_iso,
@@ -23,7 +26,7 @@ from hyperwave import (
     rescale,
     save_coeffs,
 )
-from hyperwave.tensorbasis import _to_multiscale_array
+from hyperwave.tensorbasis import _iso_blocks, _to_multiscale_array
 from conftest import make_hyper, make_iso, random_hyper
 
 
@@ -223,6 +226,54 @@ class TestChangeOfBasis:
         u = random_hyper(haar, rng, 2, 5)
         v = iso_from_hyper(haar, u)
         assert abs(np.linalg.norm(v.values) - np.linalg.norm(u.values)) < 1e-10
+
+
+class TestScalingSweep:
+    """The change of basis as one in-place cascade sweep per axis of the
+    multiscale grid."""
+
+    @pytest.mark.parametrize("n, m", [(2, 5), (3, 4)])
+    def test_batch_matches_single_grids(self, haar, scaled, n, m):
+        rng = np.random.default_rng(n)
+        for spec in (haar, scaled):
+            grids = rng.standard_normal((3,) + (spec.delta_size(m),) * n)
+            batch = _iso_blocks(spec, grids.copy(), n, m)
+            for i, grid in enumerate(grids):
+                single = _iso_blocks(spec, grid.copy(), n, m)
+                assert [(m_, e) for m_, e, _ in batch] == [(m_, e) for m_, e, _ in single]
+                for (_, _, got), (_, _, want) in zip(batch, single):
+                    assert got[i].tobytes() == want.tobytes()
+
+    def test_inputs_left_unchanged(self, haar):
+        u = hyper_forward(haar, 2, np.random.default_rng(5).standard_normal((32, 32)))
+        before = u.values.tobytes()
+        v = iso_from_hyper(haar, u)
+        assert u.values.tobytes() == before
+        ratios = check_embedding_chain(haar, u, 0.0, 0.25)
+        assert check_embedding_chain(haar, u, 0.0, 0.25) == ratios
+        before = v.values.tobytes()
+        hyper_from_iso(haar, v)
+        assert v.values.tobytes() == before
+
+    @pytest.mark.parametrize("n, m", [(2, 8), (3, 6)])
+    def test_mask_products_linear_in_levels(self, haar, monkeypatch, n, m):
+        """At most 2 n (n - 1) (m - j0 - 1) mask products each way: one
+        cascade step per level, axis and box, not one per type block."""
+        counts = Counter()
+        for name in ("apply", "apply_transpose"):
+            def counted(self, x, axis=None, _name=name, _original=getattr(BandMatrix, name)):
+                counts[_name] += 1
+                return _original(self, x, axis)
+
+            monkeypatch.setattr(BandMatrix, name, counted)
+        u = hyper_forward(haar, n, np.random.default_rng(m).standard_normal((2 ** m,) * n))
+        bound = 2 * n * (n - 1) * (m - haar.j0 - 1)
+        counts.clear()
+        v = iso_from_hyper(haar, u)
+        assert 0 < counts["apply"] <= bound and counts["apply_transpose"] == 0
+        counts.clear()
+        hyper_from_iso(haar, v)
+        assert 0 < counts["apply_transpose"] <= bound and counts["apply"] == 0
 
 
 class TestRescale:
