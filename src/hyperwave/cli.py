@@ -27,6 +27,7 @@ from .basis1d import (
 from .errors import HyperwaveError
 from .tables import fmt, header_fields, parse_ints, read_lines, read_table, write_table
 from .tensorbasis import (
+    DIMENSIONS,
     hyper_forward,
     hyper_from_iso,
     hyper_inverse,
@@ -75,8 +76,9 @@ def load_array(path) -> np.ndarray:
         _, values = read_table(lines[1:], 0)
     except ValueError as exc:
         raise HyperwaveError(f"malformed array file {path}: {exc}") from None
-    if not 1 <= n <= 3:
-        raise HyperwaveError(f"array file {path} declares n={n}, not in 1..3")
+    if n not in DIMENSIONS:
+        raise HyperwaveError(f"array file {path} declares n={n}, not in "
+                             f"{DIMENSIONS[0]}..{DIMENSIONS[-1]}")
     size = round(len(values) ** (1.0 / n))
     if size ** n != len(values):
         raise HyperwaveError(f"array file {path} holds {len(values)} values, not a {n}-cube")
@@ -268,7 +270,7 @@ def cmd_verify(args) -> int:
 
 
 _SHARED_FLAGS = {
-    "n": dict(type=int, default=2, choices=(1, 2, 3)),
+    "n": dict(type=int, default=2, choices=DIMENSIONS),
     "jmax": dict(type=int, default=5),
     "q": dict(type=float, default=0.0),
     "s": dict(type=float, default=0.25),

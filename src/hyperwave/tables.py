@@ -67,7 +67,14 @@ def table_text(columns: np.ndarray, values: np.ndarray) -> str:
     return "".join([row] * len(cells)) % tuple(cells.ravel().tolist())
 
 
+WRITE_CHUNK_ROWS = 4096  # rows formatted per write: the text of one chunk is held at a time
+
+
 def write_table(path, head: str, columns: np.ndarray, values: np.ndarray) -> None:
-    """The header line, then the rows of ``columns`` and ``values``."""
+    """The header line, then the rows of ``columns`` and ``values``, written
+    ``WRITE_CHUNK_ROWS`` rows at a time."""
     with open(path, "w") as fh:
-        fh.write(head + "\n" + table_text(columns, values))
+        fh.write(head + "\n")
+        for start in range(0, len(values), WRITE_CHUNK_ROWS):
+            rows = slice(start, start + WRITE_CHUNK_ROWS)
+            fh.write(table_text(columns[rows], values[rows]))

@@ -63,6 +63,37 @@ class IsoIndex(NamedTuple):
     positions: tuple[int, ...]
 
 
+DIMENSIONS = (1, 2, 3)  # the supported n: a dense level-m grid has (2^m)^n cells
+
+
+def _check_dimension(n) -> None:
+    if n not in DIMENSIONS:
+        raise UnsupportedDimension(f"dimension n={n} not in {DIMENSIONS[0]}..{DIMENSIONS[-1]}")
+
+
+class _CellsOnFirstRead:
+    """The ``levels``, ``positions`` and ``values`` fields of
+    :class:`CoeffVector`, non-data descriptors: the instance ``__dict__`` is
+    looked up first, so a vector built from index arrays reads its fields at
+    no extra cost, and the first read on a vector that keeps its grid builds
+    all three and keeps them there.  Class access raises, so the fields have
+    no default."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        spec, grid = obj._kept
+        lvl, pos = _level_maps(spec, obj.max_level)
+        cells = _nonzero_cells(grid, (lvl,) * obj.n, (pos,) * obj.n)
+        for name, a in zip(("values", "levels", "positions"), cells):
+            a.flags.writeable = False
+            object.__setattr__(obj, name, a)
+        return obj.__dict__[self.name]
+
+
 @dataclass(frozen=True)
 class CoeffVector:
     """Sparse coefficient vector of one basis system.
@@ -71,6 +102,16 @@ class CoeffVector:
     isotropic one, where ``etypes`` (shape (N, n), values 0/1) carries the
     type vectors instead.  ``p_norm`` records the L^p normalization of the
     underlying basis; values transform inversely to the basis functions.
+
+    A hyperbolic vector made from a dense multiscale grid (by
+    :func:`hyper_forward` and :func:`hyper_from_iso`) keeps that grid,
+    read-only, for its whole life: 8 bytes per grid cell, whatever its
+    number of nonzeros.  It builds ``levels``, ``positions`` and ``values``
+    from the grid when one of them is first read, in the order and with
+    the bits ``_nonzero_cells`` gives, and ``num_entries`` counts the
+    grid's nonzero cells without building them.  Vectors made otherwise
+    (from index arrays, files, ``replace``, :meth:`with_values`,
+    :func:`rescale` or :meth:`canonical_order`) keep no grid.
     """
 
     system: str
@@ -78,16 +119,15 @@ class CoeffVector:
     p_norm: float
     max_level: int
     basis: str
-    levels: np.ndarray
-    positions: np.ndarray
-    values: np.ndarray
+    levels: np.ndarray = _CellsOnFirstRead()
+    positions: np.ndarray = _CellsOnFirstRead()
+    values: np.ndarray = _CellsOnFirstRead()
     etypes: np.ndarray | None = None
 
     def __post_init__(self):
         if self.system not in (HYPERBOLIC, ISOTROPIC):
             raise WrongSystem(f"unknown system {self.system!r}")
-        if not 1 <= self.n <= 3:
-            raise UnsupportedDimension(f"dimension n={self.n} not in 1..3")
+        _check_dimension(self.n)
         if not (self.p_norm > 0):
             raise InvalidExponent(f"p_norm must be positive, got {self.p_norm}")
         iso, n, nnz = self.system == ISOTROPIC, self.n, len(self.values)
@@ -117,7 +157,9 @@ class CoeffVector:
 
     @property
     def num_entries(self) -> int:
-        return len(self.values)
+        if "values" in self.__dict__:
+            return len(self.values)
+        return int(np.count_nonzero(self._kept[1]))
 
     def level_linf(self) -> np.ndarray:
         """|lambda|_inf per entry (the level m itself for isotropic)."""
@@ -154,11 +196,14 @@ class CoeffVector:
 
     def index_keys(self, rows=slice(None)) -> tuple:
         """HyperIndex / IsoIndex keys, holding Python ints, of the given entries."""
-        pos = map(tuple, self.positions[rows].tolist())
+        pos = _row_tuples(self.positions[rows])
         if self.system == HYPERBOLIC:
-            return tuple(map(HyperIndex, map(tuple, self.levels[rows].tolist()), pos))
-        etypes = map(tuple, self.etypes[rows].tolist())
-        return tuple(map(IsoIndex, self.levels[rows].tolist(), etypes, pos))
+            key, fields = HyperIndex, (_row_tuples(self.levels[rows]), pos)
+        else:
+            etypes = _row_tuples(self.etypes[rows])
+            key, fields = IsoIndex, (self.levels[rows].tolist(), etypes, pos)
+        # tuple.__new__ skips the named tuple's Python-level __new__, once per key.
+        return tuple(map(tuple.__new__, itertools.repeat(key), zip(*fields)))
 
     def as_dict(self) -> dict:
         """Mapping from index tuples to values (HyperIndex / IsoIndex keys)."""
@@ -166,6 +211,13 @@ class CoeffVector:
 
     def with_values(self, values: np.ndarray) -> "CoeffVector":
         return replace(self, values=np.asarray(values, dtype=np.float64))
+
+
+def _row_tuples(columns: np.ndarray) -> list[tuple]:
+    """The rows of an (N, k) integer array as tuples of Python ints, made by
+    ``tolist`` of a k-field record view, with no list per row."""
+    a = np.ascontiguousarray(columns, dtype=np.int64)
+    return a.view([(f"f{i}", np.int64) for i in range(a.shape[1])]).ravel().tolist()
 
 
 def _fold_columns(ufunc, columns: np.ndarray) -> np.ndarray:
@@ -187,8 +239,7 @@ def hyper_forward(spec: BasisSpec, n: int, data: np.ndarray) -> CoeffVector:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != n:
         raise DimensionMismatch(f"expected {n}-dimensional data, got {data.ndim}")
-    if not 1 <= n <= 3:
-        raise UnsupportedDimension(f"dimension n={n} not in 1..3")
+    _check_dimension(n)
     m = spec.level_of_size(data.shape[0])
     if any(s != data.shape[0] for s in data.shape):
         raise DimensionMismatch(f"data must be cubic, got shape {data.shape}")
@@ -233,19 +284,36 @@ def _nonzero_cells(block: np.ndarray, *axis_maps) -> tuple[np.ndarray, ...]:
 
 
 def _from_multiscale_array(spec, arr, n, m) -> CoeffVector:
-    lvl, pos = _level_maps(spec, m)
-    values, levels, positions = _nonzero_cells(arr, (lvl,) * n, (pos,) * n)
-    return CoeffVector(HYPERBOLIC, n, 2.0, m, spec.name, levels, positions, values)
+    """The hyperbolic vector of the nonzero cells of the level-m multiscale
+    grid ``arr``.  The vector takes ownership of ``arr``: it sets its zero
+    cells to +0.0, as the scatter of its entries would, makes it read-only
+    and keeps it, so the caller must pass an array nobody else writes."""
+    np.copyto(arr, 0.0, where=arr == 0)
+    arr.flags.writeable = False
+    # Built without __init__: the index fields stay unset until first read,
+    # and the library's own grid needs no check.
+    cv = CoeffVector.__new__(CoeffVector)
+    for name, value in (("system", HYPERBOLIC), ("n", n), ("p_norm", 2.0), ("max_level", m),
+                        ("basis", spec.name), ("_kept", (spec, arr))):
+        object.__setattr__(cv, name, value)
+    return cv
 
 
 def _to_multiscale_array(spec: BasisSpec, u: CoeffVector) -> np.ndarray:
-    """The dense multiscale grid of either system: the one map from indices
-    to grid cells, with the one range check.  Per axis, a hyperbolic entry
-    of level j lies in the wavelet range [lo_j, hi_j) = block_slice(j); an
+    """The dense multiscale grid of either system, a new writable array.
+
+    A vector that keeps the grid it was made from with this same ``spec``
+    object gives a copy of that grid, bit-equal to the scatter of its
+    entries.  Every other vector is scattered: the one map from indices to
+    grid cells, with the one range check.  Per axis, a hyperbolic entry of
+    level j lies in the wavelet range [lo_j, hi_j) = block_slice(j); an
     isotropic entry of level m lies in [lo_m, hi_m) on its axes with e_i = 1
     (every axis for type 0, the coarse block at j0) and in the scaling range
     [0, lo_m) on the others.  These blocks tile the grid as the hyperbolic
     ones do."""
+    kept = u.__dict__.get("_kept")
+    if kept is not None and kept[0] is spec:
+        return kept[1].copy()
     iso, j0, mmax = u.system == ISOTROPIC, spec.j0, u.max_level
     shape = (spec.delta_size(mmax),) * u.n
     try:
@@ -526,8 +594,7 @@ def load_coeffs(path) -> CoeffVector:
         basis = fields["basis"]
     except (IndexError, KeyError, ValueError):
         raise DimensionMismatch(f"malformed coefficient header in {path}: {lines[0]!r}") from None
-    if not 1 <= n <= 3:
-        raise UnsupportedDimension(f"dimension n={n} not in 1..3")
+    _check_dimension(n)
     try:
         columns, values = read_table(lines[1:], 2 * n + (system == ISOTROPIC))
         cv = CoeffVector.from_index_columns(system, n, p, mmax, basis, columns, values)

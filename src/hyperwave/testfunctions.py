@@ -13,6 +13,7 @@ import numpy as np
 
 from .basis1d import make_haar_basis
 from .errors import UnknownKind, UnsupportedDimension
+from .tensorbasis import _check_dimension
 from .transform1d import _apply_axis, _synthesize_array
 
 __all__ = ["KINDS", "sample_function"]
@@ -42,8 +43,7 @@ def sample_function(kind: str, params: dict | None, n: int, m: int) -> np.ndarra
     """
     if kind not in KINDS:
         raise UnknownKind(f"unknown kind {kind!r}; expected one of {KINDS}")
-    if not 1 <= n <= 3:
-        raise UnsupportedDimension(f"dimension n={n} not in 1..3")
+    _check_dimension(n)
     if m > 12:
         raise UnsupportedDimension(f"grid level m={m} beyond the supported 12")
     params = dict(params or {})

@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -101,12 +102,19 @@ def random_hyper(spec, rng, n: int, m: int) -> CoeffVector:
     return hyper_forward(spec, n, rng.standard_normal((size,) * n))
 
 
+def from_index_arrays(u: CoeffVector) -> CoeffVector:
+    """``u`` built anew from its index arrays and values: a vector that
+    keeps no grid, whose multiscale grid is scattered from its entries."""
+    return replace(u)
+
+
 def random_sparse_hyper(spec, rng, n: int, m: int, nnz: int) -> CoeffVector:
-    """Random nnz-sparse hyperbolic vector at truncation m."""
+    """Random nnz-sparse hyperbolic vector at truncation m, built from
+    index arrays."""
     from hyperwave.tensorbasis import _from_multiscale_array
 
     size = spec.delta_size(m)
     flat = rng.choice(size ** n, size=nnz, replace=False)
     arr = np.zeros(size ** n)
     arr[flat] = rng.standard_normal(nnz)
-    return _from_multiscale_array(spec, arr.reshape((size,) * n), n, m)
+    return from_index_arrays(_from_multiscale_array(spec, arr.reshape((size,) * n), n, m))

@@ -12,7 +12,9 @@ products of ``BandMatrix`` against the scipy CSR products they replaced.
 The mask and matrix files, now blocks of the table codec, against the
 per-line writers and parser they replaced.  The embedding suite, now
 batches of dense grids, against one analysis and one
-``check_embedding_chain`` per trial."""
+``check_embedding_chain`` per trial.  The grid a vector made from a grid
+keeps, against the scatter of its entries, and the index keys built from
+record views against one named tuple per row."""
 
 import itertools
 import tracemalloc
@@ -46,12 +48,13 @@ from hyperwave import (
     running_max_stabilizes,
     verify,
 )
-from hyperwave import hyper_forward, hyper_from_iso, iso_synthesize, load_coeffs, save_coeffs
+from hyperwave import hyper_forward, hyper_from_iso, hyper_inverse, iso_synthesize
+from hyperwave import load_coeffs, save_coeffs, tensorbasis
 from hyperwave import load_mask_file, load_matrix_file, save_mask_file, save_matrix_file
 from hyperwave.cli import load_array, save_array
 from hyperwave.nterm import _tail_errors, _weights_and_order
 from hyperwave.seqnorms import _block_norm, _outer_norm
-from hyperwave.tables import fmt
+from hyperwave.tables import WRITE_CHUNK_ROWS, fmt
 from hyperwave.tensorbasis import (
     _from_multiscale_array,
     _gather_iso_blocks,
@@ -358,6 +361,21 @@ class TestSupportTuples:
         assert set(support) <= set(d)
         assert all(type(x) is float for x in d.values())
 
+    def test_keys_match_per_row_construction(self, haar):
+        """``index_keys`` of record views against one named tuple per row, for
+        both systems at n = 1..3, in a given order and empty."""
+        rng = np.random.default_rng(12)
+        for cv in coefficient_vectors(haar):
+            rows = rng.permutation(cv.num_entries)
+            if cv.system == HYPERBOLIC:
+                want = [HyperIndex(tuple(cv.levels[i].tolist()), tuple(cv.positions[i].tolist()))
+                        for i in rows]
+            else:
+                want = [IsoIndex(int(cv.levels[i]), tuple(cv.etypes[i].tolist()),
+                                 tuple(cv.positions[i].tolist())) for i in rows]
+            got = cv.index_keys(rows)
+            assert got == tuple(want) and all(type(k) is type(w) for k, w in zip(got, want))
+
 
 def reference_iso_from_hyper(spec, u):
     """Bivariate change of basis: T_{m-1} along the one coarse axis of the
@@ -568,6 +586,104 @@ class TestChangeOfBasisBitwise:
         assert iso_synthesize(haar, v).tobytes() == reference_iso_synthesize(haar, v).tobytes()
 
 
+def kept_grid_vectors(spec, n, rng):
+    """Vectors that keep their grid, holding +-0.0, +-inf and nan: the
+    analysis of special data, a special grid taken as it is, and the
+    inverse change of basis of the first's isotropic vector."""
+    m = spec.j0 + 3
+    shape = (spec.delta_size(m),) * n
+    with np.errstate(invalid="ignore", over="ignore"):
+        u = hyper_forward(spec, n, special_operand(rng, shape[0] ** n, None).reshape(shape))
+        grid = special_operand(rng, shape[0] ** n, None).reshape(shape)
+        return [u, _from_multiscale_array(spec, grid, n, m),
+                hyper_from_iso(spec, iso_from_hyper(spec, u))]
+
+
+@pytest.fixture
+def scatters(monkeypatch):
+    """The number of calls to ``tensorbasis._scatter`` and to
+    ``tensorbasis._nonzero_cells`` made during the test, by name."""
+    calls = {"_scatter": 0, "_nonzero_cells": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(tensorbasis, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(tensorbasis, name, counted)
+    return calls
+
+
+class TestKeptGrid:
+    """A hyperbolic vector made from a grid keeps it: its grid, inverse and
+    change of basis are those of the same vector built from index arrays,
+    bit for bit, and it builds its index arrays only when they are read."""
+
+    @pytest.mark.parametrize("name", ["haar", "lifted"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_kept_grid_is_the_scatter(self, request, name, n):
+        spec = request.getfixturevalue(name)
+        rng = np.random.default_rng(40 + n)
+        for u in kept_grid_vectors(spec, n, rng):
+            # Each result is computed before the index arrays are first read.
+            grid = _to_multiscale_array(spec, u)
+            with np.errstate(invalid="ignore", over="ignore"):
+                inverse, iso = hyper_inverse(spec, u), iso_from_hyper(spec, u)
+            rebuilt = CoeffVector.from_index_columns(u.system, u.n, u.p_norm, u.max_level,
+                                                     u.basis, u.index_columns(), u.values)
+            assert grid.tobytes() == _to_multiscale_array(spec, rebuilt).tobytes()
+            assert not np.signbit(grid[grid == 0]).any()
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert inverse.tobytes() == hyper_inverse(spec, rebuilt).tobytes()
+                same_bits(iso, iso_from_hyper(spec, rebuilt))
+
+    def test_round_trip_builds_no_index_arrays(self, haar, scatters):
+        data = np.random.default_rng(3).standard_normal((16,) * 3)
+        u = hyper_forward(haar, 3, data)
+        hyper_inverse(haar, u)
+        assert u.num_entries == np.count_nonzero(_to_multiscale_array(haar, u))
+        assert scatters == {"_scatter": 0, "_nonzero_cells": 0}
+        assert not {"levels", "positions", "values"} & set(vars(u))
+        assert len(u.values) == u.num_entries and scatters["_nonzero_cells"] == 1
+        assert u.levels.shape == u.positions.shape == (u.num_entries, 3)
+        assert scatters["_nonzero_cells"] == 1
+
+    def test_grid_is_a_writable_copy_of_a_read_only_one(self, haar):
+        u = hyper_forward(haar, 2, np.arange(64.0).reshape(8, 8))
+        grid = _to_multiscale_array(haar, u)
+        want = grid.copy()
+        grid[...] = np.nan
+        assert _to_multiscale_array(haar, u).tobytes() == want.tobytes()
+        assert not u._kept[1].flags.writeable
+        assert not (u.levels.flags.writeable or u.positions.flags.writeable
+                    or u.values.flags.writeable)
+
+    def test_other_spec_object_scatters(self, haar, scatters):
+        u = hyper_forward(haar, 2, np.random.default_rng(5).standard_normal((8, 8)))
+        grid = _to_multiscale_array(haar, u)
+        assert scatters["_scatter"] == 0
+        twin = make_haar_basis(0)
+        assert twin.name == haar.name and twin is not haar
+        assert _to_multiscale_array(twin, u).tobytes() == grid.tobytes()
+        assert scatters["_scatter"] == 1
+
+    def test_derived_vectors_drop_the_grid(self, haar, scatters):
+        u = hyper_forward(haar, 2, np.random.default_rng(6).standard_normal((8, 8)))
+        derived = [replace(u), u.with_values(u.values), rescale(u, 1.0), u.canonical_order()]
+        for i, v in enumerate(derived, start=1):
+            _to_multiscale_array(haar, v)
+            assert scatters["_scatter"] == i
+            assert not hasattr(v, "_kept")
+
+
+@pytest.mark.parametrize("name, emitted", [("haar", True), ("scaled", False), ("lifted", False)])
+def test_lemma4_p2_unit_only_for_an_orthonormal_basis(request, name, emitted):
+    """|T_m|_2 = 1 is checked only where T_m and its dual are one matrix."""
+    spec = request.getfixturevalue(name)
+    args = SimpleNamespace(m_max=spec.j0 + 4, ps=[2.0], seed=0)
+    rows = verify.SUITES["lemma4"](spec, args)
+    assert any(row[0] == "lemma4_p2_unit" for row in rows) is emitted
+    assert [row[0] for row in rows].count("lemma4_bounded") == 1
+
+
 def reference_nonzero_cells(block, *axis_maps):
     """The np.nonzero route: the index arrays of the nonzero cells, then
     one gather per axis and map, stacked."""
@@ -775,6 +891,19 @@ class TestTableCodecBitwise:
             assert all(np.array_equal(a, b) for a, b in zip(keys, ref))
             w = rng.integers(0, 3, cv.num_entries).astype(float)
             assert np.array_equal(np.lexsort((*keys, -w)), np.lexsort(ref + [-w]))
+
+    def test_tables_of_more_than_one_chunk(self, haar, tmp_path):
+        """Two whole write chunks and three rows more, in both file kinds."""
+        rng = np.random.default_rng(11)
+        rows = 2 * WRITE_CHUNK_ROWS + 3
+        cv = random_sparse_hyper(haar, rng, 2, 7, rows)
+        save_coeffs(cv, tmp_path / "new.coeffs")
+        reference_save_coeffs(cv, tmp_path / "ref.coeffs")
+        assert (tmp_path / "new.coeffs").read_bytes() == (tmp_path / "ref.coeffs").read_bytes()
+        arr = rng.standard_normal(rows)
+        save_array(arr, tmp_path / "new.arr")
+        reference_save_array(arr, tmp_path / "ref.arr")
+        assert (tmp_path / "new.arr").read_bytes() == (tmp_path / "ref.arr").read_bytes()
 
     def test_array_files_byte_identical(self, tmp_path):
         rng = np.random.default_rng(9)
