@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
 from .errors import DimensionMismatch
@@ -11,12 +9,6 @@ from .errors import DimensionMismatch
 __all__ = ["BandMatrix"]
 
 _INDEX_MAX = np.iinfo(np.int64).max
-
-
-def _is_sparse(x) -> bool:
-    """True for a scipy sparse operand; scipy is not imported to find out."""
-    sp = sys.modules.get("scipy.sparse")
-    return sp is not None and sp.issparse(x)
 
 
 def _read_only(*arrays):
@@ -44,12 +36,12 @@ class BandMatrix:
     products are bitwise equal to ``csr @ x`` and ``csr.T @ x``, except for
     the sign of a NaN made where two NaNs meet in one sum.  Along another
     axis of an n-D operand, that axis takes the place of the rows and each
-    term runs over all the other axes at once.  The scipy CSR
-    copy is built on first use of ``csr``, which is the only place scipy is
-    imported; sparse operands are multiplied through it.  A matrix made by
-    ``from_csr`` keeps that CSR and derives its triples from it when they
-    are asked for, without keeping them.  The lazily filled fields, the
-    plan of each direction included, are written once.
+    term runs over all the other axes at once.  The products take dense
+    operands only; a sparse product goes through ``csr``, the scipy CSR copy
+    built on its first use, which is the only place scipy is imported.  A
+    matrix made by ``from_csr`` keeps that CSR and derives its triples from
+    it when they are asked for, without keeping them.  The lazily filled
+    fields, the plan of each direction included, are written once.
     """
 
     __slots__ = ("rows", "cols", "_entries", "_csr", "_plans")
@@ -203,18 +195,12 @@ class BandMatrix:
             )
         return x, axis
 
-    def apply(self, x, axis: int | None = None):
-        """M @ x for a 1-D or 2-D array, or along ``axis`` of an n-D array;
-        a scipy sparse operand gives ``csr @ x``."""
-        if _is_sparse(x):
-            return self.csr @ x
+    def apply(self, x, axis: int | None = None) -> np.ndarray:
+        """M @ x for a 1-D or 2-D array, or along ``axis`` of an n-D array."""
         return self._accumulate(*self._operand(x, self.cols, axis), transpose=False)
 
-    def apply_transpose(self, x, axis: int | None = None):
-        """M^T @ x for a 1-D or 2-D array, or along ``axis`` of an n-D array;
-        a scipy sparse operand gives ``csr.T @ x``."""
-        if _is_sparse(x):
-            return self.csr.T @ x
+    def apply_transpose(self, x, axis: int | None = None) -> np.ndarray:
+        """M^T @ x for a 1-D or 2-D array, or along ``axis`` of an n-D array."""
         return self._accumulate(*self._operand(x, self.rows, axis), transpose=True)
 
     def _accumulate(self, x, axis: int, transpose: bool) -> np.ndarray:

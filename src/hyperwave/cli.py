@@ -293,6 +293,16 @@ def _add_common(p, *flags):
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
 
 
+def _cap_text(suite) -> str:
+    """'<suite> stops at <cap at the default --n>', then each --n whose cap
+    differs; empty for a suite with no cap."""
+    usual = suite.cap(_SHARED_FLAGS["n"]["default"])
+    if usual == math.inf:
+        return ""
+    other = [f"{cap} for --n {n}" for n in DIMENSIONS if (cap := suite.cap(n)) != usual]
+    return f"{suite.name} stops at {usual}" + (f" ({', '.join(other)})" if other else "")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperwave",
@@ -322,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all")
     p.add_argument("--m-max", dest="m_max", type=int, default=12,
                    help="finest level; for tractability " + ", ".join(
-                       f"{s.name} stops at {s.cap}" for s in verify.SUITES.values()
-                       if s.cap < math.inf))
+                       filter(None, map(_cap_text, verify.SUITES.values()))))
     p.add_argument("--p-grid", dest="p_grid", default="0.6,1,1.5,2")
     p.add_argument("--trials", type=int, default=20)
     p.set_defaults(func=cmd_verify)

@@ -70,8 +70,8 @@ def _analyze_array(spec: BasisSpec, a: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _synthesize_array(spec: BasisSpec, a, m: int):
-    """Apply T_m along the leading axis of a 1-D/2-D float64 array or sparse matrix."""
+def _synthesize_array(spec: BasisSpec, a: np.ndarray, m: int) -> np.ndarray:
+    """Apply T_m along the leading axis of a 1-D/2-D float64 array."""
     cur = a[: spec.delta_size(spec.j0)].copy()
     for level in range(spec.j0 + 1, m + 1):
         quad = spec.masks(level)
@@ -118,7 +118,7 @@ def _cascade_step(t_prev: BandMatrix, m0: BandMatrix, m1: BandMatrix, lo: int, h
     padded = sp.csr_matrix((prev.data, prev.indices, prev.indptr), shape=(prev.shape[0], hi))
     eye_rows = sp.csr_matrix(
         (np.ones(hi - lo), np.arange(lo, hi), np.arange(hi - lo + 1)), shape=(hi - lo, hi))
-    return m0.apply(padded) + m1.apply(eye_rows)
+    return m0.csr @ padded + m1.csr @ eye_rows
 
 
 def build_transform(spec: BasisSpec, m: int) -> tuple[BandMatrix, BandMatrix]:
@@ -138,9 +138,7 @@ def build_transform(spec: BasisSpec, m: int) -> tuple[BandMatrix, BandMatrix]:
     if m not in pairs:
         top = max((j for j in pairs if j < m), default=spec.j0)
         if top not in pairs:
-            import scipy.sparse as sp
-
-            eye = BandMatrix.from_csr(sp.identity(spec.delta_size(top), format="csr"))
+            eye = BandMatrix.identity(spec.delta_size(top))
             pairs[top] = (eye, eye)
         t, t_dual = pairs[top]
         for level in range(top + 1, m + 1):

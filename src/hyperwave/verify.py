@@ -8,7 +8,7 @@ Kronecker products are formed explicitly only for small factors; these
 are identity checks, not scalability features.
 
 ``SUITES`` is the one table of the ``verify`` command's suites, with the
-levels, depth cap, exponent range, dimensions and flag limits of each.
+levels, depth cap, exponent range and flag limits of each.
 The embedding suite draws each level's trials in one call and checks them
 in batches of at most ``EMBEDDING_BATCH_CELLS`` (2^16) grid cells, on the
 dense grids, with rows identical to those of one ``check_embedding_chain``
@@ -31,7 +31,6 @@ from .errors import (
     HyperwaveError,
     InvalidExponent,
     SizeTooLarge,
-    UnsupportedDimension,
     WrongSystem,
 )
 from .seqnorms import _block_norm, _hybrid_weights, _level_code, _level_weights, _outer_norm
@@ -276,15 +275,14 @@ def check_embedding_chain(
 
     lower_ratio compares the isotropic norm of regularity q + s against
     the hybrid norm; upper_ratio compares the hybrid norm against the
-    isotropic norm of regularity q + 2s.  Both are expected uniformly
-    bounded over the truncation level.  The hybrid norm adds the terms of
-    each block in index order, as ``besov_hybrid_norm`` does for entries
-    stored in that order (those of ``hyper_forward``).
+    isotropic norm of regularity q + n*s, for coefficients on the n-cube.
+    Both are expected uniformly bounded over the truncation level.  The
+    hybrid norm adds the terms of each block in index order, as
+    ``besov_hybrid_norm`` does for entries stored in that order (those of
+    ``hyper_forward``).
     """
     if u.system != HYPERBOLIC:
         raise WrongSystem("embedding check expects hyperbolic coefficients")
-    if u.n != 2:
-        raise UnsupportedDimension("embedding check is implemented for n = 2")
     _require_l2(u, HYPERBOLIC)
     grid = _to_multiscale_array(spec, u)[None]
     # Every stored entry marks its block present, a stored zero included.
@@ -310,10 +308,17 @@ def _embedding_ratios(spec, grids, n, q, s, present=None) -> list[tuple[float, f
     cells of all k grids at once, by trial and block, and adds the terms of
     a block in the order the sparse norms add its entries, so the ratios
     equal theirs bit for bit.
+
+    Outside its window the call warns.  The isotropic space B^t_tau(L_tau)
+    on the n-cube has a wavelet characterisation for
+    n (1/tau - 1)_+ < t (DeVore, "Nonlinear approximation", Acta Numerica
+    1998; Cohen, "Numerical analysis of wavelet methods", 2003).  With
+    1/tau = s + 1/2 the lower end is n (s - 1/2)_+, which both t = q + s and
+    t = q + n*s must exceed; the basis bounds s by alpha - 1/2.
     """
     if not s + 0.5 > 0:
         raise InvalidExponent(f"the embedding needs 1/tau = s + 1/2 > 0, got s={s}")
-    if not (s < spec.alpha - 0.5 and min(q + s, q + 2 * s) > max(0.0, 2 * (s - 0.5))):
+    if not (s < spec.alpha - 0.5 and min(q + s, q + n * s) > max(0.0, n * (s - 0.5))):
         warnings.warn(
             f"(q={q}, s={s}) outside the embedding window of basis "
             f"{spec.name!r}; ratios may degenerate",
@@ -349,7 +354,7 @@ def _embedding_ratios(spec, grids, n, q, s, present=None) -> list[tuple[float, f
                         k * nl, tau).reshape(k, nl)
     starts = np.searchsorted(level_of, np.arange(nl))
     iso_present = np.logical_or.reduceat(cells != 0, starts, axis=1)
-    weights = [_level_weights(levels, alpha) for alpha in (q + s, q + 2 * s)]
+    weights = [_level_weights(levels, alpha) for alpha in (q + s, q + n * s)]
     ratios = []
     for h, w, p in zip(hybrid, inner, iso_present):
         low, high = (_outer_norm((weight * w)[p], tau) for weight in weights)
@@ -465,35 +470,31 @@ def _embedding_rows(spec, args, levels, ps):
 class Suite:
     """One ``verify`` suite and every fact its flags are checked against.
 
-    It runs the levels ``first(spec)`` to ``min(args.m_max, cap)``; its check
-    needs ``needs`` of them (3 for a running maximum, 0 if it reads none).
-    ``p_range(p, spec)`` selects the exponents ``args.ps`` it reads; ``dims``
-    are the ``--n`` it supports; each (flag, test, text) of ``limits`` names
-    a flag whose value must pass ``test``, the condition ``text`` states.
-    ``suite(spec, args)`` returns its rows.
+    It runs the levels ``first(spec)`` to ``min(args.m_max, cap(args.n))``;
+    its check needs ``needs`` of them (3 for a running maximum, 0 if it reads
+    none).  ``p_range(p, spec)`` selects the exponents ``args.ps`` it reads;
+    each (flag, test, text) of ``limits`` names a flag whose value must pass
+    ``test``, the condition ``text`` states.  ``suite(spec, args)`` returns
+    its rows.
     """
 
     name: str
     rows: Callable
     first: Callable[[BasisSpec], int] = lambda spec: spec.j0
     needs: int = 1
-    cap: float = math.inf
+    cap: Callable[[int], float] = lambda n: math.inf
     p_range: Callable | None = None
-    dims: tuple[int, ...] = (1, 2, 3)
     limits: tuple[tuple[str, Callable[[float], bool], str], ...] = ()
 
     def check(self, spec: BasisSpec, args) -> None:
         """Raise HyperwaveError when ``args`` leave the suite nothing to check
-        (passing it unchecked or failing it on no data): an ``--n`` it does not
-        support, a flag outside its ``limits``, no exponent in its range, or
-        ``min(--m-max, cap)`` below its last needed level; also an ``--m-max``
-        beyond the basis's finest level."""
+        (passing it unchecked or failing it on no data): a flag outside its
+        ``limits``, no exponent in its range, or ``min(--m-max, cap)`` below
+        its last needed level; also an ``--m-max`` beyond the basis's finest
+        level."""
         if args.m_max > spec.max_level:
             raise HyperwaveError(f"--m-max {args.m_max} is beyond the finest level "
                                  f"{spec.max_level} of the basis")
-        if args.n not in self.dims:
-            raise UnsupportedDimension(f"the {self.name} suite is implemented for --n "
-                                       f"{' or '.join(map(str, self.dims))}, got {args.n}")
         for flag, test, text in self.limits:
             if not test(value := getattr(args, flag)):
                 raise HyperwaveError(f"--{flag} {fmt(value)} is out of range: the {self.name} "
@@ -505,15 +506,15 @@ class Suite:
         if self.needs and args.m_max < least:
             raise HyperwaveError(f"--m-max {args.m_max} leaves the {self.name} suite nothing to "
                                  f"check; it needs at least {least}")
-        if self.needs and self.cap < least:
-            raise HyperwaveError(f"the {self.name} suite stops at level {self.cap}, but its "
+        if self.needs and (cap := self.cap(args.n)) < least:
+            raise HyperwaveError(f"the {self.name} suite stops at level {cap}, but its "
                                  f"check needs levels {first} to {least}")
 
     def _exponents(self, spec, ps) -> list[float]:
         return [p for p in ps if self.p_range(p, spec)] if self.p_range else []
 
     def __call__(self, spec: BasisSpec, args) -> list[tuple]:
-        levels = range(self.first(spec), min(args.m_max, self.cap) + 1)
+        levels = range(self.first(spec), min(args.m_max, self.cap(args.n)) + 1)
         return list(self.rows(spec, args, levels, self._exponents(spec, args.ps)))
 
 
@@ -524,8 +525,9 @@ SUITES = {suite.name: suite for suite in (
     Suite("lemma4", _lemma4_rows, needs=3, p_range=_lemma4_p),
     Suite("kron", _kron_rows, needs=0),
     # One dense eigendecomposition per level: deeper is too slow.
-    Suite("riesz", _riesz_rows, needs=3, cap=10),
+    Suite("riesz", _riesz_rows, needs=3, cap=lambda n: 10),
     # Dense random vectors of (2^m)^n entries: deeper is too slow.
-    Suite("embedding", _embedding_rows, first=lambda spec: max(4, spec.j0), needs=3, cap=8,
-          dims=(2,), limits=(("s", lambda s: s + 0.5 > 0, "1/tau = s + 1/2 > 0"),)),
+    Suite("embedding", _embedding_rows, first=lambda spec: max(4, spec.j0), needs=3,
+          cap=lambda n: 8 if n <= 2 else 6,
+          limits=(("s", lambda s: s + 0.5 > 0, "1/tau = s + 1/2 > 0"),)),
 )}

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import hyperwave
 from hyperwave import cli, save_coeffs, save_mask_file, verify
 from hyperwave.cli import load_array, main, save_array
+from hyperwave.tensorbasis import DIMENSIONS
 from conftest import child_env, make_hyper, scaled_haar_masks
 
 
@@ -267,12 +269,16 @@ class TestVerifyCommand:
         assert run_cli("verify", "--suite", "nonsense").returncode == 3
 
     @pytest.mark.parametrize("suite, n", [("embedding", 1), ("embedding", 3), ("all", 3)])
-    def test_embedding_suite_other_n_exits_3(self, tmp_path, suite, n):
+    def test_embedding_suite_runs_at_every_n(self, tmp_path, suite, n):
         out = tmp_path / "e.csv"
+        start = time.perf_counter()
         r = run_cli("verify", "--suite", suite, "--n", n, "--out", out)
-        assert r.returncode == 3
-        assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
-        assert "--n 2" in r.stderr and not out.exists()
+        assert r.returncode == 0, r.stderr
+        assert time.perf_counter() - start < 10.0
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        # At --n 3 the embedding suite stops at level 6, below the default --m-max 12.
+        assert [int(row[-4]) for row in rows if row[0] == "embedding_upper"] == \
+            list(range(4, 9 if n < 3 else 7))
 
     def test_failing_check_exits_1(self, tmp_path):
         # A biorthogonal basis with an oversized wavelet mask (d = 3) keeps
@@ -482,18 +488,22 @@ class TestNothingToCheck:
         assert err.startswith("error: --p/--p-grid values must be finite and positive, got ")
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("flags", [
-        ["--suite", "biorth", "--m-max", 0],
-        ["--suite", "decay", "--m-max", 1],
-        ["--suite", "lemma4", "--m-max", 2, "--p", 2],
-        ["--suite", "riesz", "--m-max", 2],
-        ["--suite", "embedding", "--m-max", 6],
-        ["--suite", "kron", "--p-grid", ","],
-    ])
-    def test_lowest_flags_run(self, tmp_path, capsys, flags):
+    # At levels 0 to 2 of Haar the scaled norms for p < 2 have not yet
+    # stopped growing, so lemma4 reads only p = 2 at its lowest --m-max.
+    LOWEST_FLAGS = {"lemma4": ["--p", 2], "kron": ["--p-grid", ","]}
+
+    @pytest.mark.parametrize("n", DIMENSIONS)
+    @pytest.mark.parametrize("name", list(verify.SUITES))
+    def test_lowest_flags_run(self, tmp_path, capsys, name, n):
+        """Every suite passes at every --n at its lowest --m-max (its first
+        level if it reads none), so a check special to one n fails here."""
+        suite = verify.SUITES[name]
+        lowest = suite.first(hyperwave.make_haar_basis(0)) + max(suite.needs, 1) - 1
         out = tmp_path / "r.csv"
-        code, _ = main_exit(["verify", *flags, "--trials", 1, "--out", out], capsys)
-        assert code in (0, 1)
+        code, err = main_exit(["verify", "--suite", name, "--n", n, "--m-max", lowest,
+                               *self.LOWEST_FLAGS.get(name, []), "--trials", 1, "--out", out],
+                              capsys)
+        assert code == 0, err
         assert len(out.read_text().splitlines()) > 1
 
     # (first level, lowest --m-max) of each suite that reads levels, on a
@@ -507,10 +517,12 @@ class TestNothingToCheck:
     }
 
     @pytest.mark.parametrize("j0", sorted(LEVELS))
-    @pytest.mark.parametrize("name", [n for n, suite in verify.SUITES.items() if suite.needs])
-    def test_level_bounds_of_the_table(self, tmp_path, capsys, j0, name):
+    @pytest.mark.parametrize("name, n", [(name, 2) for name, suite in verify.SUITES.items()
+                                         if suite.needs] + [("embedding", 3)])
+    def test_level_bounds_of_the_table(self, tmp_path, capsys, j0, name, n):
         first, lowest = self.LEVELS[j0][name]
-        argv = ["verify", "--suite", name, "--basis", scaled_basis(tmp_path, j0), "--trials", 1]
+        argv = ["verify", "--suite", name, "--n", n, "--basis", scaled_basis(tmp_path, j0),
+                "--trials", 1]
         out = tmp_path / "r.csv"
         code, _ = main_exit([*argv, "--m-max", lowest, "--out", out], capsys)
         assert code in (0, 1)
@@ -523,16 +535,26 @@ class TestNothingToCheck:
         assert err == (f"error: --m-max {lowest - 1} leaves the {name} suite nothing to check; "
                        f"it needs at least {lowest}\n")
 
-    @pytest.mark.parametrize("j0, suite, message", [
-        (9, "riesz", "the riesz suite stops at level 10, but its check needs levels 9 to 11"),
-        (9, "all", "the riesz suite stops at level 10, but its check needs levels 9 to 11"),
-        (7, "embedding", "the embedding suite stops at level 8, but its check needs levels 7 to 9"),
+    @pytest.mark.parametrize("j0, suite, n, message", [
+        (9, "riesz", 2, "the riesz suite stops at level 10, but its check needs levels 9 to 11"),
+        (9, "all", 2, "the riesz suite stops at level 10, but its check needs levels 9 to 11"),
+        (7, "embedding", 2,
+         "the embedding suite stops at level 8, but its check needs levels 7 to 9"),
+        (5, "embedding", 3,
+         "the embedding suite stops at level 6, but its check needs levels 5 to 7"),
     ])
-    def test_cap_below_needed_levels_exits_3(self, tmp_path, capsys, j0, suite, message):
+    def test_cap_below_needed_levels_exits_3(self, tmp_path, capsys, j0, suite, n, message):
         out = tmp_path / "r.csv"
-        code, err = main_exit(["verify", "--suite", suite, "--m-max", 12, "--trials", 1,
+        code, err = main_exit(["verify", "--suite", suite, "--n", n, "--m-max", 12, "--trials", 1,
                                "--basis", scaled_basis(tmp_path, j0, 12), "--out", out], capsys)
         assert code == 3 and err == f"error: {message}\n" and not out.exists()
+
+    def test_m_max_help_names_each_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # argparse may wrap inside "--n"
+        assert main(["verify", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--m-max M_MAX finest level; for tractability riesz stops at 10, embedding " \
+               "stops at 8 (6 for --n 3)" in text
 
     @pytest.mark.parametrize("flag", [["--q", 400], ["--s", 200]])
     def test_overflowing_norms_exit_3(self, tmp_path, capsys, flag):

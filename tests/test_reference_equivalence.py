@@ -231,12 +231,13 @@ class TestSortFreeGrouping:
                 assert got.dtype == np.int64 and got.shape == (nnz,)
                 assert got.tobytes() == want.astype(np.int64).tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("name", ["haar", "scaled", "haar_j2"])
-    def test_embedding_chain_matches_two_iso_norms(self, request, name):
+    def test_embedding_chain_matches_two_iso_norms(self, request, name, n):
         spec = request.getfixturevalue(name)
         rng = np.random.default_rng(6)
-        for m in range(spec.j0 + 2, spec.j0 + 6):
-            for u in (random_hyper(spec, rng, 2, m), *sparse_embedding_cases(spec, rng, m)):
+        for m in range(spec.j0 + 2, spec.j0 + (6 if n < 3 else 4)):
+            for u in (random_hyper(spec, rng, n, m), *sparse_embedding_cases(spec, rng, n, m)):
                 self.assert_embedding_chain_matches(spec, u)
 
     @staticmethod
@@ -246,35 +247,42 @@ class TestSortFreeGrouping:
             hybrid = besov_hybrid_norm(u, NormParams(q=q, s=s, p=tau, tau=tau))
             v = iso_from_hyper(spec, u)
             want = (besov_iso_norm(v, q + s, tau, tau) / hybrid,
-                    hybrid / besov_iso_norm(v, q + 2 * s, tau, tau))
+                    hybrid / besov_iso_norm(v, q + u.n * s, tau, tau))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                assert check_embedding_chain(spec, u, q, s) == want
+                got = check_embedding_chain(spec, u, q, s)
+            assert got == want
+            if u.n == 1:
+                # On the interval the hybrid and isotropic scales are one scale.
+                np.testing.assert_allclose(got, (1.0, 1.0), rtol=1e-12, atol=0)
 
 
 class TestEmbeddingBatches:
+    @pytest.mark.parametrize("n, m_max", [(1, 8), (2, 8), (3, 6)])
     @pytest.mark.parametrize("trials", [1, 3, 7, 20])
-    def test_embedding_suite_matches_one_trial_at_a_time(self, haar, trials):
-        # At --m-max 8 a batch holds 16 trials of level 6, 4 of level 7, 1 of level 8.
-        args = SimpleNamespace(seed=trials, trials=trials, q=0.0, s=0.25, n=2, m_max=8, ps=[])
+    def test_embedding_suite_matches_one_trial_at_a_time(self, haar, trials, n, m_max):
+        # A batch holds all trials at n = 1; at n = 2 it holds 16 trials of
+        # level 6, 4 of level 7 and 1 of level 8; at n = 3 it holds 16 of
+        # level 4, 2 of level 5 and 1 of level 6.
+        args = SimpleNamespace(seed=trials, trials=trials, q=0.0, s=0.25, n=n, m_max=m_max, ps=[])
         assert (list(verify.SUITES["embedding"](haar, args))
-                == reference_embedding_rows(haar, args, range(4, 9)))
+                == reference_embedding_rows(haar, args, range(4, m_max + 1)))
 
 
-def sparse_embedding_cases(spec, rng, m):
-    """Sparse bivariate vectors at truncation m in index order: one with
+def sparse_embedding_cases(spec, rng, n, m):
+    """Sparse n-variate vectors at truncation m in index order: one with
     mostly empty blocks, the same without level j0 + 1 on any axis, and
     that one with a stored 0.0 and a stored -0.0, each alone in one of the
-    first two empty blocks."""
-    u = random_sparse_hyper(spec, rng, 2, m, 12)
+    first two empty blocks (the 0.0 alone when only one block is empty)."""
+    u = random_sparse_hyper(spec, rng, n, m, min(12, spec.delta_size(m) ** n - 1))
     keep = (u.levels != spec.j0 + 1).all(axis=1)
     gap = replace(u, levels=u.levels[keep], positions=u.positions[keep], values=u.values[keep])
     taken = set(map(tuple, gap.levels.tolist()))
-    free = [j for j in itertools.product(range(spec.j0, m + 1), repeat=2) if j not in taken]
-    zeros = CoeffVector(HYPERBOLIC, 2, 2.0, m, u.basis,
-                        np.concatenate([gap.levels, free[:2]]),
-                        np.concatenate([gap.positions, np.zeros((2, 2), dtype=np.int64)]),
-                        np.concatenate([gap.values, [0.0, -0.0]])).canonical_order()
+    free = [j for j in itertools.product(range(spec.j0, m + 1), repeat=n) if j not in taken][:2]
+    zeros = CoeffVector(HYPERBOLIC, n, 2.0, m, u.basis,
+                        np.concatenate([gap.levels, free]),
+                        np.concatenate([gap.positions, np.zeros((len(free), n), dtype=np.int64)]),
+                        np.concatenate([gap.values, [0.0, -0.0][:len(free)]])).canonical_order()
     return u, gap, zeros
 
 
@@ -678,7 +686,7 @@ class TestKeptGrid:
 def test_lemma4_p2_unit_only_for_an_orthonormal_basis(request, name, emitted):
     """|T_m|_2 = 1 is checked only where T_m and its dual are one matrix."""
     spec = request.getfixturevalue(name)
-    args = SimpleNamespace(m_max=spec.j0 + 4, ps=[2.0], seed=0)
+    args = SimpleNamespace(m_max=spec.j0 + 4, ps=[2.0], seed=0, n=2)
     rows = verify.SUITES["lemma4"](spec, args)
     assert any(row[0] == "lemma4_p2_unit" for row in rows) is emitted
     assert [row[0] for row in rows].count("lemma4_bounded") == 1
@@ -1101,13 +1109,6 @@ class TestMaskProductsBitwise:
             ):
                 assert got.tobytes() == want.tobytes()
                 assert not np.signbit(got).any()
-
-    def test_sparse_operand_goes_to_csr(self, haar):
-        mask = haar.masks(4).m1
-        eye = sp.identity(mask.cols, format="csr")
-        got = mask.apply(eye)
-        assert sp.issparse(got)
-        assert (got != mask.csr).nnz == 0
 
 
 def reference_triples(matrix):
