@@ -6,6 +6,16 @@ j >= j0, which changes norms only by a fixed constant relative to a
 shifted-level convention.  The p = tau = 2 identities (hybrid Besov =
 Sobolev of hybrid regularity, isotropic Besov = isotropic Sobolev) hold
 bitwise because the specialized norms delegate to the general ones.
+
+Each vector keeps, per exponent p, the levels of its blocks that hold
+entries and their inner l^p norms, written on the first norm that reads
+them; every further (q, s, tau) costs O(blocks).  A vector that keeps its
+multiscale grid bins the grid's cells (:class:`_HybridBins`,
+:class:`_IsoBins`, shared with the embedding check in ``verify``) and
+builds no index array.  The sums carry the bits of the entry sums because
+``np.bincount`` adds each bin in input order and the grid's zero cells add
++0.0: a kept hyperbolic grid in C order is its entry order, and the blocks
+of a kept isotropic grid in iso order, each in C order, are its entries'.
 """
 
 from __future__ import annotations
@@ -15,7 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidExponent, WrongSystem
-from .tensorbasis import HYPERBOLIC, ISOTROPIC, CoeffVector, rescale
+from .tensorbasis import (
+    HYPERBOLIC,
+    ISOTROPIC,
+    CoeffVector,
+    _iso_blocks,
+    _kept_grid,
+    _rescale_factor,
+    rescale,
+)
+from .transform1d import _level_maps
 
 __all__ = [
     "NormParams",
@@ -60,7 +79,11 @@ def _block_norm(values: np.ndarray, group: np.ndarray, n_groups: int, p: float) 
         out = np.zeros(n_groups)
         np.maximum.at(out, group, a)
         return out
-    sums = np.bincount(group, weights=a ** p, minlength=n_groups)
+    if a.dtype.kind == "f":
+        a **= p  # in place: the bits of a ** p, one temporary fewer
+    else:
+        a = a ** p
+    sums = np.bincount(group, weights=a, minlength=n_groups)
     return sums ** (1.0 / p)
 
 
@@ -89,6 +112,103 @@ def _grouped_block_norms(code: np.ndarray, span: int, values: np.ndarray, p: flo
     return codes, _block_norm(values, group, codes.size, p)
 
 
+def _stored_block_norms(v: CoeffVector, p: float, build):
+    """``build()``, the block levels and inner l^p norms of ``v``, made once
+    per exponent p and kept on ``v`` as read-only arrays.  Vectors derived
+    from ``v`` are new objects and start without them."""
+    stored = vars(v).setdefault("_block_norms", {})
+    if p not in stored:
+        levels, inner = build()
+        for a in (levels, inner):
+            a.flags.writeable = False
+        stored.setdefault(p, (levels, inner))
+    return stored[p]
+
+
+class _HybridBins:
+    """The bins of the hybrid block sums over the cells of up to k stacked
+    level-m multiscale grids of L^2-normalized hyperbolic coefficients,
+    shape (k, size, ..., size): per cell its block code, offset by trial so
+    that a batch of k' <= k grids takes the first k' of them, and for
+    p != 2 its rescale factor to L^p."""
+
+    def __init__(self, spec, n: int, m: int, p: float, k: int = 1):
+        self.p, self.nl = p, m - spec.j0 + 1
+        lvl, _ = _level_maps(spec, m)
+        axes = [lvl.reshape([-1 if i == a else 1 for i in range(n)]) for a in range(n)]
+        trial = np.arange(k).reshape((k,) + (1,) * n)
+        self.codes = (_level_code(axes, spec.j0, self.nl) + trial * self.nl ** n).ravel()
+        self.factors = None
+        if p != 2.0:
+            self.factors = _rescale_factor(np.arange(n * m + 1), 2.0, p)[sum(axes)]
+        self.starts = [spec.block_slice(j)[0] for j in range(spec.j0, m + 1)]
+
+    def __call__(self, grids: np.ndarray):
+        """The (k', nl^n) inner l^p norms of the blocks of each grid, in
+        code order, and the mask of the blocks that hold a nonzero cell."""
+        k, n = len(grids), grids.ndim - 1
+        values = grids if self.factors is None else grids * self.factors
+        inner = _block_norm(values.ravel(), self.codes[:values.size], k * self.nl ** n, self.p)
+        present = grids != 0
+        for axis in range(1, n + 1):
+            present = np.logical_or.reduceat(present, self.starts, axis=axis)
+        return inner.reshape(k, -1), present.reshape(k, -1)
+
+
+class _IsoBins:
+    """The bins of the isotropic level sums over the cells of up to k
+    stacked isotropic multiscale grids (swept by the change of basis), read
+    block by block in iso order: per cell its level, offset by trial."""
+
+    def __init__(self, spec, n: int, m: int, p: float, k: int = 1):
+        self.spec, self.n, self.m, self.p = spec, n, m, p
+        levels = np.arange(spec.j0, m + 1)
+        sizes = np.diff([0, *(spec.delta_size(j) ** n for j in levels.tolist())])
+        level_of = np.repeat(np.arange(levels.size), sizes)
+        self.codes = (level_of + levels.size * np.arange(k)[:, None]).ravel()
+        self.factors = _rescale_factor(n * levels, 2.0, p)
+
+    def __call__(self, grids: np.ndarray):
+        """The (k', levels) inner l^p norms of the levels of each grid and
+        the mask of the levels that hold a nonzero cell."""
+        k, j0 = len(grids), self.spec.j0
+        cells = np.empty((k, grids[0].size))
+        present = np.zeros((k, self.factors.size), dtype=bool)
+        at = 0
+        for m, _, block in _iso_blocks(self.spec, grids, self.n, self.m):
+            size = block[0].size
+            out = cells[:, at:at + size].reshape(block.shape)
+            if self.p == 2.0:
+                out[...] = block
+            else:
+                np.multiply(block, self.factors[m - j0], out=out)
+            present[:, m - j0] |= (block != 0).reshape(k, -1).any(axis=1)
+            at += size
+        inner = _block_norm(cells.ravel(), self.codes[:cells.size], self.factors.size * k, self.p)
+        return inner.reshape(k, -1), present
+
+
+def _hybrid_block_norms(u: CoeffVector, p: float):
+    """The level vectors of the blocks that hold entries of hyperbolic
+    coefficients, (B, n) in lexicographic order, and the inner l^p norm of
+    the L^p-normalized values of each."""
+    kept = _kept_grid(u)
+    if kept is not None:
+        spec, grid = kept
+        inner, present = _HybridBins(spec, u.n, u.max_level, p)(grid[None])
+        codes = np.flatnonzero(present[0])
+        return _level_blocks(codes, spec.j0, u.max_level - spec.j0 + 1, u.n), inner[0, codes]
+    # Levels offset by the smallest one, so the codes span few blocks.
+    levels = u.levels.astype(np.int64, copy=False)
+    lo = int(levels.min())
+    base = int(u.max_level) - lo + 1
+    if base ** u.n > np.iinfo(np.int64).max:
+        raise DimensionMismatch(f"levels {lo}..{u.max_level} span too many blocks to index")
+    codes, inner = _grouped_block_norms(_level_code(levels.T, lo, base), base ** u.n,
+                                        rescale(u, p).values, p)
+    return _level_blocks(codes, lo, base, u.n), inner
+
+
 def besov_hybrid_norm(u: CoeffVector, params: NormParams) -> float:
     """Hybrid-regularity Besov sequence norm of hyperbolic coefficients.
 
@@ -100,17 +220,8 @@ def besov_hybrid_norm(u: CoeffVector, params: NormParams) -> float:
         raise WrongSystem("besov_hybrid_norm expects hyperbolic coefficients")
     if u.num_entries == 0:
         return 0.0
-    up = rescale(u, params.p)
-    # Levels offset by the smallest one, so the codes span few blocks.
-    levels = u.levels.astype(np.int64, copy=False)
-    lo = int(levels.min())
-    base = int(u.max_level) - lo + 1
-    if base ** u.n > np.iinfo(np.int64).max:
-        raise DimensionMismatch(f"levels {lo}..{u.max_level} span too many blocks to index")
-    codes, inner = _grouped_block_norms(_level_code(levels.T, lo, base), base ** u.n,
-                                        up.values, params.p)
-    return _outer_norm(_hybrid_weights(codes, lo, base, u.n, params.q, params.s) * inner,
-                       params.tau)
+    blocks, inner = _stored_block_norms(u, params.p, lambda: _hybrid_block_norms(u, params.p))
+    return _outer_norm(_hybrid_weights(blocks, params.q, params.s) * inner, params.tau)
 
 
 def _level_code(columns, lo: int, base: int):
@@ -123,10 +234,13 @@ def _level_code(columns, lo: int, base: int):
     return code
 
 
-def _hybrid_weights(codes: np.ndarray, lo: int, base: int, n: int, q: float, s: float):
-    """The weight 2^{q |j|_inf + s |j|_1} of the level vector j of each of
-    ``codes``, made by :func:`_level_code` from n levels."""
-    blocks = codes[:, None] // base ** np.arange(n - 1, -1, -1) % base + lo
+def _level_blocks(codes: np.ndarray, lo: int, base: int, n: int) -> np.ndarray:
+    """The (B, n) level vectors of ``codes``, made by :func:`_level_code`."""
+    return codes[:, None] // base ** np.arange(n - 1, -1, -1) % base + lo
+
+
+def _hybrid_weights(blocks: np.ndarray, q: float, s: float) -> np.ndarray:
+    """The weight 2^{q |j|_inf + s |j|_1} of each level vector j of ``blocks``."""
     return 2.0 ** (q * blocks.max(axis=1) + s * blocks.sum(axis=1))
 
 
@@ -134,6 +248,11 @@ def _iso_level_norms(v: CoeffVector, p: float) -> tuple[np.ndarray, np.ndarray]:
     """The levels present in isotropic coefficients, ascending, and the
     l^p norm of the L^p-normalized values of each level over all its type
     blocks."""
+    kept = _kept_grid(v)
+    if kept is not None:
+        spec, grid = kept
+        inner, present = _IsoBins(spec, v.n, v.max_level, p)(grid[None])
+        return np.arange(spec.j0, v.max_level + 1)[present[0]], inner[0, present[0]]
     levels = v.levels.astype(np.int64, copy=False)
     if not levels.size:
         return levels, np.zeros(0)
@@ -154,7 +273,7 @@ def besov_iso_norm(v: CoeffVector, alpha: float, p: float = 2.0, tau: float = 2.
         raise WrongSystem("besov_iso_norm expects isotropic coefficients")
     if not (p > 0) or not (tau > 0):
         raise InvalidExponent("p and tau must lie in (0, inf]")
-    levels, inner = _iso_level_norms(v, p)
+    levels, inner = _stored_block_norms(v, p, lambda: _iso_level_norms(v, p))
     return _outer_norm(_level_weights(levels, alpha) * inner, tau)
 
 

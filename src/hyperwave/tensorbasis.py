@@ -72,23 +72,26 @@ def _check_dimension(n) -> None:
 
 
 class _CellsOnFirstRead:
-    """The ``levels``, ``positions`` and ``values`` fields of
+    """The ``levels``, ``etypes``, ``positions`` and ``values`` fields of
     :class:`CoeffVector`, non-data descriptors: the instance ``__dict__`` is
     looked up first, so a vector built from index arrays reads its fields at
     no extra cost, and the first read on a vector that keeps its grid builds
-    all three and keeps them there.  Class access raises, so the fields have
-    no default."""
+    them all (:func:`_grid_cells`) and keeps them there.  Class access gives
+    the field's default, ``None`` for ``etypes``, and raises for the others,
+    which have none."""
+
+    def __init__(self, *default):
+        self.default = default
 
     def __set_name__(self, owner, name):
         self.name = name
 
     def __get__(self, obj, cls=None):
         if obj is None:
+            if self.default:
+                return self.default[0]
             raise AttributeError(self.name)
-        spec, grid = obj._kept
-        lvl, pos = _level_maps(spec, obj.max_level)
-        cells = _nonzero_cells(grid, (lvl,) * obj.n, (pos,) * obj.n)
-        for name, a in zip(("values", "levels", "positions"), cells):
+        for name, a in _grid_cells(obj).items():
             a.flags.writeable = False
             object.__setattr__(obj, name, a)
         return obj.__dict__[self.name]
@@ -103,14 +106,17 @@ class CoeffVector:
     type vectors instead.  ``p_norm`` records the L^p normalization of the
     underlying basis; values transform inversely to the basis functions.
 
-    A hyperbolic vector made from a dense multiscale grid (by
-    :func:`hyper_forward` and :func:`hyper_from_iso`) keeps that grid,
-    read-only, for its whole life: 8 bytes per grid cell, whatever its
-    number of nonzeros.  It builds ``levels``, ``positions`` and ``values``
-    from the grid when one of them is first read, in the order and with
-    the bits ``_nonzero_cells`` gives, and ``num_entries`` counts the
-    grid's nonzero cells without building them.  Vectors made otherwise
-    (from index arrays, files, ``replace``, :meth:`with_values`,
+    A vector made from a dense multiscale grid keeps that grid, read-only,
+    for its whole life: 8 bytes per grid cell, whatever its number of
+    nonzeros.  Hyperbolic vectors from :func:`hyper_forward` and
+    :func:`hyper_from_iso` keep their tensor-product grid, isotropic ones
+    from :func:`iso_from_hyper` the grid after the change of basis.  Such
+    a vector builds ``levels``, ``positions``, ``values`` and (isotropic)
+    ``etypes`` from the grid when one of them is first read, in the order
+    and with the bits :func:`_grid_cells` gives; ``num_entries`` is the
+    grid's count of nonzero cells, taken when the vector is made, and the
+    sequence norms bin its cells without building them.  Vectors made
+    otherwise (from index arrays, files, ``replace``, :meth:`with_values`,
     :func:`rescale` or :meth:`canonical_order`) keep no grid.
     """
 
@@ -122,7 +128,7 @@ class CoeffVector:
     levels: np.ndarray = _CellsOnFirstRead()
     positions: np.ndarray = _CellsOnFirstRead()
     values: np.ndarray = _CellsOnFirstRead()
-    etypes: np.ndarray | None = None
+    etypes: np.ndarray | None = _CellsOnFirstRead(None)
 
     def __post_init__(self):
         if self.system not in (HYPERBOLIC, ISOTROPIC):
@@ -159,7 +165,7 @@ class CoeffVector:
     def num_entries(self) -> int:
         if "values" in self.__dict__:
             return len(self.values)
-        return int(np.count_nonzero(self._kept[1]))
+        return self._kept_entries
 
     def level_linf(self) -> np.ndarray:
         """|lambda|_inf per entry (the level m itself for isotropic)."""
@@ -283,20 +289,49 @@ def _nonzero_cells(block: np.ndarray, *axis_maps) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _from_multiscale_array(spec, arr, n, m) -> CoeffVector:
-    """The hyperbolic vector of the nonzero cells of the level-m multiscale
-    grid ``arr``.  The vector takes ownership of ``arr``: it sets its zero
-    cells to +0.0, as the scatter of its entries would, makes it read-only
-    and keeps it, so the caller must pass an array nobody else writes."""
-    np.copyto(arr, 0.0, where=arr == 0)
+def _grid_cells(v: CoeffVector) -> dict:
+    """The index arrays and values of a vector that keeps its grid, by
+    field name: the nonzero cells of a hyperbolic grid in C order; those
+    of an isotropic grid block by block, in the order of :func:`_iso_blocks`
+    and C order within a block."""
+    spec, grid = v._kept
+    if v.system == HYPERBOLIC:
+        lvl, pos = _level_maps(spec, v.max_level)
+        cells = _nonzero_cells(grid, (lvl,) * v.n, (pos,) * v.n)
+        return dict(zip(("values", "levels", "positions"), cells))
+    blocks = _iso_blocks(spec, grid, v.n, v.max_level)
+    parts = [_nonzero_cells(block, [np.arange(s) for s in block.shape]) for _, _, block in blocks]
+    sizes = [values.size for values, _ in parts]
+    values, positions = (np.concatenate(col) for col in zip(*parts))
+    return {"values": values, "positions": positions,
+            "levels": np.repeat(np.array([m for m, _, _ in blocks], dtype=np.int64), sizes),
+            "etypes": np.repeat(np.array([e for _, e, _ in blocks], dtype=np.int8), sizes, axis=0)}
+
+
+def _from_multiscale_array(spec, arr, n, m, system=HYPERBOLIC) -> CoeffVector:
+    """The vector of the given system whose entries are the nonzero cells of
+    the level-m multiscale grid ``arr``.  The vector takes ownership of
+    ``arr``: it sets its zero cells to +0.0, as the scatter of its entries
+    would, makes it read-only and keeps it, so the caller must pass an
+    array nobody else writes."""
+    zero = arr == 0
+    np.copyto(arr, 0.0, where=zero)
     arr.flags.writeable = False
     # Built without __init__: the index fields stay unset until first read,
     # and the library's own grid needs no check.
     cv = CoeffVector.__new__(CoeffVector)
-    for name, value in (("system", HYPERBOLIC), ("n", n), ("p_norm", 2.0), ("max_level", m),
-                        ("basis", spec.name), ("_kept", (spec, arr))):
+    fields = {"system": system, "n": n, "p_norm": 2.0, "max_level": m, "basis": spec.name,
+              "_kept": (spec, arr), "_kept_entries": arr.size - int(np.count_nonzero(zero))}
+    if system == HYPERBOLIC:
+        fields["etypes"] = None
+    for name, value in fields.items():
         object.__setattr__(cv, name, value)
     return cv
+
+
+def _kept_grid(v: CoeffVector):
+    """(spec, grid) of a vector that keeps the grid it was made from, else None."""
+    return vars(v).get("_kept")
 
 
 def _to_multiscale_array(spec: BasisSpec, u: CoeffVector) -> np.ndarray:
@@ -311,7 +346,7 @@ def _to_multiscale_array(spec: BasisSpec, u: CoeffVector) -> np.ndarray:
     (every axis for type 0, the coarse block at j0) and in the scaling range
     [0, lo_m) on the others.  These blocks tile the grid as the hyperbolic
     ones do."""
-    kept = u.__dict__.get("_kept")
+    kept = _kept_grid(u)
     if kept is not None and kept[0] is spec:
         return kept[1].copy()
     iso, j0, mmax = u.system == ISOTROPIC, spec.j0, u.max_level
@@ -462,13 +497,12 @@ def _scaling_sweep(spec: BasisSpec, grid: np.ndarray, n: int, mmax: int,
 
 
 def _iso_blocks(spec: BasisSpec, grid: np.ndarray, n: int, mmax: int) -> list:
-    """(m, e, block) for each isotropic block, in the order of
-    :func:`iso_from_hyper`: the coarse type-0 block at j0, then each level m
-    and type e in {0,1}^n \\ {0} in ``itertools.product`` order.  The
-    synthesis sweep runs in place on the multiscale ``grid``, which it
-    consumes, and ``block`` is the view of the level-m type-e block in its
-    last n axes; leading axes index a batch of grids."""
-    _scaling_sweep(spec, grid, n, mmax, analysis=False)
+    """(m, e, block) for each isotropic block, in iso order: the coarse
+    type-0 block at j0, then each level m and type e in {0,1}^n \\ {0} in
+    ``itertools.product`` order.  ``block`` is the view of the level-m
+    type-e block in the last n axes of the isotropic multiscale ``grid``
+    (one the synthesis sweep has run on); leading axes index a batch of
+    grids."""
     types = [e for e in itertools.product((0, 1), repeat=n) if any(e)]
     blocks = [(spec.j0, (0,) * n), *itertools.product(range(spec.j0 + 1, mmax + 1), types)]
     return [(m, e, grid[(..., *_iso_block_slices(spec, m, e))]) for m, e in blocks]
@@ -480,26 +514,21 @@ def iso_from_hyper(spec: BasisSpec, u: CoeffVector) -> CoeffVector:
     One synthesis sweep per axis on the multiscale grid of ``u`` turns the
     positions coarser than m, on the axes with e_i = 0 of each level-m
     block, into level-(m-1) scaling positions by T_{m-1}, and keeps the
-    level-m wavelet positions on the axes with e_i = 1.  The blocks are
-    read in the order of the levels m and types e in {0,1}^n \\ {0}, in
-    ``itertools.product`` order, after the coarse block at j0 as type 0.
+    level-m wavelet positions on the axes with e_i = 1.  The result keeps
+    the swept grid, as :func:`hyper_from_iso` keeps its own; its entries,
+    built when first read, are the nonzero cells of the blocks in iso
+    order (:func:`_iso_blocks`), so it scatters and extracts nothing.
     """
     _require_l2(u, HYPERBOLIC)
-    n, mmax = u.n, u.max_level
-    blocks, parts = [], []
-    for m, e, block in _iso_blocks(spec, _to_multiscale_array(spec, u), n, mmax):
-        blocks.append((m, e))
-        parts.append(_nonzero_cells(block, [np.arange(s) for s in block.shape]))
-    sizes = [values.size for values, _ in parts]
-    levels = np.repeat(np.array([m for m, _ in blocks], dtype=np.int64), sizes)
-    etypes = np.repeat(np.array([e for _, e in blocks], dtype=np.int8), sizes, axis=0)
-    values, positions = (np.concatenate(col) for col in zip(*parts))
-    return CoeffVector(ISOTROPIC, n, 2.0, mmax, u.basis, levels, positions, values, etypes=etypes)
+    arr = _to_multiscale_array(spec, u)
+    _scaling_sweep(spec, arr, u.n, u.max_level, analysis=False)
+    return _from_multiscale_array(spec, arr, u.n, u.max_level, ISOTROPIC)
 
 
 def hyper_from_iso(spec: BasisSpec, v: CoeffVector) -> CoeffVector:
     """Inverse change of basis: the analysis sweep, Tdual_{m-1}^T along the
-    axes with e_i = 0 of each level-m block, in place on the grid of ``v``."""
+    axes with e_i = 0 of each level-m block, in place on the grid of ``v``;
+    the result keeps that grid."""
     _require_l2(v, ISOTROPIC)
     arr = _to_multiscale_array(spec, v)
     _scaling_sweep(spec, arr, v.n, v.max_level, analysis=True)

@@ -11,8 +11,8 @@ are identity checks, not scalability features.
 levels, depth cap, exponent range and flag limits of each.
 The embedding suite draws each level's trials in one call and checks them
 in batches of at most ``EMBEDDING_BATCH_CELLS`` (2^16) grid cells, on the
-dense grids, with rows identical to those of one ``check_embedding_chain``
-per trial.
+dense grids, with the bins of each level built once and rows identical to
+those of one ``check_embedding_chain`` per trial.
 """
 
 from __future__ import annotations
@@ -33,18 +33,26 @@ from .errors import (
     SizeTooLarge,
     WrongSystem,
 )
-from .seqnorms import _block_norm, _hybrid_weights, _level_code, _level_weights, _outer_norm
+from .seqnorms import (
+    _HybridBins,
+    _hybrid_weights,
+    _IsoBins,
+    _level_blocks,
+    _level_code,
+    _level_weights,
+    _outer_norm,
+)
 from .tables import fmt
 from .tensorbasis import (
     HYPERBOLIC,
     CoeffVector,
     _analyze_grids,
-    _iso_blocks,
+    _kept_grid,
     _require_l2,
-    _rescale_factor,
+    _scaling_sweep,
     _to_multiscale_array,
 )
-from .transform1d import _level_maps, build_transform, check_entry_decay
+from .transform1d import build_transform, check_entry_decay
 
 __all__ = [
     "SUITES",
@@ -285,27 +293,32 @@ def check_embedding_chain(
         raise WrongSystem("embedding check expects hyperbolic coefficients")
     _require_l2(u, HYPERBOLIC)
     grid = _to_multiscale_array(spec, u)[None]
-    # Every stored entry marks its block present, a stored zero included.
-    base = u.max_level - spec.j0 + 1
-    present = np.zeros((1, base ** u.n), dtype=bool)
-    present[0, _level_code(u.levels.T, spec.j0, base)] = True
-    return _embedding_ratios(spec, grid, u.n, q, s, present)[0]
+    present = None  # a vector made from a grid holds its nonzero cells
+    if _kept_grid(u) is None:
+        # Every stored entry marks its block present, a stored zero included.
+        base = u.max_level - spec.j0 + 1
+        present = np.zeros((1, base ** u.n), dtype=bool)
+        present[0, _level_code(u.levels.T, spec.j0, base)] = True
+    return _embedding_ratios(spec, u.n, u.max_level, q, s)(grid, present)[0]
 
 
 EMBEDDING_BATCH_CELLS = 2 ** 16  # grid cells per batch of embedding trials
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a norm that is not finite is raised below
-def _embedding_ratios(spec, grids, n, q, s, present=None) -> list[tuple[float, float]]:
-    """The ratios of :func:`check_embedding_chain` for each of k multiscale
-    grids, stacked in ``grids`` of shape (k, size, ..., size).  The
-    isotropic side sweeps the change of basis in place on ``grids`` once
-    the hybrid side has read them: the call consumes ``grids``.
+def _embedding_ratios(spec, n, m, q, s, k=1):
+    """The ratios of :func:`check_embedding_chain` at level m, as a function
+    of k' <= k multiscale grids stacked in ``grids`` of shape
+    (k', size, ..., size) that returns k' (lower, upper) pairs.  The bins
+    of both sides (``seqnorms._HybridBins`` and ``seqnorms._IsoBins``, the
+    binning the norms of a vector that keeps its grid use) are built here
+    once for every batch of the level.  The isotropic side sweeps the change
+    of basis in place on ``grids`` once the hybrid side has read them: the
+    call consumes ``grids``.
 
     A block or level enters a norm exactly when the sparse coefficients
     would hold an entry in it: a nonzero cell, or for the hybrid blocks the
-    (k, blocks) mask ``present`` when given.  Each norm bins the rescaled
-    cells of all k grids at once, by trial and block, and adds the terms of
+    (k', blocks) mask ``present`` when given.  Each norm bins the rescaled
+    cells of all k' grids at once, by trial and block, and adds the terms of
     a block in the order the sparse norms add its entries, so the ratios
     equal theirs bit for bit.
 
@@ -322,50 +335,35 @@ def _embedding_ratios(spec, grids, n, q, s, present=None) -> list[tuple[float, f
         warnings.warn(
             f"(q={q}, s={s}) outside the embedding window of basis "
             f"{spec.name!r}; ratios may degenerate",
-            stacklevel=4,  # the caller of check_embedding_chain or of the suite
+            stacklevel=3,  # the caller of check_embedding_chain or of the suite
         )
     tau = 1.0 / (s + 0.5)
-    k, m = len(grids), spec.level_of_size(grids.shape[-1])
-    trial = np.arange(k).reshape((k,) + (1,) * n)
     levels = np.arange(spec.j0, m + 1)
     nl = levels.size
+    hybrid_bins, iso_bins = _HybridBins(spec, n, m, tau, k), _IsoBins(spec, n, m, tau, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hybrid_weights = _hybrid_weights(_level_blocks(np.arange(nl ** n), spec.j0, nl, n), q, s)
+        iso_weights = [_level_weights(levels, alpha) for alpha in (q + s, q + n * s)]
 
-    # Hybrid blocks: the level of each cell along each axis, broadcast.
-    lvl, _ = _level_maps(spec, m)
-    axes = [lvl.reshape([-1 if i == a else 1 for i in range(n)]) for a in range(n)]
-    values = grids * _rescale_factor(np.arange(n * m + 1), 2.0, tau)[sum(axes)]
-    inner = _block_norm(values.ravel(), (_level_code(axes, spec.j0, nl) + trial * nl ** n).ravel(),
-                        k * nl ** n, tau)
-    weighted = _hybrid_weights(np.arange(nl ** n), spec.j0, nl, n, q, s) * inner.reshape(k, -1)
-    if present is None:
-        present = grids != 0
-        starts = [spec.block_slice(j)[0] for j in levels.tolist()]
-        for axis in range(1, n + 1):
-            present = np.logical_or.reduceat(present, starts, axis=axis)
-        present = present.reshape(k, -1)
-    hybrid = [_outer_norm(w[p], tau) for w, p in zip(weighted, present)]
+    @np.errstate(over="ignore", invalid="ignore")  # a norm that is not finite is raised below
+    def ratios(grids, present=None) -> list[tuple[float, float]]:
+        inner, found = hybrid_bins(grids)
+        present = found if present is None else present
+        hybrid = [_outer_norm(w[p], tau) for w, p in zip(hybrid_weights * inner, present)]
+        _scaling_sweep(spec, grids, n, m, analysis=False)
+        out = []
+        for h, (w, p) in zip(hybrid, zip(*iso_bins(grids))):
+            low, high = (_outer_norm((weight * w)[p], tau) for weight in iso_weights)
+            if h == 0.0:
+                raise ZeroDivisionError("embedding ratios undefined for the zero vector")
+            if high == 0.0:
+                raise ZeroDivisionError("embedding ratios undefined: isotropic norm vanishes")
+            if not all(map(math.isfinite, (h, low, high))):
+                raise HyperwaveError(f"embedding norms not finite in float64: hybrid {fmt(h)}, "
+                                     f"isotropic {fmt(low)} and {fmt(high)}")
+            out.append((low / h, h / high))
+        return out
 
-    # Isotropic levels: the blocks of all trials, each level's in iso order.
-    parts = [(m_, block.reshape(k, -1)) for m_, _, block in _iso_blocks(spec, grids, n, m)]
-    cells = np.concatenate([block for _, block in parts], axis=1)
-    level_of = np.repeat([m_ - spec.j0 for m_, _ in parts], [b.shape[1] for _, b in parts])
-    values = cells * _rescale_factor(n * levels, 2.0, tau)[level_of]
-    inner = _block_norm(values.ravel(), (level_of + trial.reshape(k, 1) * nl).ravel(),
-                        k * nl, tau).reshape(k, nl)
-    starts = np.searchsorted(level_of, np.arange(nl))
-    iso_present = np.logical_or.reduceat(cells != 0, starts, axis=1)
-    weights = [_level_weights(levels, alpha) for alpha in (q + s, q + n * s)]
-    ratios = []
-    for h, w, p in zip(hybrid, inner, iso_present):
-        low, high = (_outer_norm((weight * w)[p], tau) for weight in weights)
-        if h == 0.0:
-            raise ZeroDivisionError("embedding ratios undefined for the zero vector")
-        if high == 0.0:
-            raise ZeroDivisionError("embedding ratios undefined: isotropic norm vanishes")
-        if not all(map(math.isfinite, (h, low, high))):
-            raise HyperwaveError(f"embedding norms not finite in float64: hybrid {fmt(h)}, "
-                                 f"isotropic {fmt(low)} and {fmt(high)}")
-        ratios.append((low / h, h / high))
     return ratios
 
 
@@ -450,20 +448,27 @@ def _embedding_rows(spec, args, levels, ps):
     param = f"q={fmt(args.q)},s={fmt(args.s)}"
     maxima = []
     for m in levels:
-        shape = (spec.delta_size(m),) * args.n
-        batch = max(1, EMBEDDING_BATCH_CELLS // math.prod(shape))
-        low = up = 0.0
-        for done in range(0, args.trials, batch):
-            # One draw of k grids gives the stream of k draws of one grid.
-            data = rng.standard_normal((min(batch, args.trials - done), *shape))
-            grids = _analyze_grids(spec, data, args.n, m)
-            for lo, hi in _embedding_ratios(spec, grids, args.n, args.q, args.s):
-                low, up = max(low, lo), max(up, hi)
+        low, up = _embedding_level(spec, args, rng, m)
         maxima.append((low, up))
         yield ("embedding_lower", param, m, low, np.nan, True)
         yield ("embedding_upper", param, m, up, np.nan, True)
     ok = all(running_max_stabilizes(series, rel=0.25) for series in zip(*maxima))
     yield ("embedding_stable", param, levels[-1], float(ok), 1.0, ok)
+
+
+def _embedding_level(spec, args, rng, m) -> tuple[float, float]:
+    """The largest lower and upper ratios over ``args.trials`` random grids of
+    level m, drawn and checked in batches that share one set of bins."""
+    shape = (spec.delta_size(m),) * args.n
+    batch = min(args.trials, max(1, EMBEDDING_BATCH_CELLS // math.prod(shape)))
+    ratios = _embedding_ratios(spec, args.n, m, args.q, args.s, batch)
+    low = up = 0.0
+    for done in range(0, args.trials, batch):
+        # One draw of k grids gives the stream of k draws of one grid.
+        data = rng.standard_normal((min(batch, args.trials - done), *shape))
+        for lo, hi in ratios(_analyze_grids(spec, data, args.n, m)):
+            low, up = max(low, lo), max(up, hi)
+    return low, up
 
 
 @dataclass(frozen=True)

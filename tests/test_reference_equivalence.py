@@ -13,10 +13,13 @@ The mask and matrix files, now blocks of the table codec, against the
 per-line writers and parser they replaced.  The embedding suite, now
 batches of dense grids, against one analysis and one
 ``check_embedding_chain`` per trial.  The grid a vector made from a grid
-keeps, against the scatter of its entries, and the index keys built from
-record views against one named tuple per row."""
+keeps, in either system, against the scatter of its entries, its lazily
+built entries against the eager extraction they replaced, and its norms
+against those of its twin built from index columns; the index keys built
+from record views against one named tuple per row."""
 
 import itertools
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -28,6 +31,7 @@ import scipy.sparse as sp
 
 from hyperwave import (
     HYPERBOLIC,
+    ISOTROPIC,
     BandMatrix,
     CoeffVector,
     DimensionMismatch,
@@ -46,6 +50,9 @@ from hyperwave import (
     make_mask_basis,
     rescale,
     running_max_stabilizes,
+    seqnorms,
+    sobolev_norm_hyper,
+    sobolev_norm_iso,
     verify,
 )
 from hyperwave import hyper_forward, hyper_from_iso, hyper_inverse, iso_synthesize
@@ -59,6 +66,7 @@ from hyperwave.tensorbasis import (
     _from_multiscale_array,
     _gather_iso_blocks,
     _iso_block_slices,
+    _iso_blocks,
     _nonzero_cells,
     _to_multiscale_array,
 )
@@ -136,6 +144,18 @@ class TestBesovHybridNormBitwise:
             params = NormParams(q=0.3, s=-0.2, p=p, tau=tau)
             assert besov_hybrid_norm(u, params) == reference_besov_hybrid_norm(u, params)
 
+    @pytest.mark.parametrize("name", ["haar", "lifted"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_kept_grids_match_twins(self, request, name, n, scatters):
+        def norm(u, p, tau, q, s):
+            return besov_hybrid_norm(u, NormParams(q=q, s=s, p=p, tau=tau))
+
+        def reference(u, p, tau, q, s):
+            return reference_besov_hybrid_norm(u, NormParams(q=q, s=s, p=p, tau=tau))
+
+        assert_kept_norms_match_twins(request.getfixturevalue(name), n, scatters, HYPERBOLIC,
+                                      norm, reference)
+
     def test_negative_levels_do_not_alias(self):
         # Levels below zero pass CoeffVector.  Codes taken without the
         # offset would send blocks (-1, 2) and (0, -1) to the same integer.
@@ -197,6 +217,19 @@ class TestSortFreeGrouping:
             p, tau = float(rng.choice(P_TAU)), float(rng.choice(P_TAU))
             assert besov_iso_norm(v, alpha, p, tau) == reference_besov_iso_norm(v, alpha, p, tau)
 
+    @pytest.mark.parametrize("name", ["haar", "lifted"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_kept_iso_grids_match_twins(self, request, name, n, scatters):
+        # The isotropic norm has one weight, alpha, taken from the grid of q.
+        def norm(v, p, tau, q, s):
+            return besov_iso_norm(v, q, p, tau)
+
+        def reference(v, p, tau, q, s):
+            return reference_besov_iso_norm(v, q, p, tau)
+
+        assert_kept_norms_match_twins(request.getfixturevalue(name), n, scatters, ISOTROPIC,
+                                      norm, reference)
+
     # Rescaling by 2^{|j|_1 / 2} overflows at such levels, in both codes alike.
     @pytest.mark.filterwarnings("ignore:overflow encountered in power")
     def test_wide_level_span_allocates_no_bin_per_code(self):
@@ -251,6 +284,9 @@ class TestSortFreeGrouping:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 got = check_embedding_chain(spec, u, q, s)
+                # A vector that keeps its grid marks its blocks by their
+                # nonzero cells, one built from index arrays by its entries.
+                assert got == check_embedding_chain(spec, twin(u), q, s)
             assert got == want
             if u.n == 1:
                 # On the interval the hybrid and isotropic scales are one scale.
@@ -597,14 +633,35 @@ class TestChangeOfBasisBitwise:
 def kept_grid_vectors(spec, n, rng):
     """Vectors that keep their grid, holding +-0.0, +-inf and nan: the
     analysis of special data, a special grid taken as it is, and the
-    inverse change of basis of the first's isotropic vector."""
+    inverse change of basis of the first's isotropic vector; then the
+    isotropic vector of the first and a special grid taken as it is."""
     m = spec.j0 + 3
     shape = (spec.delta_size(m),) * n
     with np.errstate(invalid="ignore", over="ignore"):
         u = hyper_forward(spec, n, special_operand(rng, shape[0] ** n, None).reshape(shape))
-        grid = special_operand(rng, shape[0] ** n, None).reshape(shape)
-        return [u, _from_multiscale_array(spec, grid, n, m),
-                hyper_from_iso(spec, iso_from_hyper(spec, u))]
+        v = iso_from_hyper(spec, u)
+        return [u, _from_multiscale_array(spec, special_grid(rng, shape), n, m),
+                hyper_from_iso(spec, v),
+                v, _from_multiscale_array(spec, special_grid(rng, shape), n, m, ISOTROPIC)]
+
+
+def special_grid(rng, shape):
+    return special_operand(rng, math.prod(shape), None).reshape(shape)
+
+
+def reference_iso_cells(spec, grid, n, mmax):
+    """The entries of an isotropic grid as ``iso_from_hyper`` extracted them
+    at once, before isotropic vectors kept their grid: the nonzero cells of
+    each block in iso order, in C order within a block."""
+    blocks, parts = [], []
+    for m, e, block in _iso_blocks(spec, grid, n, mmax):
+        blocks.append((m, e))
+        parts.append(_nonzero_cells(block, [np.arange(s) for s in block.shape]))
+    sizes = [values.size for values, _ in parts]
+    levels = np.repeat(np.array([m for m, _ in blocks], dtype=np.int64), sizes)
+    etypes = np.repeat(np.array([e for _, e in blocks], dtype=np.int8), sizes, axis=0)
+    values, positions = (np.concatenate(col) for col in zip(*parts))
+    return {"levels": levels, "etypes": etypes, "positions": positions, "values": values}
 
 
 @pytest.fixture
@@ -620,34 +677,76 @@ def scatters(monkeypatch):
     return calls
 
 
+def twin(x):
+    """``x`` rebuilt from its index columns: a vector that keeps no grid."""
+    return CoeffVector.from_index_columns(x.system, x.n, x.p_norm, x.max_level, x.basis,
+                                          x.index_columns(), x.values)
+
+
 class TestKeptGrid:
-    """A hyperbolic vector made from a grid keeps it: its grid, inverse and
-    change of basis are those of the same vector built from index arrays,
-    bit for bit, and it builds its index arrays only when they are read."""
+    """A vector made from a grid keeps it, in both systems: its grid,
+    inverse and change of basis are those of the same vector built from
+    index arrays, bit for bit, and it builds its index arrays only when
+    they are read."""
 
     @pytest.mark.parametrize("name", ["haar", "lifted"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_kept_grid_is_the_scatter(self, request, name, n):
         spec = request.getfixturevalue(name)
         rng = np.random.default_rng(40 + n)
-        for u in kept_grid_vectors(spec, n, rng):
+        for x in kept_grid_vectors(spec, n, rng):
             # Each result is computed before the index arrays are first read.
-            grid = _to_multiscale_array(spec, u)
+            grid = _to_multiscale_array(spec, x)
             with np.errstate(invalid="ignore", over="ignore"):
-                inverse, iso = hyper_inverse(spec, u), iso_from_hyper(spec, u)
-            rebuilt = CoeffVector.from_index_columns(u.system, u.n, u.p_norm, u.max_level,
-                                                     u.basis, u.index_columns(), u.values)
+                if x.system == HYPERBOLIC:
+                    results = hyper_inverse(spec, x), iso_from_hyper(spec, x)
+                else:
+                    results = hyper_from_iso(spec, x), None
+            assert not {"levels", "positions", "values"} & set(vars(x))
+            rebuilt = twin(x)
             assert grid.tobytes() == _to_multiscale_array(spec, rebuilt).tobytes()
             assert not np.signbit(grid[grid == 0]).any()
             with np.errstate(invalid="ignore", over="ignore"):
-                assert inverse.tobytes() == hyper_inverse(spec, rebuilt).tobytes()
-                same_bits(iso, iso_from_hyper(spec, rebuilt))
+                if x.system == HYPERBOLIC:
+                    assert results[0].tobytes() == hyper_inverse(spec, rebuilt).tobytes()
+                    same_bits(results[1], iso_from_hyper(spec, rebuilt))
+                else:
+                    same_bits(results[0], hyper_from_iso(spec, rebuilt))
+                    assert (iso_synthesize(spec, x).tobytes()
+                            == iso_synthesize(spec, rebuilt).tobytes())
+
+    @pytest.mark.parametrize("name", ["haar", "lifted"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_iso_fields_match_eager_extraction(self, request, name, n):
+        spec = request.getfixturevalue(name)
+        rng = np.random.default_rng(50 + n)
+        for v in kept_grid_vectors(spec, n, rng)[3:]:
+            want = reference_iso_cells(spec, _to_multiscale_array(spec, v), n, v.max_level)
+            assert v.num_entries == want["values"].size
+            for name_, a in want.items():
+                got = getattr(v, name_)
+                assert got.dtype == a.dtype and got.shape == a.shape
+                assert got.tobytes() == a.tobytes() and not got.flags.writeable
+
+    def test_first_read_of_etypes(self, haar, scatters):
+        u = hyper_forward(haar, 2, np.random.default_rng(8).standard_normal((16, 16)))
+        v = iso_from_hyper(haar, u)
+        assert u.etypes is None and not {"levels", "positions", "values"} & set(vars(u))
+        assert scatters == {"_scatter": 0, "_nonzero_cells": 0}
+        etypes = v.etypes
+        # One extraction per isotropic block: the coarse one and 3 types on levels 1..4.
+        assert scatters == {"_scatter": 0, "_nonzero_cells": 1 + 3 * 4}
+        assert {"levels", "etypes", "positions", "values"} <= set(vars(v))
+        assert etypes.dtype == np.int8 and etypes.shape == (v.num_entries, 2)
+        assert CoeffVector.etypes is None
 
     def test_round_trip_builds_no_index_arrays(self, haar, scatters):
         data = np.random.default_rng(3).standard_normal((16,) * 3)
         u = hyper_forward(haar, 3, data)
         hyper_inverse(haar, u)
+        back = hyper_from_iso(haar, iso_from_hyper(haar, u))
         assert u.num_entries == np.count_nonzero(_to_multiscale_array(haar, u))
+        assert back.num_entries == u.num_entries
         assert scatters == {"_scatter": 0, "_nonzero_cells": 0}
         assert not {"levels", "positions", "values"} & set(vars(u))
         assert len(u.values) == u.num_entries and scatters["_nonzero_cells"] == 1
@@ -656,30 +755,100 @@ class TestKeptGrid:
 
     def test_grid_is_a_writable_copy_of_a_read_only_one(self, haar):
         u = hyper_forward(haar, 2, np.arange(64.0).reshape(8, 8))
-        grid = _to_multiscale_array(haar, u)
-        want = grid.copy()
-        grid[...] = np.nan
-        assert _to_multiscale_array(haar, u).tobytes() == want.tobytes()
-        assert not u._kept[1].flags.writeable
-        assert not (u.levels.flags.writeable or u.positions.flags.writeable
-                    or u.values.flags.writeable)
+        for x in (u, iso_from_hyper(haar, u)):
+            grid = _to_multiscale_array(haar, x)
+            want = grid.copy()
+            grid[...] = np.nan
+            assert _to_multiscale_array(haar, x).tobytes() == want.tobytes()
+            assert not x._kept[1].flags.writeable
+            assert not (x.levels.flags.writeable or x.positions.flags.writeable
+                        or x.values.flags.writeable)
 
     def test_other_spec_object_scatters(self, haar, scatters):
         u = hyper_forward(haar, 2, np.random.default_rng(5).standard_normal((8, 8)))
-        grid = _to_multiscale_array(haar, u)
-        assert scatters["_scatter"] == 0
-        twin = make_haar_basis(0)
-        assert twin.name == haar.name and twin is not haar
-        assert _to_multiscale_array(twin, u).tobytes() == grid.tobytes()
-        assert scatters["_scatter"] == 1
+        twin_spec = make_haar_basis(0)
+        assert twin_spec.name == haar.name and twin_spec is not haar
+        for i, x in enumerate((u, iso_from_hyper(haar, u)), start=1):
+            grid = _to_multiscale_array(haar, x)
+            assert scatters["_scatter"] == i - 1
+            assert _to_multiscale_array(twin_spec, x).tobytes() == grid.tobytes()
+            assert scatters["_scatter"] == i
 
     def test_derived_vectors_drop_the_grid(self, haar, scatters):
         u = hyper_forward(haar, 2, np.random.default_rng(6).standard_normal((8, 8)))
-        derived = [replace(u), u.with_values(u.values), rescale(u, 1.0), u.canonical_order()]
-        for i, v in enumerate(derived, start=1):
-            _to_multiscale_array(haar, v)
+        v = iso_from_hyper(haar, u)
+        sobolev_norm_hyper(u, 0.5), sobolev_norm_iso(v, 0.5)
+        assert "_block_norms" in vars(u) and "_block_norms" in vars(v)
+        derived = [d for x in (u, v) for d in (replace(x), x.with_values(x.values),
+                                               rescale(x, 1.0), x.canonical_order())]
+        for i, d in enumerate(derived, start=1):
+            _to_multiscale_array(haar, d)
             assert scatters["_scatter"] == i
-            assert not hasattr(v, "_kept")
+            assert not {"_kept", "_block_norms"} & set(vars(d))
+
+
+def kept_vectors_and_twins(spec, n, scatters):
+    """Vectors that keep their grid, of both systems and with special values,
+    and their twins built from index columns.  The twins are those of equal
+    vectors made apart, so the kept ones have built nothing; the call resets
+    the ``scatters`` counts."""
+    def vectors():
+        rng = np.random.default_rng(60 + n)
+        size = spec.delta_size(spec.j0 + 3)
+        u = hyper_forward(spec, n, rng.standard_normal((size,) * n))
+        return [*kept_grid_vectors(spec, n, rng), u, iso_from_hyper(spec, u)]
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        xs, twins = vectors(), [twin(x) for x in vectors()]
+    scatters.update({"_scatter": 0, "_nonzero_cells": 0})
+    return xs, twins
+
+
+NORM_EXPONENTS = list(itertools.product([0.5, 1.0, 2.0, np.inf], [0.5, 2.0, np.inf]))
+NORM_WEIGHTS = [-0.25, 0.0, 0.3]
+
+
+def assert_kept_norms_match_twins(spec, n, scatters, system, norm, reference):
+    """``norm(x, p, tau, q, s)`` of each kept vector of ``system`` equals that
+    of its twin and the reference, NaN for NaN, and reads no index array."""
+    xs, twins = kept_vectors_and_twins(spec, n, scatters)
+    pairs = [(x, y) for x, y in zip(xs, twins) if x.system == system]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for (p, tau), q, s in itertools.product(NORM_EXPONENTS, NORM_WEIGHTS, NORM_WEIGHTS):
+            for x, y in pairs:
+                got = norm(x, p, tau, q, s)
+                assert same_float(got, norm(y, p, tau, q, s))
+                assert same_float(got, reference(y, p, tau, q, s))
+    assert scatters == {"_scatter": 0, "_nonzero_cells": 0}
+    for x, _ in pairs:
+        assert not {"levels", "positions", "values"} & set(vars(x))
+
+
+def same_float(a, b):
+    """Equal floats, or both NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestNormSweepBuildsNothing:
+    """The norm path of ``norm_sweep``, one vector at n = 2, m = 6, runs on
+    the kept grids: no scatter, no index array, and one binning per system
+    for its three Sobolev norms."""
+
+    def test_norm_sweep_sequence(self, haar, scatters, monkeypatch):
+        calls = []
+        monkeypatch.setattr(seqnorms, "_block_norm",
+                            lambda *a, _f=seqnorms._block_norm: calls.append(a[-1]) or _f(*a))
+        u = hyper_forward(haar, 2, np.random.default_rng(10).standard_normal((64, 64)))
+        v = iso_from_hyper(haar, u)
+        norms = [(sobolev_norm_hyper(u, s), sobolev_norm_iso(v, s)) for s in (-0.3, 0.0, 0.3)]
+        assert calls == [2.0, 2.0]
+        ratios = check_embedding_chain(haar, u, 0.0, 0.25)
+        assert scatters == {"_scatter": 0, "_nonzero_cells": 0}
+        # The same figures as the vectors rebuilt from their entries.
+        hyper, iso = twin(u), twin(v)
+        assert norms == [(sobolev_norm_hyper(hyper, s), sobolev_norm_iso(iso, s))
+                         for s in (-0.3, 0.0, 0.3)]
+        assert ratios == check_embedding_chain(haar, hyper, 0.0, 0.25)
 
 
 @pytest.mark.parametrize("name, emitted", [("haar", True), ("scaled", False), ("lifted", False)])

@@ -2,18 +2,21 @@ import numpy as np
 import pytest
 
 from hyperwave import (
+    HYPERBOLIC,
     InvalidExponent,
     NormParams,
     WrongSystem,
     besov_hybrid_norm,
     besov_iso_norm,
     gk_norm,
+    hyper_forward,
     iso_from_hyper,
+    seqnorms,
     sobolev_norm_hyper,
     sobolev_norm_iso,
     weak_ltau,
 )
-from conftest import make_hyper, make_iso, random_hyper
+from conftest import from_index_arrays, make_hyper, make_iso, random_hyper
 
 
 class TestBesovIsoNorm:
@@ -91,7 +94,9 @@ class TestDefinitionalIdentities:
         for _ in range(20):
             u = random_hyper(haar, rng, 2, 4)
             q, s = rng.uniform(-1, 1, 2)
-            assert besov_hybrid_norm(u, NormParams(q, s, 2.0, 2.0)) == gk_norm(u, q, s)
+            # The vector keeps its grid; its twin is built from index arrays.
+            for x in (u, from_index_arrays(u)):
+                assert besov_hybrid_norm(x, NormParams(q, s, 2.0, 2.0)) == gk_norm(u, q, s)
 
     def test_identity_chain(self, haar):
         rng = np.random.default_rng(3)
@@ -107,7 +112,8 @@ class TestDefinitionalIdentities:
         for _ in range(20):
             v = iso_from_hyper(haar, random_hyper(haar, rng, 2, 3))
             s = float(rng.uniform(-1, 1))
-            assert besov_iso_norm(v, s, 2.0, 2.0) == sobolev_norm_iso(v, s)
+            for x in (v, from_index_arrays(v)):
+                assert besov_iso_norm(x, s, 2.0, 2.0) == sobolev_norm_iso(v, s)
 
 
 class TestNormProperties:
@@ -156,6 +162,32 @@ class TestNormProperties:
         a = besov_hybrid_norm(u, params)
         b = besov_hybrid_norm(u, params)
         assert a == b
+
+
+class TestStoredBlockNorms:
+    """Each vector bins its block sums once per exponent p and keeps them."""
+
+    def test_block_norms_stored_once_per_exponent(self, haar, monkeypatch):
+        calls = []
+        monkeypatch.setattr(seqnorms, "_block_norm",
+                            lambda *a, _f=seqnorms._block_norm: calls.append(a[-1]) or _f(*a))
+        u = hyper_forward(haar, 2, np.random.default_rng(9).standard_normal((16, 16)))
+        v = iso_from_hyper(haar, u)
+        for x in (u, v, from_index_arrays(u), from_index_arrays(v)):
+            hyper = x.system == HYPERBOLIC
+            calls.clear()
+            norms = [sobolev_norm_hyper(x, s) if hyper else sobolev_norm_iso(x, s)
+                     for s in (-0.3, 0.0, 0.3, -0.3)]
+            assert calls == [2.0] and norms[0] == norms[3]
+            besov = (besov_hybrid_norm(x, NormParams(0.1, 0.2, 1.0, 1.0)) if hyper
+                     else besov_iso_norm(x, 0.1, 1.0, 1.0))
+            assert calls == [2.0, 1.0] and besov > 0
+            stored = vars(x)["_block_norms"]
+            assert sorted(stored) == [1.0, 2.0]
+            for levels, inner in stored.values():
+                assert not (levels.flags.writeable or inner.flags.writeable)
+                # One entry per block: at most 5^2 level pairs or 5 levels.
+                assert len(levels) == len(inner) <= (25 if hyper else 5)
 
 
 class TestWeakLtau:

@@ -26,7 +26,7 @@ from hyperwave import (
     rescale,
     save_coeffs,
 )
-from hyperwave.tensorbasis import _iso_blocks, _to_multiscale_array
+from hyperwave.tensorbasis import _iso_blocks, _scaling_sweep, _to_multiscale_array
 from conftest import from_index_arrays, make_hyper, make_iso, random_hyper
 
 
@@ -228,6 +228,12 @@ class TestChangeOfBasis:
         assert abs(np.linalg.norm(v.values) - np.linalg.norm(u.values)) < 1e-10
 
 
+def swept(spec, grid, n, m):
+    """``grid`` after the synthesis sweep, which runs in place."""
+    _scaling_sweep(spec, grid, n, m, analysis=False)
+    return grid
+
+
 class TestScalingSweep:
     """The change of basis as one in-place cascade sweep per axis of the
     multiscale grid."""
@@ -237,9 +243,9 @@ class TestScalingSweep:
         rng = np.random.default_rng(n)
         for spec in (haar, scaled):
             grids = rng.standard_normal((3,) + (spec.delta_size(m),) * n)
-            batch = _iso_blocks(spec, grids.copy(), n, m)
+            batch = _iso_blocks(spec, swept(spec, grids.copy(), n, m), n, m)
             for i, grid in enumerate(grids):
-                single = _iso_blocks(spec, grid.copy(), n, m)
+                single = _iso_blocks(spec, swept(spec, grid.copy(), n, m), n, m)
                 assert [(m_, e) for m_, e, _ in batch] == [(m_, e) for m_, e, _ in single]
                 for (_, _, got), (_, _, want) in zip(batch, single):
                     assert got[i].tobytes() == want.tobytes()
