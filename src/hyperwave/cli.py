@@ -180,6 +180,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_nterm(args) -> int:
+    if not args.r + 0.5 > 0:
+        raise HyperwaveError(f"--r must be above -1/2 (1/tau = r + 1/2), got {args.r}")
     spec = _make_basis(args.basis)
     u = _load_coeffs(args.coeffs, spec)
     tau = 1.0 / (args.r + 0.5)
@@ -243,16 +245,8 @@ def cmd_verify(args) -> int:
     args.ps = _exponents(args)
     for name in names:
         verify.SUITES[name].check(spec, args)
-    # A library warning, such as parameters outside a theorem's window, is
-    # one stderr line here, not a file path and a source line.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            all_rows = [row for rows in _map_ordered(lambda name: SUITES[name](spec, args), names)
-                        for row in rows]
-        finally:
-            for message in dict.fromkeys(str(w.message) for w in caught):
-                print(f"warning: {message}", file=sys.stderr)
+    all_rows = [row for rows in _map_ordered(lambda name: SUITES[name](spec, args), names)
+                for row in rows]
     _write_csv(args.out, "check,param,m,value,bound,pass",
                [f"{check},{param},{m},{fmt(value)},{fmt(bound)},{str(ok).lower()}"
                 for check, param, m, value, bound, ok in all_rows])
@@ -396,7 +390,15 @@ def main(argv=None) -> int:
         _apply_config(parser, argv)
         args = parser.parse_args(argv)
         _check_flag_values(args)
-        return args.func(args)
+        # A library warning, such as parameters outside a theorem's window or
+        # an overflow, is one stderr line here, not a file path and a source line.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                return args.func(args)
+            finally:
+                for message in dict.fromkeys(str(w.message) for w in caught):
+                    print(f"warning: {message}", file=sys.stderr)
     except SystemExit as exc:  # argparse: usage error (2) or --help (0)
         return exc.code
     except (HyperwaveError, ZeroDivisionError) as exc:

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InsufficientPoints
+from .errors import InsufficientPoints, InvalidExponent
 from .seqnorms import NormParams, besov_hybrid_norm
 from .tensorbasis import CoeffVector, rescale
 
@@ -109,13 +109,14 @@ def fit_rate(curve: NTermResult, n_min: int, n_max: int) -> float:
     """Exponent of the least-squares power-law fit E_N ~ N^{-s_hat}.
 
     Uses the curve points with n_min <= N <= n_max, N >= 1 and E_N > 0;
-    raises InsufficientPoints when fewer than three remain.
+    raises InsufficientPoints when fewer than three remain, or when an
+    E_N in that window is not finite (an overflowing H^q weight).
     """
-    pts = [
-        (np.log(n), np.log(e))
-        for n, e in sorted(curve.errors.items())
-        if n_min <= n <= n_max and n >= 1 and e > 0
-    ]
+    window = [(n, e) for n, e in sorted(curve.errors.items()) if n_min <= n <= n_max and n >= 1]
+    for n, e in window:
+        if not np.isfinite(e):
+            raise InsufficientPoints(f"rate fit needs finite errors, got E_N={e} at N={n}")
+    pts = [(np.log(n), np.log(e)) for n, e in window if e > 0]
     if len(pts) < 3:
         raise InsufficientPoints(
             f"rate fit needs at least 3 positive points in [{n_min}, {n_max}]"
@@ -147,8 +148,11 @@ def jackson_bernstein_ratios(u: CoeffVector, q: float, r: float) -> tuple[float,
     every vector: E_N <= N^{-r} |a|_tau by Stechkin's lemma (and
     E_0 = |a|_2 <= |a|_tau), and |u_N|_tau <= N^r |u_N|_2 by Hoelder's
     inequality, with equality at N = 1.  Up to rounding, a ratio above 1
-    is a fault of this code, never of the basis.
+    is a fault of this code, never of the basis.  An r of -1/2 or less,
+    which leaves no tau, raises InvalidExponent.
     """
+    if not r + 0.5 > 0:
+        raise InvalidExponent(f"r must be above -1/2 (1/tau = r + 1/2), got {r}")
     tau = 1.0 / (r + 0.5)
     denom = besov_hybrid_norm(u, NormParams(q=q, s=r, p=tau, tau=tau))
     if denom == 0.0:

@@ -6,7 +6,8 @@ plus a binary type vector.  Coefficients are held in columnar sparse form;
 the change of basis between the systems is, for every n, one in-place
 cascade sweep per axis of the dense multiscale grid, which applies the
 univariate transforms along the scaling axes (e_i = 0) of all type blocks
-at once.
+at once.  The isotropic synthesis, its cross-check, refines the same grid
+level by level through the refinement masks alone.
 """
 
 from __future__ import annotations
@@ -394,13 +395,13 @@ def _to_multiscale_array(spec: BasisSpec, u: CoeffVector) -> np.ndarray:
 
 def _range_error(spec: BasisSpec, u: CoeffVector, rows: np.ndarray) -> str:
     """The message for the first out-of-range entry among ``rows``: the
-    first in input order, or for isotropic entries of the first block in
-    block-code order."""
+    first in input order, or for isotropic entries the first of the first
+    block in (level, type) order."""
     if u.system == HYPERBOLIC:
         i, levels = int(rows[0]), tuple(u.levels[rows[0]].tolist())
         where = f"level {levels} block of shape {tuple(map(spec.nabla_size, levels))}"
     else:
-        i = int(rows[np.argmin(_block_code(u, rows))])
+        i = int(rows[np.lexsort((*u.etypes[rows].T[::-1], u.levels[rows]))[0]])
         m, e = int(u.levels[i]), tuple(u.etypes[i].tolist())
         if (m <= spec.j0) if any(e) else (m != spec.j0):
             return (f"no level-{m} block of type {e}: type 0 exists at the coarsest "
@@ -408,15 +409,6 @@ def _range_error(spec: BasisSpec, u: CoeffVector, rows: np.ndarray) -> str:
         shape = tuple(s.stop - s.start for s in _iso_block_slices(spec, m, e))
         where = f"level {m} type {e} block of shape {shape}"
     return f"position {tuple(u.positions[i].tolist())} out of range for {where}"
-
-
-def _block_code(v: CoeffVector, rows=slice(None)) -> np.ndarray:
-    """Block code m 2^n + e . 2^[n-1..0] of isotropic entries, built column
-    by column: ascending codes order the blocks by level, then type."""
-    code = v.levels[rows].astype(np.int64) * 2 ** v.n
-    for a in range(v.n):
-        code += v.etypes[rows, a].astype(np.int64) << (v.n - 1 - a)
-    return code
 
 
 def _scatter(grid: np.ndarray, index: tuple, values: np.ndarray) -> None:
@@ -535,42 +527,32 @@ def hyper_from_iso(spec: BasisSpec, v: CoeffVector) -> CoeffVector:
     return _from_multiscale_array(spec, arr, v.n, v.max_level)
 
 
-def _gather_iso_blocks(spec: BasisSpec, v: CoeffVector) -> dict:
-    """Views of the multiscale grid of ``v`` for the (m, e) blocks that
-    hold entries of ``v``, in block-code order."""
-    grid = _to_multiscale_array(spec, v)
-    blocks = {}
-    for code in np.flatnonzero(np.bincount(_block_code(v))).tolist():
-        m, bits = divmod(code, 2 ** v.n)
-        e = tuple(map(int, f"{bits:0{v.n}b}"))
-        blocks[(m, e)] = grid[_iso_block_slices(spec, m, e)]
-    return blocks
-
-
 def iso_synthesize(spec: BasisSpec, v: CoeffVector) -> np.ndarray:
     """Single-scale array represented by isotropic coefficients.
 
-    Each type block is pushed to level m through the refinement masks, M1
-    along the axes with e_i = 1 and M0 along the others, and prolonged to
-    the truncation level by M0 along every axis; this route shares nothing
-    with the change of basis beyond the masks themselves, which makes it
-    the natural cross-check that both sides represent the same function.
+    The standard isotropic synthesis on the multiscale grid of ``v``: for
+    m = j0 + 1 .. max_level, the box [0, |Delta_m|)^n, which holds the
+    level-(m-1) scaling coefficients and the level-m type blocks, is
+    refined along each axis in turn by M0 on its scaling range and M1 on
+    its wavelet range.  This route shares nothing with the change of basis
+    beyond the masks themselves, which makes it the natural cross-check
+    that both sides represent the same function.
     """
     _require_l2(v, ISOTROPIC)
-    blocks = _gather_iso_blocks(spec, v)  # first: its grid allocation is the checked one
-    out = np.zeros((spec.delta_size(v.max_level),) * v.n)
-    for (m, e), block in blocks.items():
-        if any(e):
-            quad = spec.masks(m)
-            for axis, ei in enumerate(e):
-                mask = quad.m1 if ei else quad.m0
-                block = _apply_axis(mask.apply, block, axis)
-        for level in range(m + 1, v.max_level + 1):
-            m0 = spec.masks(level).m0
-            for axis in range(v.n):
-                block = _apply_axis(m0.apply, block, axis)
-        out += block
-    return out
+    grid = _to_multiscale_array(spec, v)
+    for m in range(spec.j0 + 1, v.max_level + 1):
+        quad = spec.masks(m)
+        lo, hi = spec.block_slice(m)
+        box = (slice(0, hi),) * v.n
+        for axis in range(v.n):
+            scaling, wavelet = (box[:axis] + (cut,) + box[axis + 1:]
+                                for cut in (slice(0, lo), slice(lo, hi)))
+            line = quad.m0.apply(grid[scaling], axis)
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN
+                line += quad.m1.apply(grid[wavelet], axis)
+            grid[box] = line
+    grid += 0.0  # -0.0 to +0.0 where no level ran
+    return grid
 
 
 def rescale(c: CoeffVector, new_p: float) -> CoeffVector:

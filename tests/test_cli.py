@@ -13,7 +13,7 @@ import hyperwave
 from hyperwave import cli, save_coeffs, save_mask_file, verify
 from hyperwave.cli import load_array, main, save_array
 from hyperwave.tensorbasis import DIMENSIONS
-from conftest import child_env, make_hyper, scaled_haar_masks
+from conftest import child_env, make_hyper, random_hyper, scaled_haar_masks
 
 
 def run_cli(*args, cwd=None, timeout=None, preexec_fn=None):
@@ -646,6 +646,47 @@ class TestBadGridWritesNothing:
         assert code == 3 and captured.out == ""
         assert captured.err == "error: rate fit needs at least 3 positive points in [4, 8]\n"
         assert not (tmp_path / "x.csv").exists()
+
+    OVERFLOW = ("warning: overflow encountered in power\n"
+                "error: rate fit needs finite errors, got E_N=inf at N={}\n")
+
+    def test_nterm_infinite_errors(self, haar, tmp_path, capsys):
+        # 2^(q |j|_inf) overflows at q = 2000: one warning line, then one error line.
+        path = tmp_path / "u.coeffs"
+        save_coeffs(random_hyper(haar, np.random.default_rng(1), 2, 3), path)
+        code, err = main_exit(["nterm", "--coeffs", path, "--q", 2000, "--nmin", 4,
+                               "--nmax", 32, "--out", tmp_path / "x.csv"], capsys)
+        assert code == 3 and err == self.OVERFLOW.format(4)
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_compare_infinite_errors(self, tmp_path, capsys):
+        code, err = main_exit(["compare", "--q", 700, "--jmax", 6, "--out", tmp_path / "x.csv"],
+                              capsys)
+        assert code == 3 and err == self.OVERFLOW.format(16)
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestRWithoutTau:
+    """nterm's tau = 1/(r + 1/2) needs r above -1/2; compare reads --r only
+    for random_decay and takes any finite value."""
+
+    @pytest.mark.parametrize("r", [-0.5, -0.6])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_nterm_exits_3(self, tmp_path, capsys, r, via_config):
+        path = tmp_path / "u.coeffs"
+        save_coeffs(make_hyper({((1, 1), (0, 0)): 1.0}, 2, 2), path)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"r = {r}\n")
+        given = ["--config", cfg] if via_config else [f"--r={r}"]
+        code, err = main_exit(["nterm", "--coeffs", path, *given, "--out", tmp_path / "x.csv"],
+                              capsys)
+        assert code == 3 and err == f"error: --r must be above -1/2 (1/tau = r + 1/2), got {r}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_compare_accepts_r(self, tmp_path, capsys):
+        code, err = main_exit(["compare", "--kind", "random_decay", "--r=-0.6", "--jmax", 5,
+                               "--out", tmp_path / "x.csv"], capsys)
+        assert code == 0 and err == ""
 
 
 class TestNonFiniteFloatFlags:

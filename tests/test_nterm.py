@@ -7,6 +7,7 @@ import pytest
 from hyperwave import (
     CoeffVector,
     InsufficientPoints,
+    InvalidExponent,
     NTermResult,
     NormParams,
     besov_hybrid_norm,
@@ -205,6 +206,13 @@ class TestFitRate:
         curve = NTermResult((), {2: 1.0, 4: 0.5, 8: 0.25, 16: 0.0}, 0.0)
         assert fit_rate(curve, 2, 16) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_error_in_window_raises(self, bad):
+        curve = NTermResult((), {1: bad, 2: 1.0, 4: bad, 8: 0.25, 16: 0.1}, 0.0)
+        with pytest.raises(InsufficientPoints, match=rf"^rate fit needs finite errors, "
+                           rf"got E_N={bad} at N=4$"):
+            fit_rate(curve, 2, 16)
+
     def test_prescribed_decay_data_rate_near_one(self, haar):
         # Independent oracle first: the curve itself, on data with unit
         # Besov mass density per level block at (q, r) = (0, 1).
@@ -262,6 +270,12 @@ class TestJacksonBernstein:
         u = make_hyper({((1, 1), (0, 0)): 1.0}, 2, 2).with_values(np.array([0.0]))
         with pytest.raises(ZeroDivisionError):
             jackson_bernstein_ratios(u, 0.0, 1.0)
+
+    @pytest.mark.parametrize("r", [-0.5, -0.6, float("nan")])
+    def test_r_without_tau_raises(self, r):
+        u = make_hyper({((1, 1), (0, 0)): 1.0}, 2, 2)
+        with pytest.raises(InvalidExponent, match=r"^r must be above -1/2"):
+            jackson_bernstein_ratios(u, 0.0, r)
 
     def test_weak_ltau_chain(self, haar):
         # N^r E_N <= C weak_ltau(weights) <= C ltau norm, with one fitted C.

@@ -16,7 +16,9 @@ batches of dense grids, against one analysis and one
 keeps, in either system, against the scatter of its entries, its lazily
 built entries against the eager extraction they replaced, and its norms
 against those of its twin built from index columns; the index keys built
-from record views against one named tuple per row."""
+from record views against one named tuple per row.  The level-by-level
+isotropic synthesis against a CSR reference of the same route, bit for
+bit, and against the per-block synthesis it replaced, within rounding."""
 
 import itertools
 import math
@@ -64,7 +66,6 @@ from hyperwave.seqnorms import _block_norm, _outer_norm
 from hyperwave.tables import WRITE_CHUNK_ROWS, fmt
 from hyperwave.tensorbasis import (
     _from_multiscale_array,
-    _gather_iso_blocks,
     _iso_block_slices,
     _iso_blocks,
     _nonzero_cells,
@@ -512,6 +513,32 @@ def reference_iso_synthesize(spec, v):
     return out
 
 
+def reference_levelwise_iso_synthesize(spec, v):
+    """The level-by-level isotropic synthesis of a bivariate vector with
+    scipy CSR products: the blocks laid out on the multiscale grid, then for
+    each level m above j0 the box [0, |Delta_m|)^2 refined along its rows,
+    then along its columns, by M0 on the scaling and M1 on the wavelet
+    range."""
+    arr = np.zeros((spec.delta_size(v.max_level),) * 2)
+    for (m, e), block in reference_gather_iso_blocks(spec, v).items():
+        arr[_iso_block_slices(spec, m, e)] = block
+    for m in range(spec.j0 + 1, v.max_level + 1):
+        quad = spec.masks(m)
+        m0, m1 = quad.m0.csr, quad.m1.csr
+        lo, hi = spec.block_slice(m)
+        arr[:hi, :hi] = m0 @ arr[:lo, :hi] + m1 @ arr[lo:hi, :hi]
+        arr[:hi, :hi] = (m0 @ arr[:hi, :lo].T + m1 @ arr[:hi, lo:hi].T).T
+    return arr + 0.0
+
+
+def check_iso_synthesize(spec, v):
+    """``iso_synthesize`` bit for bit as the level-by-level reference, and
+    within rounding of the per-block route it replaced."""
+    synth, per_block = iso_synthesize(spec, v), reference_iso_synthesize(spec, v)
+    assert synth.tobytes() == reference_levelwise_iso_synthesize(spec, v).tobytes()
+    assert np.abs(synth - per_block).max() <= 1e-13 * np.abs(per_block).max()
+
+
 def same_bits(a, b):
     fields = ("system", "n", "p_norm", "max_level", "basis")
     assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
@@ -618,8 +645,7 @@ class TestChangeOfBasisBitwise:
             v = iso_from_hyper(spec, u)
             same_bits(v, reference_iso_from_hyper(spec, u))
             same_bits(hyper_from_iso(spec, v), reference_hyper_from_iso(spec, v))
-            synth = iso_synthesize(spec, v)
-            assert synth.tobytes() == reference_iso_synthesize(spec, v).tobytes()
+            check_iso_synthesize(spec, v)
 
     def test_sparse_vector_matches(self, haar):
         u = make_hyper({((0, 3), (0, 2)): 1.5, ((2, 1), (1, 0)): -0.25,
@@ -627,7 +653,7 @@ class TestChangeOfBasisBitwise:
         v = iso_from_hyper(haar, u)
         same_bits(v, reference_iso_from_hyper(haar, u))
         same_bits(hyper_from_iso(haar, v), reference_hyper_from_iso(haar, v))
-        assert iso_synthesize(haar, v).tobytes() == reference_iso_synthesize(haar, v).tobytes()
+        check_iso_synthesize(haar, v)
 
 
 def kept_grid_vectors(spec, n, rng):
@@ -900,32 +926,28 @@ class TestNonzeroCellsBitwise:
                 assert x.tobytes() == y.tobytes()
 
 
-class TestIsoBlockGrouping:
+class TestIsoSynthesisInputOrder:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_blocks_match_mask_per_block(self, haar, haar_j2, n):
+    def test_shuffled_entries_synthesise_to_same_bytes(self, haar, haar_j2, n):
         rng = np.random.default_rng(20 + n)
         for spec in (haar, haar_j2):
             u = random_hyper(spec, rng, n, spec.j0 + 3)
             v = iso_from_hyper(spec, u)
-            # Shuffled entries: the blocks must not depend on the input order.
             perm = rng.permutation(v.num_entries)
-            v = replace(v, levels=v.levels[perm], etypes=v.etypes[perm],
-                        positions=v.positions[perm], values=v.values[perm])
-            got, want = _gather_iso_blocks(spec, v), reference_gather_iso_blocks(spec, v)
-            assert list(got) == list(want)
-            for key in want:
-                assert got[key].tobytes() == want[key].tobytes()
+            shuffled = replace(v, levels=v.levels[perm], etypes=v.etypes[perm],
+                               positions=v.positions[perm], values=v.values[perm])
+            assert iso_synthesize(spec, shuffled).tobytes() == iso_synthesize(spec, v).tobytes()
 
-    def test_first_bad_block_in_code_order_is_reported(self, haar):
+    def test_first_bad_block_in_level_type_order_is_reported(self, haar):
         # The level-3 entry comes first in the input, the level-1 block
-        # first in block order; both positions are out of range.
+        # first in (level, type) order; both positions are out of range.
         v = make_iso({(3, (0, 1), (9, 0)): 1.0, (1, (1, 1), (5, 0)): 2.0}, 2, 3)
         with pytest.raises(DimensionMismatch, match=r"^position \(5, 0\) out of range "
                            r"for level 1 type \(1, 1\) block of shape \(1, 1\)$"):
-            _gather_iso_blocks(haar, v)
+            iso_synthesize(haar, v)
         v = make_iso({(3, (0, 1), (0, 0)): 1.0, (2, (0, 0), (0, 0)): 2.0}, 2, 3)
         with pytest.raises(DimensionMismatch, match=r"^no level-2 block of type \(0, 0\)"):
-            _gather_iso_blocks(haar, v)
+            iso_synthesize(haar, v)
 
 
 def reference_sort_keys(cv):

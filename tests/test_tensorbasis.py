@@ -25,6 +25,7 @@ from hyperwave import (
     load_coeffs,
     rescale,
     save_coeffs,
+    tensorbasis,
 )
 from hyperwave.tensorbasis import _iso_blocks, _scaling_sweep, _to_multiscale_array
 from conftest import from_index_arrays, make_hyper, make_iso, random_hyper
@@ -280,6 +281,31 @@ class TestScalingSweep:
         counts.clear()
         hyper_from_iso(haar, v)
         assert 0 < counts["apply_transpose"] <= bound and counts["apply"] == 0
+
+
+class TestIsoSynthesize:
+    """The isotropic synthesis, level by level on the multiscale grid."""
+
+    def test_kept_vector_builds_no_index_arrays(self, haar, monkeypatch):
+        v = iso_from_hyper(haar, random_hyper(haar, np.random.default_rng(4), 2, 4))
+        calls = Counter()
+
+        def counted(*args, _original=tensorbasis._nonzero_cells):
+            calls["cells"] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(tensorbasis, "_nonzero_cells", counted)
+        out = iso_synthesize(haar, v)
+        assert calls["cells"] == 0 and "levels" not in vars(v)
+        assert out.tobytes() == iso_synthesize(haar, from_index_arrays(v)).tobytes()
+
+    @pytest.mark.parametrize("name", ["haar", "haar_j2"])
+    def test_negative_zero_at_coarsest_level_gives_positive_zero(self, request, name):
+        # No level runs above j0, so the grid is returned as scattered but for the sign.
+        spec = request.getfixturevalue(name)
+        size = spec.delta_size(spec.j0)
+        v = make_iso({(spec.j0, (0, 0), k): -0.0 for k in np.ndindex(size, size)}, 2, spec.j0)
+        assert iso_synthesize(spec, v).tobytes() == np.zeros((size, size)).tobytes()
 
 
 class TestRescale:
