@@ -204,13 +204,13 @@ class BandMatrix:
         return self._accumulate(*self._operand(x, self.rows, axis), transpose=True)
 
     def _accumulate(self, x, axis: int, transpose: bool) -> np.ndarray:
-        """The product along ``axis`` of ``x``, written to an output in the
-        axis order of ``x``: a strided view of a larger grid is read where
+        """The product along ``axis`` of ``x``, written to an output laid out
+        as ``x`` is: a strided or permuted view of a larger grid is read where
         it lies, and each term runs over the other axes in memory order."""
         steps, untouched = self._plan(transpose)
         shape = list(x.shape)
         shape[axis] = self.cols if transpose else self.rows
-        out = np.empty(shape)
+        out = np.empty_like(x, shape=shape)
         x, y = x.swapaxes(0, axis), out.swapaxes(0, axis)
         if untouched.size:
             y[untouched] = 0.0

@@ -297,29 +297,29 @@ def evaluate_on_dyadic_grid(spec: BasisSpec, idx: LevelIndex, m: int) -> np.ndar
 
     The index is expanded into level-m single-scale coefficients by the
     mask cascade and the expansion is read off against the level-m scaling
-    functions.  For piecewise-constant scaling functions (Haar) the
-    returned values are exact; otherwise they are first-order midpoint
-    approximations of the cascade limit.
+    functions.  A wavelet of level j > j0 is the synthesis of a unit
+    detail from level j on; a scaling function of level j, like a wavelet
+    of level j0, that of a unit coarse coefficient from level j + 1 on.
+    For piecewise-constant scaling functions (Haar) the returned values
+    are exact; otherwise they are first-order midpoint approximations of
+    the cascade limit.
     """
-    from . import transform1d
+    from .transform1d import _step
 
     j, k = idx.j, idx.k
     if m <= j:
         raise LevelTooCoarse(f"grid level {m} must exceed index level {j}")
     if idx.kind == "scaling":
-        if not 0 <= k < spec.delta_size(j):
-            raise DimensionMismatch(f"scaling position {k} out of range at level {j}")
-        c = np.zeros(spec.delta_size(j))
-        c[k] = 1.0
-        for level in range(j + 1, m + 1):
-            c = spec.masks(level).m0.apply(c)
+        lo, width, first = 0, spec.delta_size(j), j + 1
     else:
-        if not 0 <= k < spec.nabla_size(j):
-            raise DimensionMismatch(f"wavelet position {k} out of range at level {j}")
-        ms = np.zeros(spec.delta_size(m))
-        lo, _ = spec.block_slice(j)
-        ms[lo + k] = 1.0
-        c = transform1d._synthesize_array(spec, ms, m)
+        width, lo = spec.nabla_size(j), spec.block_slice(j)[0]
+        first = max(j, spec.j0 + 1)
+    if not 0 <= k < width:
+        raise DimensionMismatch(f"{idx.kind} position {k} out of range at level {j}")
+    c = np.zeros(spec.delta_size(m))
+    c[lo + k] = 1.0
+    for level in range(first, m + 1):
+        _step(spec.masks(level), c, (), 0, *spec.block_slice(level), analysis=False)
     return (2.0 ** (m / 2.0)) * c
 
 

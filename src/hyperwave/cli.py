@@ -3,7 +3,8 @@
 Every command is deterministic given its flags and seed; CSV outputs are
 byte-stable (all floats printed with 17 significant digits) so runs can be
 diffed across platforms.  Exit codes: 0 pass, 1 check failure, 2 I/O
-error, 3 validation error.
+error, 3 validation error, 141 (128 + SIGPIPE) stdout closed by its
+reader, as ``| head`` does.
 """
 
 from __future__ import annotations
@@ -395,7 +396,9 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                return args.func(args)
+                code = args.func(args)
+                sys.stdout.flush()  # a closed stdout shows here, not at exit
+                return code
             finally:
                 for message in dict.fromkeys(str(w.message) for w in caught):
                     print(f"warning: {message}", file=sys.stderr)
@@ -404,6 +407,9 @@ def main(argv=None) -> int:
     except (HyperwaveError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # the reader stopped early; not 0, which would hide a failure
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # silent exit flush
+        return 141
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

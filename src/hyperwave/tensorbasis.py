@@ -2,12 +2,12 @@
 
 Two index systems coexist: hyperbolic (tensor-product) coefficients keyed
 by one level per axis, and isotropic coefficients keyed by a single level
-plus a binary type vector.  Coefficients are held in columnar sparse form;
-the change of basis between the systems is, for every n, one in-place
-cascade sweep per axis of the dense multiscale grid, which applies the
-univariate transforms along the scaling axes (e_i = 0) of all type blocks
-at once.  The isotropic synthesis, its cross-check, refines the same grid
-level by level through the refinement masks alone.
+plus a binary type vector.  Coefficients are held in columnar sparse form.
+Every transform runs in place on the dense multiscale grid by the one
+sweep of the two-scale step (``transform1d._sweep``): the level-m cascade
+on every line, or for the change of basis the univariate transforms along
+the scaling axes (e_i = 0) of all type blocks at once.  The isotropic
+synthesis takes the same step level by level, all axes at each level.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     WrongSystem,
 )
 from .tables import fmt, header_fields, parse_row, read_lines, read_table, write_table
-from .transform1d import _analyze_array, _apply_axis, _level_maps, _synthesize_array
+from .transform1d import _level_maps, _step, _sweep
 
 __all__ = [
     "HYPERBOLIC",
@@ -254,11 +254,10 @@ def hyper_forward(spec: BasisSpec, n: int, data: np.ndarray) -> CoeffVector:
 
 
 def _analyze_grids(spec: BasisSpec, data: np.ndarray, n: int, m: int) -> np.ndarray:
-    """The 1-D analysis at level m along each of the last n axes of ``data``;
-    leading axes index a batch of grids, each analysed as if alone."""
-    for axis in range(data.ndim - n, data.ndim):
-        data = _apply_axis(lambda a: _analyze_array(spec, a, m), data, axis)
-    return data
+    """The 1-D analysis at level m along each of the last n axes of ``data``,
+    in a new array; leading axes index a batch of grids, each analysed as
+    if alone."""
+    return _sweep(spec, np.array(data, dtype=np.float64), n, m, analysis=True)
 
 
 def _nonzero_cells(block: np.ndarray, *axis_maps) -> tuple[np.ndarray, ...]:
@@ -427,10 +426,7 @@ def hyper_inverse(spec: BasisSpec, coeffs: CoeffVector) -> np.ndarray:
     if coeffs.basis != spec.name:
         raise DimensionMismatch(f"coefficients carry basis {coeffs.basis!r}, spec is {spec.name!r}")
     arr = _to_multiscale_array(spec, coeffs)
-    m = coeffs.max_level
-    for axis in range(coeffs.n):
-        arr = _apply_axis(lambda a: _synthesize_array(spec, a, m), arr, axis)
-    return arr
+    return _sweep(spec, arr, coeffs.n, coeffs.max_level, analysis=False)
 
 
 def _require_l2(cv: CoeffVector, system: str) -> None:
@@ -446,46 +442,6 @@ def _iso_block_slices(spec: BasisSpec, m: int, e: tuple[int, ...]) -> tuple[slic
     those with e_i = 0.  Type 0 is the coarse block of level j0."""
     lo, hi = spec.block_slice(m)
     return tuple(slice(lo, hi) if ei or not any(e) else slice(0, lo) for ei in e)
-
-
-def _scaling_sweep(spec: BasisSpec, grid: np.ndarray, n: int, mmax: int,
-                   analysis: bool) -> None:
-    """The change of basis in place on the multiscale ``grid``, held in its
-    last n axes (leading axes index a batch): along each of those axes in
-    turn, every line whose other coordinates reach top level M > j0 gets
-    the univariate synthesis T_{M-1} on its cells of level below M, or with
-    ``analysis`` the dual analysis Tdual_{M-1}^T.
-
-    Such a line runs through the level-M blocks of the types with e_i = 0
-    on the swept axis, and its cells below level M are their scaling
-    positions along it.  All lines of top level at least k + 1 take
-    cascade step k together, as n - 1 boxes: box i holds the lines whose
-    other axis i is at least |Delta_k| and whose other axes before it are
-    below.  So each line gets the mask products its block's own cascade
-    would, in the same order and axis by axis, with O(m) products in all.
-    """
-    levels = range(spec.j0 + 1, mmax)
-    for axis in range(grid.ndim - n, grid.ndim):
-        others = [b for b in range(grid.ndim - n, grid.ndim) if b != axis]
-        for k in reversed(levels) if analysis else levels:
-            quad = spec.masks(k)
-            lo, hi = spec.block_slice(k)
-            for i, b in enumerate(others):
-                box = [slice(None)] * grid.ndim
-                for c in others[:i]:
-                    box[c] = slice(0, hi)
-                box[b] = slice(hi, None)
-                whole, coarse, detail = (tuple(box[:axis] + [cut] + box[axis + 1:])
-                                         for cut in (slice(0, hi), slice(0, lo), slice(lo, hi)))
-                if analysis:
-                    line = grid[whole]
-                    grid[detail], grid[coarse] = (quad.mt1.apply_transpose(line, axis),
-                                                  quad.mt0.apply_transpose(line, axis))
-                else:
-                    line = quad.m0.apply(grid[coarse], axis)
-                    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN
-                        line += quad.m1.apply(grid[detail], axis)
-                    grid[whole] = line
 
 
 def _iso_blocks(spec: BasisSpec, grid: np.ndarray, n: int, mmax: int) -> list:
@@ -512,8 +468,7 @@ def iso_from_hyper(spec: BasisSpec, u: CoeffVector) -> CoeffVector:
     order (:func:`_iso_blocks`), so it scatters and extracts nothing.
     """
     _require_l2(u, HYPERBOLIC)
-    arr = _to_multiscale_array(spec, u)
-    _scaling_sweep(spec, arr, u.n, u.max_level, analysis=False)
+    arr = _sweep(spec, _to_multiscale_array(spec, u), u.n, u.max_level, analysis=False, full=False)
     return _from_multiscale_array(spec, arr, u.n, u.max_level, ISOTROPIC)
 
 
@@ -522,8 +477,7 @@ def hyper_from_iso(spec: BasisSpec, v: CoeffVector) -> CoeffVector:
     axes with e_i = 0 of each level-m block, in place on the grid of ``v``;
     the result keeps that grid."""
     _require_l2(v, ISOTROPIC)
-    arr = _to_multiscale_array(spec, v)
-    _scaling_sweep(spec, arr, v.n, v.max_level, analysis=True)
+    arr = _sweep(spec, _to_multiscale_array(spec, v), v.n, v.max_level, analysis=True, full=False)
     return _from_multiscale_array(spec, arr, v.n, v.max_level)
 
 
@@ -534,23 +488,17 @@ def iso_synthesize(spec: BasisSpec, v: CoeffVector) -> np.ndarray:
     m = j0 + 1 .. max_level, the box [0, |Delta_m|)^n, which holds the
     level-(m-1) scaling coefficients and the level-m type blocks, is
     refined along each axis in turn by M0 on its scaling range and M1 on
-    its wavelet range.  This route shares nothing with the change of basis
-    beyond the masks themselves, which makes it the natural cross-check
-    that both sides represent the same function.
+    its wavelet range: the step of the change of basis, ``transform1d._step``,
+    level by level.  The independent checks that both systems represent one
+    function are the test references ``reference_iso_synthesize`` (per block)
+    and ``reference_levelwise_iso_synthesize`` (CSR products).
     """
     _require_l2(v, ISOTROPIC)
     grid = _to_multiscale_array(spec, v)
     for m in range(spec.j0 + 1, v.max_level + 1):
-        quad = spec.masks(m)
         lo, hi = spec.block_slice(m)
-        box = (slice(0, hi),) * v.n
         for axis in range(v.n):
-            scaling, wavelet = (box[:axis] + (cut,) + box[axis + 1:]
-                                for cut in (slice(0, lo), slice(lo, hi)))
-            line = quad.m0.apply(grid[scaling], axis)
-            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN
-                line += quad.m1.apply(grid[wavelet], axis)
-            grid[box] = line
+            _step(spec.masks(m), grid, (slice(0, hi),) * v.n, axis, lo, hi, analysis=False)
     grid += 0.0  # -0.0 to +0.0 where no level ran
     return grid
 

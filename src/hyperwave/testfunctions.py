@@ -14,7 +14,7 @@ import numpy as np
 from .basis1d import make_haar_basis
 from .errors import UnknownKind, UnsupportedDimension
 from .tensorbasis import _check_dimension
-from .transform1d import _apply_axis, _synthesize_array
+from .transform1d import _sweep
 
 __all__ = ["KINDS", "sample_function"]
 
@@ -89,6 +89,4 @@ def _random_decay(params: dict, n: int, m: int) -> np.ndarray:
         xi = rng.uniform(0.5, 1.0, shape)
         sign = rng.choice([-1.0, 1.0], shape)
         arr[slices] = env * xi * sign
-    for axis in range(n):
-        arr = _apply_axis(lambda a: _synthesize_array(spec, a, m), arr, axis)
-    return arr
+    return _sweep(spec, arr, n, m, analysis=False)

@@ -3,17 +3,18 @@
 The synthesis matrix T_m maps multiscale coefficients, ordered as
 [coarse scaling block, detail blocks by increasing level], to level-m
 single-scale coefficients; its dual satisfies Tdual_m^T T_m = I.  The
-matrix-free cascade costs O(|Delta_m|) for bounded-bandwidth masks and is
-the default.  It multiplies by the masks with the numpy products of
-``BandMatrix.apply`` and ``apply_transpose``, which add the terms of each
-entry in the order scipy's sparse kernels do and so give their results bit
-for bit (up to the sign of a NaN) without importing scipy.  The
-verification checks assemble T_m and Tdual_m explicitly, the one place
-here where scipy is loaded: each level takes one sparse cascade step from
-the level below, T_m = M0_m [T_{m-1} | 0] + M1_m [rows of I for level m],
-and every assembled level is kept on the spec.  When every level's dual
-masks equal its primal masks (an orthonormal basis such as Haar), Tdual_m
-is T_m, and the pair holds one matrix twice.
+matrix-free route is one two-scale step in place on a multiscale grid,
+``_step``, and one sweep of it over the grid's axes and levels, ``_sweep``,
+which serves every grid transform at O(|Delta_m|) per line.  It multiplies
+by the masks with the numpy products of ``BandMatrix.apply`` and
+``apply_transpose``, which give scipy's results bit for bit (up to the
+sign of a NaN) without importing scipy.  The verification checks assemble
+T_m and Tdual_m explicitly, the one place here where scipy is loaded: each
+level takes one sparse cascade step from the level below, T_m = M0_m
+[T_{m-1} | 0] + M1_m [rows of I for level m], and every assembled level is
+kept on the spec.  When every level's dual masks equal its primal masks
+(an orthonormal basis such as Haar), Tdual_m is T_m, and the pair holds
+one matrix twice.
 """
 
 from __future__ import annotations
@@ -57,36 +58,79 @@ def _check_block_lengths(spec: BasisSpec, ms: MultiscaleVector) -> None:
         raise DimensionMismatch(f"block lengths {actual}, expected {expected}")
 
 
+def _step(quad, grid: np.ndarray, box, axis: int, lo: int, hi: int, analysis: bool) -> None:
+    """One level's two-scale step along ``axis`` of ``grid``, in place on
+    the lines that the slices ``box`` select on the other axes.
+
+    Analysis maps the level-k cells [0, hi) of each line to Mt1^T (the
+    detail cells [lo, hi)) and Mt0^T (the coarse cells [0, lo)); synthesis
+    maps them back, M0 coarse + M1 detail.  Both products read the line
+    before either is written.
+    """
+    whole, coarse, detail = (tuple(box[:axis]) + (cut,) + tuple(box[axis + 1:])
+                             for cut in (slice(0, hi), slice(0, lo), slice(lo, hi)))
+    if analysis:
+        line = grid[whole]
+        grid[detail], grid[coarse] = (quad.mt1.apply_transpose(line, axis),
+                                      quad.mt0.apply_transpose(line, axis))
+    else:
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN
+            np.add(quad.m0.apply(grid[coarse], axis), quad.m1.apply(grid[detail], axis),
+                   out=grid[whole])
+
+
+def _sweep(spec: BasisSpec, grid: np.ndarray, n: int, m: int, analysis: bool,
+           full: bool = True) -> np.ndarray:
+    """The univariate cascades in place along each of the last n axes of
+    the level-m multiscale ``grid`` in turn, which is returned; leading
+    axes index a batch.
+
+    With ``full``, every line takes the level-m cascade: Tdual_m^T with
+    ``analysis``, else T_m.  Otherwise this is the change of basis between
+    the hyperbolic and the isotropic system: a line whose other coordinates
+    reach top level M > j0 gets T_{M-1} (or Tdual_{M-1}^T) on its cells of
+    level below M.  Such a line runs through the level-M blocks of the
+    types with e_i = 0 on the swept axis, and its cells below level M are
+    their scaling positions along it.  All lines of top level at least
+    k + 1 take cascade step k together, as n - 1 boxes: box i holds the
+    lines whose other axis i is at least |Delta_k| and whose other axes
+    before it are below.  So each line gets the mask products its block's
+    own cascade would, in the same order, with O(m) products in all.
+    """
+    axes = range(grid.ndim - n, grid.ndim)
+    levels = range(spec.j0 + 1, m + 1 if full else m)
+    for axis in axes:
+        others = [b for b in axes if b != axis]
+        # In place along the contiguous axis, a product runs an inner loop per
+        # line; where lines outnumber their cells, a full sweep runs on an
+        # axis-first copy, written back, whose inner loops span all lines.
+        lines = grid.swapaxes(0, axis)
+        short = lines.size > lines.shape[0] ** 2 and not lines.flags.c_contiguous
+        work = lines.copy() if full and short else lines
+        for k in reversed(levels) if analysis else levels:
+            quad = spec.masks(k)
+            lo, hi = spec.block_slice(k)
+            if full:
+                _step(quad, work, (), 0, lo, hi, analysis)
+                continue
+            box = [slice(None)] * grid.ndim
+            for b in others:
+                box[b] = slice(hi, None)
+                _step(quad, grid, box, axis, lo, hi, analysis)
+                box[b] = slice(0, hi)
+        if work is not lines:
+            lines[...] = work
+    return grid
+
+
 def _analyze_array(spec: BasisSpec, a: np.ndarray, m: int) -> np.ndarray:
     """Apply Tdual_m^T along the leading axis of a 1-D or 2-D array."""
-    out = np.empty_like(a, dtype=np.float64)
-    cur = np.asarray(a, dtype=np.float64)
-    for level in range(m, spec.j0, -1):
-        quad = spec.masks(level)
-        lo, hi = spec.block_slice(level)
-        out[lo:hi] = quad.mt1.apply_transpose(cur)
-        cur = quad.mt0.apply_transpose(cur)
-    out[: spec.delta_size(spec.j0)] = cur
-    return out
+    return _sweep(spec, np.array(a, dtype=np.float64).T, 1, m, analysis=True).T
 
 
 def _synthesize_array(spec: BasisSpec, a: np.ndarray, m: int) -> np.ndarray:
-    """Apply T_m along the leading axis of a 1-D/2-D float64 array."""
-    cur = a[: spec.delta_size(spec.j0)].copy()
-    for level in range(spec.j0 + 1, m + 1):
-        quad = spec.masks(level)
-        lo, hi = spec.block_slice(level)
-        with np.errstate(invalid="ignore", over="ignore"):  # as in the mask products
-            cur = quad.m0.apply(cur) + quad.m1.apply(a[lo:hi])
-    return cur
-
-
-def _apply_axis(fn, arr: np.ndarray, axis: int) -> np.ndarray:
-    """Apply ``fn``, a map of the leading axis of 2-D arrays, along one axis
-    of an n-D array; the length of that axis may change."""
-    moved = np.swapaxes(arr, axis, 0)
-    res = fn(moved.reshape(moved.shape[0], -1))
-    return np.swapaxes(res.reshape(res.shape[:1] + moved.shape[1:]), 0, axis)
+    """Apply T_m along the leading axis of a 1-D or 2-D array."""
+    return _sweep(spec, np.array(a, dtype=np.float64).T, 1, m, analysis=False).T
 
 
 def _level_maps(spec: BasisSpec, m: int) -> tuple[np.ndarray, np.ndarray]:

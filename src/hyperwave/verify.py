@@ -49,10 +49,9 @@ from .tensorbasis import (
     _analyze_grids,
     _kept_grid,
     _require_l2,
-    _scaling_sweep,
     _to_multiscale_array,
 )
-from .transform1d import build_transform, check_entry_decay
+from .transform1d import _sweep, build_transform, check_entry_decay
 
 __all__ = [
     "SUITES",
@@ -350,7 +349,7 @@ def _embedding_ratios(spec, n, m, q, s, k=1):
         inner, found = hybrid_bins(grids)
         present = found if present is None else present
         hybrid = [_outer_norm(w[p], tau) for w, p in zip(hybrid_weights * inner, present)]
-        _scaling_sweep(spec, grids, n, m, analysis=False)
+        _sweep(spec, grids, n, m, analysis=False, full=False)
         out = []
         for h, (w, p) in zip(hybrid, zip(*iso_bins(grids))):
             low, high = (_outer_norm((weight * w)[p], tau) for weight in iso_weights)

@@ -924,6 +924,27 @@ def test_embedding_memory_does_not_grow_with_trials(tmp_path):
     assert many - one < 10 * 1024
 
 
+class TestClosedStdout:
+    """A reader of stdout that stops early, as ``| head`` does, ends the
+    command with exit code 141 (128 + SIGPIPE) and nothing on stderr, not
+    with an i/o error; never with 0, which would hide a failed check.  The
+    read end of the pipe is closed before the child starts, so every write
+    fails."""
+
+    @pytest.mark.parametrize("argv", [("nterm", "--coeffs", "u.coeffs"),
+                                      ("verify", "--suite", "biorth", "--m-max", "3")])
+    def test_exit_141_and_silent(self, tmp_path, haar, argv):
+        save_coeffs(random_hyper(haar, np.random.default_rng(0), 2, 4), tmp_path / "u.coeffs")
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            r = subprocess.run([sys.executable, "-m", "hyperwave", *argv], stdout=write,
+                               stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=child_env())
+        finally:
+            os.close(write)
+        assert (r.returncode, r.stderr) == (141, "")
+
+
 def test_usage_error_returns_2(capsys):
     assert main(["transform", "--jmax"]) == 2
     assert "expected one argument" in capsys.readouterr().err

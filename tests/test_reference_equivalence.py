@@ -18,7 +18,11 @@ built entries against the eager extraction they replaced, and its norms
 against those of its twin built from index columns; the index keys built
 from record views against one named tuple per row.  The level-by-level
 isotropic synthesis against a CSR reference of the same route, bit for
-bit, and against the per-block synthesis it replaced, within rounding."""
+bit, and against the per-block synthesis it replaced, within rounding.
+Every grid transform, now one in-place sweep of the two-scale step,
+against the 1-D cascades on reshaped 2-D copies it replaced, and the
+dyadic-grid values of a basis function against their two-branch
+expansion."""
 
 import itertools
 import math
@@ -39,6 +43,7 @@ from hyperwave import (
     DimensionMismatch,
     HyperIndex,
     IsoIndex,
+    LevelIndex,
     MaskQuad,
     NormParams,
     besov_hybrid_norm,
@@ -46,15 +51,18 @@ from hyperwave import (
     build_transform,
     check_embedding_chain,
     error_curve,
+    evaluate_on_dyadic_grid,
     iso_from_hyper,
     jackson_bernstein_ratios,
     make_haar_basis,
     make_mask_basis,
     rescale,
     running_max_stabilizes,
+    sample_function,
     seqnorms,
     sobolev_norm_hyper,
     sobolev_norm_iso,
+    testfunctions,
     verify,
 )
 from hyperwave import hyper_forward, hyper_from_iso, hyper_inverse, iso_synthesize
@@ -65,13 +73,15 @@ from hyperwave.nterm import _tail_errors, _weights_and_order
 from hyperwave.seqnorms import _block_norm, _outer_norm
 from hyperwave.tables import WRITE_CHUNK_ROWS, fmt
 from hyperwave.tensorbasis import (
+    _analyze_grids,
     _from_multiscale_array,
     _iso_block_slices,
     _iso_blocks,
+    _kept_grid,
     _nonzero_cells,
     _to_multiscale_array,
 )
-from hyperwave.transform1d import _analyze_array, _apply_axis, _synthesize_array
+from hyperwave.transform1d import _analyze_array, _synthesize_array
 from hyperwave.verify import TransformNormRow, _p_norm_estimate, check_transform_norms
 from conftest import make_hyper, make_iso, random_hyper, random_sparse_hyper
 
@@ -550,6 +560,14 @@ def same_bits(a, b):
             assert x.tobytes() == y.tobytes()
 
 
+def _apply_axis(fn, arr, axis):
+    """Apply ``fn``, a map of the leading axis of 2-D arrays, along one axis
+    of an n-D array; the length of that axis may change."""
+    moved = np.swapaxes(arr, axis, 0)
+    res = fn(moved.reshape(moved.shape[0], -1))
+    return np.swapaxes(res.reshape(res.shape[:1] + moved.shape[1:]), 0, axis)
+
+
 def reference_on_scaling_axes(cascade, spec, block, m, e):
     """The per-block cascade: the univariate ``cascade`` at level m - 1
     along the axes with e_i = 0 of a level-m block, the last n = len(e)
@@ -654,6 +672,110 @@ class TestChangeOfBasisBitwise:
         same_bits(v, reference_iso_from_hyper(haar, u))
         same_bits(hyper_from_iso(haar, v), reference_hyper_from_iso(haar, v))
         check_iso_synthesize(haar, v)
+
+
+def reference_analyze_array(spec, a, m):
+    """Tdual_m^T along the leading axis of a 1-D or 2-D array, a new array
+    per level: the cascade before it became an in-place sweep."""
+    out = np.empty_like(a, dtype=np.float64)
+    cur = np.asarray(a, dtype=np.float64)
+    for level in range(m, spec.j0, -1):
+        quad = spec.masks(level)
+        lo, hi = spec.block_slice(level)
+        out[lo:hi] = quad.mt1.apply_transpose(cur)
+        cur = quad.mt0.apply_transpose(cur)
+    out[: spec.delta_size(spec.j0)] = cur
+    return out
+
+
+def reference_synthesize_array(spec, a, m):
+    """T_m along the leading axis of a 1-D or 2-D array, a new array per
+    level."""
+    cur = a[: spec.delta_size(spec.j0)].copy()
+    for level in range(spec.j0 + 1, m + 1):
+        quad = spec.masks(level)
+        lo, hi = spec.block_slice(level)
+        with np.errstate(invalid="ignore", over="ignore"):
+            cur = quad.m0.apply(cur) + quad.m1.apply(a[lo:hi])
+    return cur
+
+
+def reshape_route(cascade, spec, grid, n, m):
+    """The 1-D ``cascade`` at level m along each of the last n axes of
+    ``grid`` in turn, each axis moved to the front of a 2-D copy."""
+    for axis in range(grid.ndim - n, grid.ndim):
+        grid = _apply_axis(lambda a: cascade(spec, a, m), grid, axis)
+    return grid
+
+
+def reference_evaluate_on_dyadic_grid(spec, idx, m):
+    """The two-branch expansion: a scaling index prolonged by M0 alone, a
+    wavelet index synthesised from a unit multiscale vector."""
+    j, k = idx.j, idx.k
+    if idx.kind == "scaling":
+        c = np.zeros(spec.delta_size(j))
+        c[k] = 1.0
+        for level in range(j + 1, m + 1):
+            c = spec.masks(level).m0.apply(c)
+    else:
+        c = np.zeros(spec.delta_size(m))
+        c[spec.block_slice(j)[0] + k] = 1.0
+        c = reference_synthesize_array(spec, c, m)
+    return (2.0 ** (m / 2.0)) * c
+
+
+class TestOneSweep:
+    """Every grid transform, now the one in-place sweep of the two-scale
+    step, against the reshape route it replaced, NaN equal to NaN."""
+
+    @pytest.mark.parametrize("name", ["haar", "haar_j2", "scaled", "lifted"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_reshape_route(self, request, monkeypatch, name, n):
+        spec = request.getfixturevalue(name)
+        m = spec.j0 + (3 if n == 3 else 4)
+        size = spec.delta_size(m)
+        rng = np.random.default_rng(n)
+        data = special_grid(rng, (size,) * n)
+        batch = special_grid(rng, (2,) + (size,) * n)
+        before = data.tobytes(), batch.tobytes()
+        seen, sweep = [], testfunctions._sweep
+
+        def spy(*args, **kwargs):
+            seen.append(args[1].copy())  # the drawn coefficients, before the synthesis
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(testfunctions, "_sweep", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = hyper_forward(spec, n, data)
+            assert_same_bits_but_nan_sign(
+                _kept_grid(u)[1], reshape_route(reference_analyze_array, spec, data, n, m) + 0.0)
+            for x in (u, u.with_values(special_operand(rng, u.num_entries, None))):
+                assert_same_bits_but_nan_sign(hyper_inverse(spec, x), reshape_route(
+                    reference_synthesize_array, spec, _to_multiscale_array(spec, x), n, m))
+            assert_same_bits_but_nan_sign(
+                _analyze_grids(spec, batch, n, m),
+                reshape_route(reference_analyze_array, spec, batch, n, m))
+            for a in (special_grid(rng, (size, 3)), special_grid(rng, (3, size)).T):
+                assert_same_bits_but_nan_sign(_analyze_array(spec, a, m),
+                                              reference_analyze_array(spec, a, m))
+                assert_same_bits_but_nan_sign(_synthesize_array(spec, a, m),
+                                              reference_synthesize_array(spec, a, m))
+            sampled = sample_function("random_decay", {"seed": n}, n, m)
+        (drawn,) = seen
+        assert_same_bits_but_nan_sign(
+            sampled, reshape_route(reference_synthesize_array, make_haar_basis(0), drawn, n, m))
+        assert (data.tobytes(), batch.tobytes()) == before
+
+    @pytest.mark.parametrize("name", ["haar", "haar_j2", "scaled", "lifted"])
+    def test_dyadic_grid_values_match_two_branches(self, request, name):
+        spec = request.getfixturevalue(name)
+        for j in range(spec.j0, 6):
+            for kind, width in (("scaling", spec.delta_size(j)), ("wavelet", spec.nabla_size(j))):
+                for k in range(width):
+                    idx = LevelIndex(j, k, kind)
+                    assert (evaluate_on_dyadic_grid(spec, idx, 8).tobytes()
+                            == reference_evaluate_on_dyadic_grid(spec, idx, 8).tobytes())
 
 
 def kept_grid_vectors(spec, n, rng):

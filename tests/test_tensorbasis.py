@@ -27,7 +27,8 @@ from hyperwave import (
     save_coeffs,
     tensorbasis,
 )
-from hyperwave.tensorbasis import _iso_blocks, _scaling_sweep, _to_multiscale_array
+from hyperwave.tensorbasis import _iso_blocks, _to_multiscale_array
+from hyperwave.transform1d import _sweep
 from conftest import from_index_arrays, make_hyper, make_iso, random_hyper
 
 
@@ -231,7 +232,7 @@ class TestChangeOfBasis:
 
 def swept(spec, grid, n, m):
     """``grid`` after the synthesis sweep, which runs in place."""
-    _scaling_sweep(spec, grid, n, m, analysis=False)
+    _sweep(spec, grid, n, m, analysis=False, full=False)
     return grid
 
 
