@@ -23,7 +23,7 @@ from .errors import (
     LevelTooCoarse,
     MaskInconsistent,
 )
-from .tables import parse_ints, read_lines, read_table, table_text
+from .tables import open_text, parse_ints, read_lines, read_table, table_text
 
 __all__ = [
     "COMPACT_SUPPORT_ALPHA",
@@ -342,7 +342,8 @@ def _write_blocks(path, blocks) -> None:
 
 def _read_blocks(path) -> list[tuple[int, BandMatrix]]:
     """The (level, matrix) pairs of the blocks of a mask or matrix file."""
-    lines = read_lines(path)
+    with open_text(path, "mask", DimensionMismatch) as fh:
+        lines = read_lines(fh)
     if lines and lines[-1] != "#":
         raise DimensionMismatch(f"unterminated block in {path} (missing '#')")
     ends = [i for i, ln in enumerate(lines) if ln == "#"]

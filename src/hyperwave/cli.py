@@ -26,7 +26,7 @@ from .basis1d import (
     make_mask_basis,
 )
 from .errors import HyperwaveError
-from .tables import fmt, header_fields, parse_ints, read_lines, read_table, write_table
+from .tables import fmt, header_fields, open_text, parse_ints, read_head, read_rows, write_table
 from .tensorbasis import (
     DIMENSIONS,
     hyper_forward,
@@ -62,21 +62,24 @@ def save_array(arr: np.ndarray, path) -> None:
 
 
 def load_array(path) -> np.ndarray:
-    lines = read_lines(path)
-    if not lines:
-        raise OSError(f"empty input file: {path}")
-    head = lines[0].split()
-    if head[:2] != ["hyperwave-array", "v1"]:
-        raise OSError(f"not a hyperwave array file: {path}")
-    try:
-        fields = header_fields(head[2:])
-        n, m = parse_ints([fields["n"], fields["m"]])
-    except (KeyError, ValueError):
-        raise HyperwaveError(f"malformed array file {path}: {lines[0]!r}") from None
-    try:
-        _, values = read_table(lines[1:], 0)
-    except ValueError as exc:
-        raise HyperwaveError(f"malformed array file {path}: {exc}") from None
+    with open_text(path, "array", HyperwaveError) as fh:
+        line = read_head(fh)
+        if not line:
+            raise OSError(f"empty input file: {path}")
+        head = line.split()
+        if head[:2] != ["hyperwave-array", "v1"]:
+            raise OSError(f"not a hyperwave array file: {path}")
+        try:
+            fields = header_fields(head[2:])
+            n, m = parse_ints([fields["n"], fields["m"]])
+        except (KeyError, ValueError):
+            raise HyperwaveError(f"malformed array file {path}: {line!r}") from None
+        try:
+            _, values = read_rows(fh, 0)
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:
+            raise HyperwaveError(f"malformed array file {path}: {exc}") from None
     if n not in DIMENSIONS:
         raise HyperwaveError(f"array file {path} declares n={n}, not in "
                              f"{DIMENSIONS[0]}..{DIMENSIONS[-1]}")
@@ -342,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path) -> dict[str, str]:
     out = {}
-    with open(path) as fh:
+    with open_text(path, "config", HyperwaveError) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:

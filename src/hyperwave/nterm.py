@@ -16,13 +16,12 @@ riesz, lemma4 and embedding checks of ``verify`` test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import InsufficientPoints, InvalidExponent
 from .seqnorms import NormParams, besov_hybrid_norm
-from .tensorbasis import CoeffVector, rescale
+from .tensorbasis import CoeffVector, _index_order, rescale
 
 __all__ = [
     "NTermResult",
@@ -59,9 +58,11 @@ class NTermResult:
     """Support of the largest requested truncation and the error curve.
 
     ``support`` is a tuple of ``HyperIndex``/``IsoIndex`` keys in greedy
-    order.  :func:`error_curve` passes a builder instead, so the keys are
-    made by ``CoeffVector.index_keys`` the first time ``support`` is read,
-    and kept; until then the result holds the vector and the sort order.
+    order.  :func:`error_curve` passes a builder instead, so the greedy
+    order is sorted and its keys are made by ``CoeffVector.index_keys`` the
+    first time ``support`` is read, and kept; until then the result holds
+    the vector, q and the support's length, and no array of the vector's
+    size.
 
     ``errors`` maps N to E_N, the l^2 norm of the discarded rescaled
     coefficients; E_N is nonincreasing, E_0 is the full weighted norm and
@@ -73,10 +74,16 @@ class NTermResult:
     q: float
 
 
-def _weights_and_order(u: CoeffVector, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """H^q moduli 2^{q level_inf} |u| and their descending sort order."""
-    w = 2.0 ** (q * u.level_linf()) * np.abs(u.values)
-    return w, np.lexsort((*u.index_columns().T[::-1], -w))
+def _weights(u: CoeffVector, q: float) -> np.ndarray:
+    """H^q moduli 2^{q level_inf} |u|."""
+    return 2.0 ** (q * u.level_linf()) * np.abs(u.values)
+
+
+def _greedy_order(u: CoeffVector, w: np.ndarray) -> np.ndarray:
+    """The entries by descending ``w``, ties in lexicographic index order:
+    a stable argsort of -w over the index order."""
+    by_index = _index_order(u.index_columns())
+    return by_index[np.argsort(-w[by_index], kind="stable")]
 
 
 def _tail_errors(w_sorted: np.ndarray) -> np.ndarray:
@@ -86,18 +93,19 @@ def _tail_errors(w_sorted: np.ndarray) -> np.ndarray:
 
 
 def error_curve(u: CoeffVector, q: float, n_list) -> NTermResult:
-    """E_N for every N in the ascending grid, from a single sort."""
+    """E_N for every N in the ascending grid, from one sort of the weights:
+    tied weights are equal numbers, so E_N does not depend on the tie order,
+    which only the support, built on its first read, needs."""
     n_list = [int(n) for n in n_list]
     if any(b < a for a, b in zip(n_list, n_list[1:])):
         raise InsufficientPoints("N grid must be ascending")
     if any(n < 0 for n in n_list):
         raise InsufficientPoints("N must be nonnegative")
-    w, order = _weights_and_order(u, q)
-    tail = _tail_errors(w[order])
+    tail = _tail_errors(-np.sort(-_weights(u, q)))
     total = u.num_entries
     errors = {n: float(tail[min(n, total)]) for n in n_list}
     n_sup = min(max(n_list, default=0), total)
-    return NTermResult(partial(u.index_keys, order[:n_sup]), errors, q)
+    return NTermResult(lambda: u.index_keys(_greedy_order(u, _weights(u, q))[:n_sup]), errors, q)
 
 
 def best_nterm(u: CoeffVector, q: float, n: int) -> NTermResult:
@@ -157,7 +165,8 @@ def jackson_bernstein_ratios(u: CoeffVector, q: float, r: float) -> tuple[float,
     denom = besov_hybrid_norm(u, NormParams(q=q, s=r, p=tau, tau=tau))
     if denom == 0.0:
         raise ZeroDivisionError("Jackson ratio undefined for the zero vector")
-    w, order = _weights_and_order(u, q)
+    w = _weights(u, q)
+    order = _greedy_order(u, w)
     n = np.arange(u.num_entries + 1)
     jackson = float(np.max(np.maximum(n, 1) ** r * _tail_errors(w[order]) / denom))
     linf, l1 = u.level_linf()[order], u.level_l1()[order]

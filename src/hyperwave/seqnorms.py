@@ -29,6 +29,7 @@ from .tensorbasis import (
     HYPERBOLIC,
     ISOTROPIC,
     CoeffVector,
+    _index_code,
     _iso_blocks,
     _kept_grid,
     _rescale_factor,
@@ -137,7 +138,8 @@ class _HybridBins:
         lvl, _ = _level_maps(spec, m)
         axes = [lvl.reshape([-1 if i == a else 1 for i in range(n)]) for a in range(n)]
         trial = np.arange(k).reshape((k,) + (1,) * n)
-        self.codes = (_level_code(axes, spec.j0, self.nl) + trial * self.nl ** n).ravel()
+        codes = _index_code(axes, [spec.j0] * n, [self.nl] * n)
+        self.codes = (codes + trial * self.nl ** n).ravel()
         self.factors = None
         if p != 2.0:
             self.factors = _rescale_factor(np.arange(n * m + 1), 2.0, p)[sum(axes)]
@@ -204,8 +206,8 @@ def _hybrid_block_norms(u: CoeffVector, p: float):
     base = int(u.max_level) - lo + 1
     if base ** u.n > np.iinfo(np.int64).max:
         raise DimensionMismatch(f"levels {lo}..{u.max_level} span too many blocks to index")
-    codes, inner = _grouped_block_norms(_level_code(levels.T, lo, base), base ** u.n,
-                                        rescale(u, p).values, p)
+    codes, inner = _grouped_block_norms(_index_code(levels.T, [lo] * u.n, [base] * u.n),
+                                        base ** u.n, rescale(u, p).values, p)
     return _level_blocks(codes, lo, base, u.n), inner
 
 
@@ -224,18 +226,9 @@ def besov_hybrid_norm(u: CoeffVector, params: NormParams) -> float:
     return _outer_norm(_hybrid_weights(blocks, params.q, params.s) * inner, params.tau)
 
 
-def _level_code(columns, lo: int, base: int):
-    """One integer per level vector, given as one level array per axis in
-    ``columns``: its digits in base ``base`` are the levels less ``lo``, so
-    ascending codes are the lexicographic order of the level vectors."""
-    code = columns[0] - lo
-    for levels in columns[1:]:
-        code = code * base + (levels - lo)
-    return code
-
-
 def _level_blocks(codes: np.ndarray, lo: int, base: int, n: int) -> np.ndarray:
-    """The (B, n) level vectors of ``codes``, made by :func:`_level_code`."""
+    """The (B, n) level vectors of ``codes``, made by ``_index_code`` with
+    every digit offset by ``lo`` in radix ``base``."""
     return codes[:, None] // base ** np.arange(n - 1, -1, -1) % base + lo
 
 

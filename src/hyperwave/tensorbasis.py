@@ -13,6 +13,7 @@ synthesis takes the same step level by level, all axes at each level.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -26,7 +27,7 @@ from .errors import (
     UnsupportedDimension,
     WrongSystem,
 )
-from .tables import fmt, header_fields, parse_row, read_lines, read_table, write_table
+from .tables import fmt, header_fields, open_text, parse_row, read_head, read_rows, write_table
 from .transform1d import _level_maps, _step, _sweep
 
 __all__ = [
@@ -182,7 +183,7 @@ class CoeffVector:
 
     def canonical_order(self) -> "CoeffVector":
         """Entries sorted lexicographically by index; the file-format order."""
-        order = np.lexsort(self.index_columns().T[::-1])
+        order = _index_order(self.index_columns())
         return replace(self, **{name: a[order] for name in ("levels", "etypes", "positions",
                                 "values") if (a := getattr(self, name)) is not None})
 
@@ -225,6 +226,38 @@ def _row_tuples(columns: np.ndarray) -> list[tuple]:
     ``tolist`` of a k-field record view, with no list per row."""
     a = np.ascontiguousarray(columns, dtype=np.int64)
     return a.view([(f"f{i}", np.int64) for i in range(a.shape[1])]).ravel().tolist()
+
+
+def _index_code(columns, lo, base) -> np.ndarray:
+    """One int64 code per index, given as one integer array per digit in
+    ``columns``, most significant first: its digits in the mixed radix
+    ``base`` are the columns less ``lo`` (the caller keeps them in range),
+    so ascending codes are the lexicographic order of the indices."""
+    code = columns[0] - lo[0]
+    for digit, low, radix in zip(columns[1:], lo[1:], base[1:]):
+        code = code * radix + (digit - low)
+    return code
+
+
+def _row_code(columns: np.ndarray):
+    """:func:`_index_code` of the rows of an (N, k) int64 array, each column
+    offset by its minimum (or 0, if less), or None when the span of the
+    columns needs more than 63 bits."""
+    lo = [int(c.min(initial=0)) for c in columns.T]
+    base = [int(c.max(initial=0)) - low + 1 for c, low in zip(columns.T, lo)]
+    if math.prod(base) > 2 ** 63:
+        return None
+    return _index_code(columns.T, lo, base)
+
+
+def _index_order(columns: np.ndarray) -> np.ndarray:
+    """The lexicographic order of the rows of an (N, k) int64 array, equal
+    rows in input order: a stable argsort of their code, or, when the code
+    does not fit 63 bits, the lexsort of the columns."""
+    code = _row_code(columns)
+    if code is None:
+        return np.lexsort(columns.T[::-1])
+    return np.argsort(code, kind="stable")
 
 
 def _fold_columns(ufunc, columns: np.ndarray) -> np.ndarray:
@@ -542,24 +575,33 @@ def save_coeffs(cv: CoeffVector, path) -> None:
 
 
 def load_coeffs(path) -> CoeffVector:
-    lines = read_lines(path)
-    head = lines[0].split() if lines else []
-    if head[:2] != ["hyperwave-coeffs", "v1"]:
-        raise DimensionMismatch("not a hyperwave coefficient file")
-    try:
-        system = head[2]
-        fields = header_fields(head[3:])
-        (n, mmax), p = parse_row([fields["n"], fields["jmax"], fields["p"]])
-        basis = fields["basis"]
-    except (IndexError, KeyError, ValueError):
-        raise DimensionMismatch(f"malformed coefficient header in {path}: {lines[0]!r}") from None
-    _check_dimension(n)
-    try:
-        columns, values = read_table(lines[1:], 2 * n + (system == ISOTROPIC))
-        cv = CoeffVector.from_index_columns(system, n, p, mmax, basis, columns, values)
-    except (ValueError, DimensionMismatch) as exc:
-        raise DimensionMismatch(f"malformed coefficient line in {path}: {exc}") from None
-    rows = columns[np.lexsort(columns.T[::-1])]
-    if (rows[1:] == rows[:-1]).all(axis=1).any():
-        raise DimensionMismatch("duplicate coefficient indices in file")
+    """The vector of a coefficient file, its rows streamed
+    (:func:`hyperwave.tables.read_rows`).  A repeated index is found in one
+    O(N) pass over the codes of rows in file order, which strictly increase
+    in every file :func:`save_coeffs` writes; only other files are sorted."""
+    with open_text(path, "coefficient", DimensionMismatch) as fh:
+        line = read_head(fh)
+        head = line.split()
+        if head[:2] != ["hyperwave-coeffs", "v1"]:
+            raise DimensionMismatch("not a hyperwave coefficient file")
+        try:
+            system = head[2]
+            fields = header_fields(head[3:])
+            (n, mmax), p = parse_row([fields["n"], fields["jmax"], fields["p"]])
+            basis = fields["basis"]
+        except (IndexError, KeyError, ValueError):
+            raise DimensionMismatch(f"malformed coefficient header in {path}: {line!r}") from None
+        _check_dimension(n)
+        try:
+            columns, values = read_rows(fh, 2 * n + (system == ISOTROPIC))
+            cv = CoeffVector.from_index_columns(system, n, p, mmax, basis, columns, values)
+        except UnicodeDecodeError:
+            raise
+        except (ValueError, DimensionMismatch) as exc:
+            raise DimensionMismatch(f"malformed coefficient line in {path}: {exc}") from None
+    code = _row_code(columns)
+    if code is None or not (code[1:] > code[:-1]).all():
+        rows = columns[np.lexsort(columns.T[::-1])] if code is None else np.sort(code)[:, None]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
+            raise DimensionMismatch("duplicate coefficient indices in file")
     return cv

@@ -5,7 +5,9 @@ The synthesis matrix T_m maps multiscale coefficients, ordered as
 single-scale coefficients; its dual satisfies Tdual_m^T T_m = I.  The
 matrix-free route is one two-scale step in place on a multiscale grid,
 ``_step``, and one sweep of it over the grid's axes and levels, ``_sweep``,
-which serves every grid transform at O(|Delta_m|) per line.  It multiplies
+which serves every grid transform at O(|Delta_m|) per line.  A full sweep
+of a grid larger than ``TILE_CELLS`` runs tile by tile, so its temporaries
+stay within a tile, in cache.  It multiplies
 by the masks with the numpy products of ``BandMatrix.apply`` and
 ``apply_transpose``, which give scipy's results bit for bit (up to the
 sign of a NaN) without importing scipy.  The verification checks assemble
@@ -19,6 +21,7 @@ one matrix twice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +82,9 @@ def _step(quad, grid: np.ndarray, box, axis: int, lo: int, hi: int, analysis: bo
                    out=grid[whole])
 
 
+TILE_CELLS = 2 ** 16  # cells of one tile of lines in a full sweep: 512 KB, a cache's share
+
+
 def _sweep(spec: BasisSpec, grid: np.ndarray, n: int, m: int, analysis: bool,
            full: bool = True) -> np.ndarray:
     """The univariate cascades in place along each of the last n axes of
@@ -86,41 +92,68 @@ def _sweep(spec: BasisSpec, grid: np.ndarray, n: int, m: int, analysis: bool,
     axes index a batch.
 
     With ``full``, every line takes the level-m cascade: Tdual_m^T with
-    ``analysis``, else T_m.  Otherwise this is the change of basis between
-    the hyperbolic and the isotropic system: a line whose other coordinates
-    reach top level M > j0 gets T_{M-1} (or Tdual_{M-1}^T) on its cells of
-    level below M.  Such a line runs through the level-M blocks of the
-    types with e_i = 0 on the swept axis, and its cells below level M are
-    their scaling positions along it.  All lines of top level at least
-    k + 1 take cascade step k together, as n - 1 boxes: box i holds the
-    lines whose other axis i is at least |Delta_k| and whose other axes
-    before it are below.  So each line gets the mask products its block's
-    own cascade would, in the same order, with O(m) products in all.
+    ``analysis``, else T_m, per axis on each tile of lines of
+    :func:`_tiles` in turn; the products are elementwise, so each line gets
+    the same ones, in the same order, as on the whole grid.  Otherwise this
+    is the change of basis between the hyperbolic and the isotropic system:
+    a line whose other coordinates reach top level M > j0 gets T_{M-1} (or
+    Tdual_{M-1}^T) on its cells of level below M.  Such a line runs through
+    the level-M blocks of the types with e_i = 0 on the swept axis, and its
+    cells below level M are their scaling positions along it.  All lines of
+    top level at least k + 1 take cascade step k together, as n - 1 boxes:
+    box i holds the lines whose other axis i is at least |Delta_k| and
+    whose other axes before it are below.  So each line gets the mask
+    products its block's own cascade would, in the same order, with O(m)
+    products in all.
     """
     axes = range(grid.ndim - n, grid.ndim)
     levels = range(spec.j0 + 1, m + 1 if full else m)
+    steps = [(spec.masks(k), *spec.block_slice(k))
+             for k in (reversed(levels) if analysis else levels)]
     for axis in axes:
+        if full:
+            for tile, work in _tiles(grid, axis):
+                for quad, lo, hi in steps:
+                    _step(quad, work, (), 0, lo, hi, analysis)
+                if work is not tile:
+                    tile[...] = work
+            continue
         others = [b for b in axes if b != axis]
-        # In place along the contiguous axis, a product runs an inner loop per
-        # line; where lines outnumber their cells, a full sweep runs on an
-        # axis-first copy, written back, whose inner loops span all lines.
-        lines = grid.swapaxes(0, axis)
-        short = lines.size > lines.shape[0] ** 2 and not lines.flags.c_contiguous
-        work = lines.copy() if full and short else lines
-        for k in reversed(levels) if analysis else levels:
-            quad = spec.masks(k)
-            lo, hi = spec.block_slice(k)
-            if full:
-                _step(quad, work, (), 0, lo, hi, analysis)
-                continue
+        for quad, lo, hi in steps:
             box = [slice(None)] * grid.ndim
             for b in others:
                 box[b] = slice(hi, None)
                 _step(quad, grid, box, axis, lo, hi, analysis)
                 box[b] = slice(0, hi)
-        if work is not lines:
-            lines[...] = work
     return grid
+
+
+def _tiles(grid: np.ndarray, axis: int):
+    """(tile, work) pairs covering the lines of ``grid`` along ``axis``:
+    ``tile`` is a view with that axis first, and ``work`` the array to step
+    on, to be written back to ``tile`` unless it is ``tile``.  A grid of at
+    most ``TILE_CELLS`` cells is one tile, stepped in place or, where lines
+    outnumber their cells off the contiguous axis (in place a product runs
+    an inner loop per line), on a copy.  A larger grid is cut into runs of
+    the other axes, in their order, of at most ``TILE_CELLS`` cells each,
+    copied one at a time into one axis-first buffer."""
+    length, rest = grid.shape[axis], grid.shape[:axis] + grid.shape[axis + 1:]
+    per_tile = max(TILE_CELLS // length, 1)
+    split = next(a for a in range(len(rest) + 1) if math.prod(rest[a:]) <= per_tile)
+    if split == 0:
+        lines = grid.swapaxes(0, axis)
+        short = lines.size > length ** 2 and not lines.flags.c_contiguous
+        yield lines, lines.copy() if short else lines
+        return
+    lines = np.moveaxis(grid, axis, 0)
+    run = per_tile // math.prod(rest[split:])
+    buffer = np.empty(length * run * math.prod(rest[split:]))
+    for outer in np.ndindex(rest[:split - 1]):
+        for start in range(0, rest[split - 1], run):
+            tile = lines[(slice(None), *outer, slice(start, start + run))]
+            work = buffer[:tile.size].reshape(tile.shape)
+            np.copyto(work, tile)
+            yield tile, work
 
 
 def _analyze_array(spec: BasisSpec, a: np.ndarray, m: int) -> np.ndarray:

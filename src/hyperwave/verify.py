@@ -38,7 +38,6 @@ from .seqnorms import (
     _hybrid_weights,
     _IsoBins,
     _level_blocks,
-    _level_code,
     _level_weights,
     _outer_norm,
 )
@@ -47,6 +46,7 @@ from .tensorbasis import (
     HYPERBOLIC,
     CoeffVector,
     _analyze_grids,
+    _index_code,
     _kept_grid,
     _require_l2,
     _to_multiscale_array,
@@ -297,7 +297,7 @@ def check_embedding_chain(
         # Every stored entry marks its block present, a stored zero included.
         base = u.max_level - spec.j0 + 1
         present = np.zeros((1, base ** u.n), dtype=bool)
-        present[0, _level_code(u.levels.T, spec.j0, base)] = True
+        present[0, _index_code(u.levels.T, [spec.j0] * u.n, [base] * u.n)] = True
     return _embedding_ratios(spec, u.n, u.max_level, q, s)(grid, present)[0]
 
 

@@ -751,6 +751,31 @@ class TestRowGrammar:
         assert not out.exists()
 
 
+class TestNonUtf8Files:
+    """A byte that is not UTF-8 in a coefficient, array, mask or config
+    file ends in one line, 'error: malformed <kind> file <path>', and exit
+    3, not in a UnicodeDecodeError traceback."""
+
+    @pytest.mark.parametrize("kind, what", [("coeffs", "coefficient"), ("array", "array"),
+                                            ("mask", "mask"), ("config", "config")])
+    def test_bad_byte_exits_3(self, tmp_path, capsys, kind, what):
+        path = tmp_path / f"bad.{kind}"
+        if kind == "config":
+            path.write_bytes(b"jmax = 4\n# \xff\n")
+            argv = ["compare", "--config", path]
+        else:
+            text, argv = ROW_FILES[kind]
+            row = "1\xff" if kind == "array" else "0 0 1\xff"
+            path.write_bytes(text.format(row).encode("latin-1"))
+            argv = [*argv, f"maskfile={path}" if kind == "mask" else path]
+        out = tmp_path / "out"
+        code, err = main_exit([*argv, "--out", out], capsys)
+        assert code == 3
+        assert err.startswith(f"error: malformed {what} file {path}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not out.exists()
+
+
 HEADER_FILES = {
     "coeffs-n": ("hyperwave-coeffs v1 hyperbolic n={} p=2 basis=haar jmax=3", "1\n0 0 1\n",
                  ["nterm", "--nmin", 1, "--nmax", 2, "--coeffs"]),

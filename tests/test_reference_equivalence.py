@@ -66,19 +66,22 @@ from hyperwave import (
     verify,
 )
 from hyperwave import hyper_forward, hyper_from_iso, hyper_inverse, iso_synthesize
-from hyperwave import load_coeffs, save_coeffs, tensorbasis
+from hyperwave import load_coeffs, save_coeffs, tensorbasis, transform1d
 from hyperwave import load_mask_file, load_matrix_file, save_mask_file, save_matrix_file
 from hyperwave.cli import load_array, save_array
-from hyperwave.nterm import _tail_errors, _weights_and_order
+from hyperwave.errors import DimensionMismatch
+from hyperwave.nterm import _greedy_order, _tail_errors
 from hyperwave.seqnorms import _block_norm, _outer_norm
 from hyperwave.tables import WRITE_CHUNK_ROWS, fmt
 from hyperwave.tensorbasis import (
     _analyze_grids,
     _from_multiscale_array,
+    _index_order,
     _iso_block_slices,
     _iso_blocks,
     _kept_grid,
     _nonzero_cells,
+    _row_code,
     _to_multiscale_array,
 )
 from hyperwave.transform1d import _analyze_array, _synthesize_array
@@ -109,7 +112,8 @@ def reference_jackson_bernstein(u, q, r):
     if denom == 0.0:
         raise ZeroDivisionError("Jackson ratio undefined for the zero vector")
     total = u.num_entries
-    w, order = _weights_and_order(u, q)
+    w = 2.0 ** (q * u.level_linf()) * np.abs(u.values)
+    order = np.lexsort((*u.index_columns().T[::-1], -w))
     tail = _tail_errors(w[order])
     jackson = max(max(n, 1) ** r * float(tail[n]) / denom for n in range(total + 1))
     bernstein = 0.0
@@ -1519,3 +1523,133 @@ class TestMaskCodecBitwise:
             reference_save_matrix_file(ref, block, level=i)
             assert new.read_bytes() == ref.read_bytes()
             same_blocks([load_matrix_file(ref)], reference_parse_blocks(ref))
+
+
+class TestTiledSweep:
+    """The full sweep of a grid cut into tiles of a few cells against the
+    one-tile route, bit for bit, NaN equal to NaN."""
+
+    @pytest.mark.parametrize("name", ["haar", "lifted"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("analysis", [True, False])
+    def test_matches_one_tile(self, request, monkeypatch, name, n, analysis):
+        spec = request.getfixturevalue(name)
+        m = spec.j0 + (3 if n == 3 else 5)
+        size = spec.delta_size(m)
+        grid = special_grid(np.random.default_rng(n), (3,) + (size,) * n)
+        assert grid.size <= transform1d.TILE_CELLS
+        want = transform1d._sweep(spec, grid.copy(), n, m, analysis)
+        # One line per tile, runs of three lines (the last one short), whole planes.
+        for cells in (1, 3 * size, size ** 2 + 3):
+            monkeypatch.setattr(transform1d, "TILE_CELLS", cells)
+            assert_same_bits_but_nan_sign(transform1d._sweep(spec, grid.copy(), n, m, analysis),
+                                          want)
+
+    def test_peak_below_two_grids(self, haar):
+        """hyper_forward and hyper_inverse of an n = 3, m = 6 grid, 64 tiles,
+        each allocate less than two grid sizes, the result included."""
+        data = np.random.default_rng(0).standard_normal((haar.delta_size(6),) * 3)
+        u = hyper_forward(haar, 3, data)
+        for run in (lambda: hyper_forward(haar, 3, data), lambda: hyper_inverse(haar, u)):
+            tracemalloc.start()
+            try:
+                out = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out is not None and peak < 2 * data.nbytes
+
+
+def tied_vector(spec, rng, system):
+    """An n = 2, m = 4 vector in shuffled entry order whose |values| repeat
+    across levels and types: +-1, +-0.5, +-0.0 and NaN."""
+    u = random_hyper(spec, rng, 2, 4)
+    if system == ISOTROPIC:
+        u = iso_from_hyper(spec, u)
+    values = rng.choice([1.0, -1.0, 0.5, -0.5, 0.0, -0.0, np.nan], u.num_entries)
+    rows = rng.permutation(u.num_entries)
+    return CoeffVector.from_index_columns(u.system, u.n, 2.0, u.max_level, u.basis,
+                                          u.index_columns()[rows], values)
+
+
+class TestIndexOrder:
+    """The index order and the greedy order from one int64 code per index,
+    against the lexsort of the index columns they replace."""
+
+    def test_lexsort_order_at_m10(self, haar):
+        u = random_hyper(haar, np.random.default_rng(1), 2, 10)
+        for cv in (u, iso_from_hyper(haar, u)):
+            columns = cv.index_columns()
+            rows = np.random.default_rng(2).permutation(len(columns))
+            for cols in (columns, columns[rows]):
+                assert np.array_equal(_index_order(cols), np.lexsort(cols.T[::-1]))
+            w = 2.0 ** (0.3 * cv.level_linf()) * np.abs(cv.values)
+            assert np.array_equal(_greedy_order(cv, w), np.lexsort((*columns.T[::-1], -w)))
+
+    @pytest.mark.parametrize("system", [HYPERBOLIC, ISOTROPIC])
+    @pytest.mark.parametrize("q", [0.0, 0.5])
+    def test_ties_match_lexsort(self, haar, system, q):
+        u = tied_vector(haar, np.random.default_rng(3), system)
+        w = 2.0 ** (q * u.level_linf()) * np.abs(u.values)
+        order = np.lexsort((*u.index_columns().T[::-1], -w))
+        ns = [0, 1, 7, 40, u.num_entries, u.num_entries + 5]
+        got = error_curve(u, q, ns)
+        tail = _tail_errors(w[order])
+        assert got.errors.keys() == set(ns)
+        for n, e in got.errors.items():
+            assert np.array_equal(e, tail[min(n, u.num_entries)], equal_nan=True)
+        assert got.support == u.index_keys(order)
+        assert u.canonical_order().index_columns().tobytes() == \
+            u.index_columns()[np.lexsort(u.index_columns().T[::-1])].tobytes()
+
+    def test_code_beyond_63_bits_takes_the_lexsort(self):
+        big = np.iinfo(np.int64)
+        columns = np.array([[0, big.max, 1], [0, big.min, 1], [0, big.min, 0], [0, 0, 2]])
+        assert _row_code(columns) is None
+        assert np.array_equal(_index_order(columns), np.lexsort(columns.T[::-1]))
+        assert _row_code(columns[:, ::2]) is not None
+
+
+HEAD1 = "hyperwave-coeffs v1 hyperbolic n=1 p=2 basis=haar jmax=3"
+
+
+class TestStreamedCoefficientRead:
+    """``load_coeffs`` parses the rows from the open file; the line reader
+    only names a bad row."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", [HEAD1 + "\n", "\n" + HEAD1 + "\n\n  \n"])
+    def test_empty_table_warns_nothing(self, tmp_path, text):
+        path = tmp_path / "empty.coeffs"
+        path.write_text(text)
+        u = load_coeffs(path)
+        assert u.num_entries == 0 and u.levels.shape == (0, 1) and u.values.dtype == np.float64
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.coeffs"
+        path.write_text(f"\n  \n{HEAD1}\n\n0 0 1.5\n \t \n\n2 1 -0.0\n\n")
+        u = load_coeffs(path)
+        assert u.index_columns().tolist() == [[0, 0], [2, 1]]
+        assert u.values.tobytes() == np.array([1.5, -0.0]).tobytes()
+
+    def test_first_bad_row_quoted(self, tmp_path):
+        path = tmp_path / "bad.coeffs"
+        path.write_text(f"{HEAD1}\n0 0 1\n\n1 0 x\n1 0 y\n")
+        with pytest.raises(DimensionMismatch, match=r"malformed coefficient line") as err:
+            load_coeffs(path)
+        assert repr("1 0 x") in str(err.value) and "'1 0 y'" not in str(err.value)
+
+    @pytest.mark.parametrize("rows, duplicate", [
+        ("2 1 1\n1 0 2\n2 1 3\n", True),
+        ("2 1 1\n1 0 2\n2 0 3\n", False),
+        ("0 9223372036854775807 1\n0 -9223372036854775808 2\n0 9223372036854775807 3\n", True),
+        ("0 9223372036854775807 1\n0 -9223372036854775808 2\n0 0 3\n", False),
+    ], ids=["shuffled-duplicate", "shuffled", "beyond-63-bits-duplicate", "beyond-63-bits"])
+    def test_duplicates_in_any_order_rejected(self, tmp_path, rows, duplicate):
+        path = tmp_path / "dup.coeffs"
+        path.write_text(f"{HEAD1}\n{rows}")
+        if duplicate:
+            with pytest.raises(DimensionMismatch, match="duplicate coefficient indices"):
+                load_coeffs(path)
+        else:
+            assert load_coeffs(path).num_entries == 3
