@@ -340,9 +340,10 @@ def _write_blocks(path, blocks) -> None:
             fh.write(f"{level} {m.rows} {m.cols}\n{rows}#\n")
 
 
-def _read_blocks(path) -> list[tuple[int, BandMatrix]]:
-    """The (level, matrix) pairs of the blocks of a mask or matrix file."""
-    with open_text(path, "mask", DimensionMismatch) as fh:
+def _read_blocks(path, kind: str) -> list[tuple[int, BandMatrix]]:
+    """The (level, matrix) pairs of the blocks of a ``kind`` ("mask" or
+    "matrix") file."""
+    with open_text(path, kind, DimensionMismatch) as fh:
         lines = read_lines(fh)
     if lines and lines[-1] != "#":
         raise DimensionMismatch(f"unterminated block in {path} (missing '#')")
@@ -369,7 +370,7 @@ def save_mask_file(path, masks: dict[int, MaskQuad]) -> None:
 
 
 def load_mask_file(path) -> dict[int, MaskQuad]:
-    blocks = _read_blocks(path)
+    blocks = _read_blocks(path, "mask")
     if not blocks:
         raise DimensionMismatch(f"mask file {path} holds no blocks")
     groups = [blocks[n:n + 4] for n in range(0, len(blocks), 4)]
@@ -385,7 +386,7 @@ def save_matrix_file(path, matrix: BandMatrix, level: int = 0) -> None:
 
 def load_matrix_file(path) -> tuple[int, BandMatrix]:
     """Read one matrix block; returns (level, matrix)."""
-    blocks = _read_blocks(path)
+    blocks = _read_blocks(path, "matrix")
     if len(blocks) != 1:
         raise DimensionMismatch(f"expected one block, found {len(blocks)}")
     return blocks[0]

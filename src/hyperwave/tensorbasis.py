@@ -242,10 +242,10 @@ def _index_code(columns, lo, base) -> np.ndarray:
 def _row_code(columns: np.ndarray):
     """:func:`_index_code` of the rows of an (N, k) int64 array, each column
     offset by its minimum (or 0, if less), or None when the span of the
-    columns needs more than 63 bits."""
+    columns needs more than 63 bits, so that every radix and code fits int64."""
     lo = [int(c.min(initial=0)) for c in columns.T]
     base = [int(c.max(initial=0)) - low + 1 for c, low in zip(columns.T, lo)]
-    if math.prod(base) > 2 ** 63:
+    if math.prod(base) >= 2 ** 63:
         return None
     return _index_code(columns.T, lo, base)
 

@@ -132,11 +132,13 @@ def _tiles(grid: np.ndarray, axis: int):
     """(tile, work) pairs covering the lines of ``grid`` along ``axis``:
     ``tile`` is a view with that axis first, and ``work`` the array to step
     on, to be written back to ``tile`` unless it is ``tile``.  A grid of at
-    most ``TILE_CELLS`` cells is one tile, stepped in place or, where lines
-    outnumber their cells off the contiguous axis (in place a product runs
-    an inner loop per line), on a copy.  A larger grid is cut into runs of
-    the other axes, in their order, of at most ``TILE_CELLS`` cells each,
-    copied one at a time into one axis-first buffer."""
+    most ``TILE_CELLS`` cells is one tile, stepped in place (a buffer would
+    add two copies and a grid size of memory to a grid already in cache)
+    or, where lines outnumber their cells off the contiguous axis (in place
+    a product runs an inner loop per line), on a copy.  A larger grid is
+    cut into runs of the other axes, in their order, of at most
+    ``TILE_CELLS`` cells each, copied one at a time into one axis-first
+    buffer."""
     length, rest = grid.shape[axis], grid.shape[:axis] + grid.shape[axis + 1:]
     per_tile = max(TILE_CELLS // length, 1)
     split = next(a for a in range(len(rest) + 1) if math.prod(rest[a:]) <= per_tile)

@@ -177,6 +177,13 @@ class TestMaskFile:
             load_matrix_file(path)
         assert str(path) in str(err.value) and repr(head) in str(err.value)
 
+    @pytest.mark.parametrize("load, kind", [(load_mask_file, "mask"), (load_matrix_file, "matrix")])
+    def test_bad_byte_names_the_file_kind(self, tmp_path, load, kind):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1 2 1\n0 0 1\xff\n#\n")
+        with pytest.raises(DimensionMismatch, match=f"^malformed {kind} file "):
+            load(path)
+
     def test_single_matrix_export(self, tmp_path):
         from hyperwave import build_transform, load_matrix_file, save_matrix_file
 

@@ -1608,6 +1608,10 @@ class TestIndexOrder:
         assert _row_code(columns) is None
         assert np.array_equal(_index_order(columns), np.lexsort(columns.T[::-1]))
         assert _row_code(columns[:, ::2]) is not None
+        span = np.array([[0, 0], [0, big.max]])  # a radix of exactly 2^63
+        assert _row_code(span) is None
+        assert np.array_equal(_index_order(span[::-1]), [1, 0])
+        assert _row_code(np.array([[0, 0], [0, big.max - 1]])) is not None
 
 
 HEAD1 = "hyperwave-coeffs v1 hyperbolic n=1 p=2 basis=haar jmax=3"
@@ -1644,7 +1648,10 @@ class TestStreamedCoefficientRead:
         ("2 1 1\n1 0 2\n2 0 3\n", False),
         ("0 9223372036854775807 1\n0 -9223372036854775808 2\n0 9223372036854775807 3\n", True),
         ("0 9223372036854775807 1\n0 -9223372036854775808 2\n0 0 3\n", False),
-    ], ids=["shuffled-duplicate", "shuffled", "beyond-63-bits-duplicate", "beyond-63-bits"])
+        ("0 0 1\n0 9223372036854775807 2\n0 0 3\n", True),
+        ("0 0 1\n0 9223372036854775807 2\n0 5 3\n", False),
+    ], ids=["shuffled-duplicate", "shuffled", "beyond-63-bits-duplicate", "beyond-63-bits",
+            "span-2-63-duplicate", "span-2-63"])
     def test_duplicates_in_any_order_rejected(self, tmp_path, rows, duplicate):
         path = tmp_path / "dup.coeffs"
         path.write_text(f"{HEAD1}\n{rows}")
