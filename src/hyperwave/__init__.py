@@ -8,17 +8,18 @@ Kronecker norm identities, embedding chains).
 
 All objects are immutable after construction and all operations are pure
 functions, safe to share across threads.  The fields some objects fill
-lazily (the scipy CSR and the per-direction product plans of a
-``BandMatrix``, the assembled transforms of a ``BasisSpec``, the
-``support`` keys of an ``NTermResult``; of a ``CoeffVector``, the index
-arrays, values and isotropic ``etypes`` of one that keeps the grid it was
-made from, in either system, and the block sums of each exponent p the
-sequence norms have read) are written once and then only read, and the
-arrays a ``BandMatrix`` hands out are read-only.  A kept grid costs 8
-bytes per grid cell in both systems.  A ``CoeffVector`` checks the shapes
-and types of its index arrays when it is built and keeps each array as a
-read-only view; the caller's own arrays stay writable.  scipy is imported
-only by the code that assembles sparse matrices.
+lazily (the per-direction product plans of a ``BandMatrix``, the
+assembled transforms of a ``BasisSpec``, the ``support`` keys of an
+``NTermResult``; of a ``CoeffVector``, the index arrays, values and
+isotropic ``etypes`` of one that keeps the grid it was made from, in
+either system, and the block sums of each exponent p the sequence norms
+have read) are written once and then only read, and the arrays a
+``BandMatrix`` hands out are read-only.  A kept grid costs 8 bytes per
+grid cell in both systems.  A ``CoeffVector`` checks the shapes and types
+of its index arrays when it is built and keeps each array as a read-only
+view; the caller's own arrays stay writable.  The library needs numpy
+alone: its sparse products are numpy code that gives the bits scipy's
+CSR products gave.
 """
 
 from .bandmatrix import BandMatrix

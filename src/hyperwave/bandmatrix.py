@@ -9,6 +9,9 @@ from .errors import DimensionMismatch
 __all__ = ["BandMatrix"]
 
 _INDEX_MAX = np.iinfo(np.int64).max
+PRODUCT_TERMS = 2 ** 15  # terms of one block of ``dot`` or ``matmul``: 256 KB per array
+_TERM_BITS = PRODUCT_TERMS.bit_length()
+_CODE_BITS = 62 - _TERM_BITS
 
 
 def _read_only(*arrays):
@@ -36,15 +39,15 @@ class BandMatrix:
     products are bitwise equal to ``csr @ x`` and ``csr.T @ x``, except for
     the sign of a NaN made where two NaNs meet in one sum.  Along another
     axis of an n-D operand, that axis takes the place of the rows and each
-    term runs over all the other axes at once.  The products take dense
-    operands only; a sparse product goes through ``csr``, the scipy CSR copy
-    built on its first use, which is the only place scipy is imported.  A
-    matrix made by ``from_csr`` keeps that CSR and derives its triples from
-    it when they are asked for, without keeping them.  The lazily filled
-    fields, the plan of each direction included, are written once.
+    term runs over all the other axes at once.
+
+    A matrix that is not banded (an assembled transform) multiplies through
+    ``dot``, ``matmul`` and ``product_defect``, which also give scipy's
+    bits: each entry sums its terms in ascending shared index from 0.0.
+    The lazily filled plans of the two directions are written once.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_csr", "_plans")
+    __slots__ = ("rows", "cols", "_entries", "_plans")
 
     def __init__(self, rows: int, cols: int, row_idx, col_idx, values):
         row_idx = np.array(row_idx, dtype=np.int64)
@@ -66,7 +69,6 @@ class BandMatrix:
                 if ((dr == 0) & (dc == 0)).any():
                     raise DimensionMismatch("duplicate (row, col) positions")
         self._entries = _read_only(row_idx, col_idx, values)
-        self._csr = None
         self._plans = {}
 
     @classmethod
@@ -76,30 +78,10 @@ class BandMatrix:
         return cls(a.shape[0], a.shape[1], r, c, a[r, c])
 
     @classmethod
-    def from_csr(cls, m) -> "BandMatrix":
-        """Wrap a scipy sparse matrix, keeping it (index-sorted) as the CSR.
-
-        The matrix is taken over, not copied: it must not be modified in
-        place afterwards.
-        """
-        import scipy.sparse as sp
-
-        if not isinstance(m, sp.csr_matrix):
-            m = sp.csr_matrix(m)
-        if not m.has_sorted_indices:
-            m = m.sorted_indices()
+    def _adopt(cls, rows: int, cols: int, *triples) -> "BandMatrix":
+        """A matrix that takes over new, valid triples sorted by (row, col)."""
         self = cls.__new__(cls)
-        self.rows, self.cols = _check_dims(*m.shape)
-        rows, cols = _csr_rows(m), m.indices
-        if cols.size:
-            if cols.min() < 0 or cols.max() >= self.cols:
-                raise DimensionMismatch("column index outside declared dimensions")
-            # Sorted rows hold a duplicate only as two equal neighbours.
-            if ((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])).any():
-                raise DimensionMismatch("duplicate (row, col) positions")
-        self._entries = None
-        self._csr = m
-        self._plans = {}
+        self.rows, self.cols, self._entries, self._plans = rows, cols, _read_only(*triples), {}
         return self
 
     @classmethod
@@ -110,20 +92,7 @@ class BandMatrix:
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only int64 rows, int64 columns and float64 values, sorted by
         (row, col)."""
-        if self._entries is not None:
-            return self._entries
-        m = self._csr
-        return _read_only(_csr_rows(m), m.indices.astype(np.int64), m.data.copy())
-
-    @property
-    def csr(self):
-        """The matrix as a scipy CSR matrix, built on first use."""
-        if self._csr is None:
-            import scipy.sparse as sp
-
-            r, c, v = self._entries
-            self._csr = sp.csr_matrix((v, (r, c)), shape=self.shape)
-        return self._csr
+        return self._entries
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -131,12 +100,13 @@ class BandMatrix:
 
     @property
     def nnz(self) -> int:
-        return self._csr.nnz if self._entries is None else self._entries[2].size
+        return self._entries[2].size
 
     @property
     def T(self) -> "BandMatrix":
-        r, c, v = self.entries()
-        return BandMatrix(self.cols, self.rows, c, r, v)
+        r, c, v = self._entries
+        order = np.argsort(c, kind="stable")  # by (col, row): the rows are sorted
+        return BandMatrix._adopt(self.cols, self.rows, c[order], r[order], v[order])
 
     def to_dense(self) -> np.ndarray:
         r, c, v = self.entries()
@@ -225,6 +195,119 @@ class BandMatrix:
             out += 0.0
         return out
 
+    @np.errstate(invalid="ignore", over="ignore")  # as scipy's kernels
+    def dot(self, x, transpose: bool = False) -> np.ndarray:
+        """M @ x, or M^T @ x, for a 1-D x or a 2-D x of k columns, bitwise
+        equal to ``csr @ x`` and ``csr.T @ x``: each output entry adds its
+        terms in order of the entries to 0.0, through ``np.add.at``, which
+        adds in index order, at most ``PRODUCT_TERMS`` terms at a time."""
+        size, length = (self.rows, self.cols)[::-1 if transpose else 1]
+        x, _ = self._operand(x, length, None)
+        k = 1 if x.ndim == 1 else x.shape[1]
+        r, c, v = self._entries
+        dst, src = (c, r) if transpose else (r, c)
+        xs, out = x.reshape(length, k), np.zeros(size * k)
+        step = max(PRODUCT_TERMS // max(k, 1), 1)
+        for s in range(0, v.size, step):
+            e = s + step
+            code = dst[s:e] if k == 1 else ((dst[s:e] * k)[:, None] + np.arange(k)).ravel()
+            np.add.at(out, code, (v[s:e, None] * xs[src[s:e]]).ravel())
+        return out.reshape((size,) + x.shape[1:])
+
+    @np.errstate(invalid="ignore", over="ignore")  # as scipy's kernels
+    def matmul(self, other: "BandMatrix", transpose: bool = False) -> "BandMatrix":
+        """M @ B, or M^T @ B, with the entries of scipy's ``csr_matmat``:
+        each the sum of its terms in ascending shared index, added to 0.0
+        one at a time, and those that sum to exactly zero dropped."""
+        size = self.cols if transpose else self.rows
+        n, blocks = self._product(other, transpose)
+        # Room for every term: the pages past the entries found are never touched.
+        out, end = [np.empty(min(n, size * other.cols), t) for t in (np.int64,) * 2 + (float,)], 0
+        for found in blocks:
+            for field, part in zip(out, found):
+                field[end:end + part.size] = part
+            end += found[0].size
+        return BandMatrix._adopt(size, other.cols, *(field[:end] for field in out))
+
+    @np.errstate(invalid="ignore", over="ignore")
+    def product_defect(self, other: "BandMatrix", eye: bool = True) -> float:
+        """max |p_ij - [eye and i == j]| over the entries p_ij of M^T @ B,
+        ``matmul(other, transpose=True)``, NaN if one is NaN: what scipy gives
+        for ``abs(product - identity).max()``, or for ``abs(product).max()``
+        without ``eye``.  The product is reduced block by block, never held;
+        of M^T M, whose entries mirror bit for bit, only the upper half."""
+        worst, diagonal = np.float64(0.0), 0
+        for rows, cols, sums in self._product(other, True, other is self)[1]:
+            on = (rows == cols) & eye
+            diagonal += np.count_nonzero(on)
+            worst = np.maximum(worst, np.abs(sums - on).max(initial=0.0))
+        if eye and diagonal < min(self.cols, other.cols):
+            worst = np.maximum(worst, 1.0)  # an absent diagonal entry reads 0 - 1
+        return float(worst)
+
+    def _product(self, other: "BandMatrix", transpose: bool, upper: bool = False):
+        """The number of terms of M @ B, or of M^T @ B, and its entries
+        (rows, cols, sums), made by blocks of output rows.
+
+        The terms are made row by row in ascending shared index; M^T is read
+        through the order of M's entries by column, not built.  The terms of
+        a block, at most ``PRODUCT_TERMS``, are sorted by entry, ties in the
+        order made, and ``np.bincount`` adds each entry's terms in that
+        order from 0.0; a row of more terms is added chunk by chunk, in
+        order, by ``np.add.at`` into a dense row.  Zero sums are dropped."""
+        size = self.cols if transpose else self.rows
+        if (self.rows if transpose else self.cols) != other.rows:
+            raise DimensionMismatch(f"cannot multiply {self.shape}{'^T' if transpose else ''} "
+                                    f"by {other.shape}")
+        if size * other.cols >> _CODE_BITS:
+            raise DimensionMismatch(f"a {size}x{other.cols} product is beyond 2^{_CODE_BITS} cells")
+        r, k, v = self._entries
+        if transpose:
+            r, k = k, r
+        order = np.argsort(r, kind="stable") if transpose else slice(None)
+        br, bc, bv = other._entries
+        bptr = _pointer(np.bincount(br, minlength=other.rows))
+        # The first entry of B each entry of M meets; for the upper half of
+        # M^T M, the entry (k, i) itself, the first of row k at a column >= i.
+        start = order if upper else bptr[k[order]]
+        made = _pointer(bptr[k[order] + 1] - start)  # the terms before each entry of M
+        cum = made[_pointer(np.bincount(r, minlength=size))]  # and before each row
+
+        def terms(t0, t1):
+            e0, e1 = int(np.searchsorted(made, t0, side="right")) - 1, int(np.searchsorted(made, t1))
+            e = order[e0:e1] if transpose else slice(e0, e1)
+            cnt = np.diff(np.clip(made[e0:e1 + 1], t0, t1))
+            pos = np.repeat(start[e0:e1] - made[e0:e1], cnt) + np.arange(t0, t1)
+            return np.repeat(r[e], cnt), bc[pos], np.repeat(v[e], cnt) * bv[pos]
+
+        def blocks():
+            r0 = 0
+            while r0 < size:
+                r1 = max(int(np.searchsorted(cum, cum[r0] + PRODUCT_TERMS, side="right")) - 1,
+                         r0 + 1)
+                t0, t1 = int(cum[r0]), int(cum[r1])
+                if t1 - t0 > PRODUCT_TERMS:
+                    acc = np.zeros(other.cols)
+                    for s in range(t0, t1, PRODUCT_TERMS):
+                        np.add.at(acc, *terms(s, min(s + PRODUCT_TERMS, t1))[1:])
+                    cols = np.flatnonzero(acc)
+                    yield np.full(cols.size, r0), cols, acc[cols]
+                elif t1 > t0:
+                    rows, cols, w = terms(t0, t1)
+                    code = ((rows - r0) * other.cols + cols) << _TERM_BITS
+                    code += np.arange(t1 - t0)  # ties in the order made
+                    code.sort()
+                    key = code >> _TERM_BITS
+                    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+                    sums = np.bincount(np.repeat(np.arange(first.size), np.diff(first, append=key.size)),
+                                       w[code & ((1 << _TERM_BITS) - 1)])
+                    keep = sums != 0
+                    rows, cols = np.divmod(key[first[keep]], other.cols)
+                    yield rows + r0, cols, sums[keep]
+                r0 = r1
+
+        return int(made[-1]), blocks()
+
     def column_abs_pow_sums(self, p: float) -> np.ndarray:
         """Column sums of |a_ij|^p, including all-zero columns; each column
         is summed by ascending row."""
@@ -243,6 +326,8 @@ def _check_dims(rows, cols) -> tuple[int, int]:
     return int(rows), int(cols)
 
 
-def _csr_rows(m) -> np.ndarray:
-    """The row of each stored entry of a CSR matrix, as int64."""
-    return np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
+def _pointer(counts: np.ndarray) -> np.ndarray:
+    """The running totals of ``counts`` before each item and after the last."""
+    out = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out

@@ -10,13 +10,13 @@ of a grid larger than ``TILE_CELLS`` runs tile by tile, so its temporaries
 stay within a tile, in cache.  It multiplies
 by the masks with the numpy products of ``BandMatrix.apply`` and
 ``apply_transpose``, which give scipy's results bit for bit (up to the
-sign of a NaN) without importing scipy.  The verification checks assemble
-T_m and Tdual_m explicitly, the one place here where scipy is loaded: each
-level takes one sparse cascade step from the level below, T_m = M0_m
-[T_{m-1} | 0] + M1_m [rows of I for level m], and every assembled level is
-kept on the spec.  When every level's dual masks equal its primal masks
-(an orthonormal basis such as Haar), Tdual_m is T_m, and the pair holds
-one matrix twice.
+sign of a NaN).  The verification checks assemble T_m and Tdual_m
+explicitly, with the sparse product ``BandMatrix.matmul``, which gives the
+entries scipy's CSR product gave: each level takes one cascade step from
+the level below, T_m = [M0_m | M1_m] diag(T_{m-1}, I), and every assembled
+level is kept on the spec.  When every level's dual masks equal its primal
+masks (an orthonormal basis such as Haar), Tdual_m is T_m, and the pair
+holds one matrix twice.
 """
 
 from __future__ import annotations
@@ -187,22 +187,23 @@ def _same_mask(a: BandMatrix, b: BandMatrix) -> bool:
 
 
 def _cascade_step(t_prev: BandMatrix, m0: BandMatrix, m1: BandMatrix, lo: int, hi: int):
-    """The scipy CSR matrix M0 [T_{m-1} | 0] + M1 [rows lo..hi of I], both
-    operands widened with zero columns to |Delta_m| = hi.  These are the
-    product and sum of one step of the synthesis cascade run on the
-    identity, so the entries, and the zeros the sum drops, are the same."""
-    import scipy.sparse as sp
-
-    prev = t_prev.csr
-    padded = sp.csr_matrix((prev.data, prev.indices, prev.indptr), shape=(prev.shape[0], hi))
-    eye_rows = sp.csr_matrix(
-        (np.ones(hi - lo), np.arange(lo, hi), np.arange(hi - lo + 1)), shape=(hi - lo, hi))
-    return m0.csr @ padded + m1.csr @ eye_rows
+    """T_m = [M0 | M1] @ diag(T_{m-1}, I): one step of the synthesis cascade
+    run on the identity.  An entry left of column lo sums the products of
+    M0 and T_{m-1} in ascending shared index; one right of it is an entry
+    of M1 times 1.0; zero sums are dropped.  These are the entries scipy
+    gave for M0 [T_{m-1} | 0] + M1 [rows lo..hi of I]."""
+    (r0, c0, v0), (r1, c1, v1), (r, c, v) = m0.entries(), m1.entries(), t_prev.entries()
+    eye = np.arange(lo, hi)
+    left = BandMatrix(hi, hi, np.concatenate((r0, r1)), np.concatenate((c0, c1 + lo)),
+                      np.concatenate((v0, v1)))
+    right = BandMatrix._adopt(hi, hi, np.concatenate((r, eye)), np.concatenate((c, eye)),
+                              np.concatenate((v, np.ones(hi - lo))))
+    return left.matmul(right)
 
 
 def build_transform(spec: BasisSpec, m: int) -> tuple[BandMatrix, BandMatrix]:
     """Assemble T_m and its dual as sparse matrices, column blocks in the
-    multiscale ordering.
+    multiscale ordering, in numpy with scipy's bits (``_cascade_step``).
 
     Starting from the highest level already kept on the spec (or from the
     identity at j0), each level takes one cascade step, over the primal
@@ -223,11 +224,11 @@ def build_transform(spec: BasisSpec, m: int) -> tuple[BandMatrix, BandMatrix]:
         for level in range(top + 1, m + 1):
             quad = spec.masks(level)
             lo, hi = spec.block_slice(level)
-            t_next = BandMatrix.from_csr(_cascade_step(t, quad.m0, quad.m1, lo, hi))
+            t_next = _cascade_step(t, quad.m0, quad.m1, lo, hi)
             if t_dual is t and _same_mask(quad.mt0, quad.m0) and _same_mask(quad.mt1, quad.m1):
                 t_dual = t_next
             else:
-                t_dual = BandMatrix.from_csr(_cascade_step(t_dual, quad.mt0, quad.mt1, lo, hi))
+                t_dual = _cascade_step(t_dual, quad.mt0, quad.mt1, lo, hi)
             t = t_next
             pairs[level] = (t, t_dual)
     return pairs[m]

@@ -8,7 +8,10 @@ Kronecker products are formed explicitly only for small factors; these
 are identity checks, not scalability features.
 
 ``SUITES`` is the one table of the ``verify`` command's suites, with the
-levels, depth cap, exponent range and flag limits of each.
+levels, depth cap, exponent range and flag limits of each.  The suites
+that assemble T_m (biorth, decay, lemma4) stop at level ``ASSEMBLY_CAP``
+(16), where one level takes seconds and over 100 MB and the next doubles
+both; riesz stops at 10 and embedding at 8 (6 at n = 3).
 The embedding suite draws each level's trials in one call and checks them
 in batches of at most ``EMBEDDING_BATCH_CELLS`` (2^16) grid cells, on the
 dense grids, with the bins of each level built once and rows identical to
@@ -105,10 +108,9 @@ def _spectral_norm(a: BandMatrix, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(a.cols)
     x /= np.linalg.norm(x)
-    csr = a.csr
     sigma2 = 0.0
     for _ in range(POWER_ITER_MAX):
-        y = csr.T @ (csr @ x)
+        y = a.dot(a.dot(x), transpose=True)
         new = float(x @ y)
         nrm = np.linalg.norm(y)
         if nrm == 0.0:
@@ -129,7 +131,8 @@ def operator_p_norm_estimate(
     For p = 1 (column sums) and p = inf (row sums) the value is the exact
     norm; p = 2 uses the largest singular value.  Otherwise the maximum of
     ||A u||_p / ||u||_p over all coordinate vectors and ``trials`` random
-    dense vectors is returned.
+    dense vectors is returned.  The trials are drawn at once, as one
+    stream of ``trials`` vectors, and multiplied in one product.
     """
     if not (p > 0):
         raise InvalidExponent(f"p must be positive, got {p}")
@@ -141,14 +144,13 @@ def operator_p_norm_estimate(
         return _spectral_norm(a, seed=seed)
     # Coordinate vectors give the column p-norms exactly.
     best = float((a.column_abs_pow_sums(p).max()) ** (1.0 / p)) if a.cols else 0.0
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        u = rng.standard_normal(a.cols)
-        denom = _vec_p_norm(u, p)
-        if denom == 0.0:
-            continue
-        # T_m is not banded, so its two-scale diagonals are many short runs.
-        best = max(best, _vec_p_norm(a.csr @ u, p) / denom)
+    u = np.random.default_rng(seed).standard_normal((trials, a.cols))
+    # T_m is not banded, so its two-scale diagonals are many short runs.
+    au = a.dot(u.T)
+    for t in range(trials):
+        denom = _vec_p_norm(u[t], p)
+        if denom != 0.0:
+            best = max(best, _vec_p_norm(au[:, t], p) / denom)
     return best
 
 
@@ -250,11 +252,8 @@ def check_transform_norms(
 
 def check_biorthogonality(spec: BasisSpec, m: int) -> float:
     """Max-norm defect of Tdual_m^T T_m - I."""
-    import scipy.sparse as sp
-
     t, t_dual = build_transform(spec, m)
-    defect = t_dual.csr.T @ t.csr - sp.identity(t.rows, format="csr")
-    return float(abs(defect).max()) if defect.nnz else 0.0
+    return t_dual.product_defect(t)
 
 
 def check_riesz(spec: BasisSpec, m: int) -> float:
@@ -267,7 +266,7 @@ def check_riesz(spec: BasisSpec, m: int) -> float:
     Haar boxes).
     """
     t, _ = build_transform(spec, m)
-    gram = (t.csr.T @ t.csr).toarray()
+    gram = t.matmul(t, transpose=True).to_dense()
     ev = np.linalg.eigvalsh(gram)
     if ev[0] <= 0:
         return float("inf")
@@ -522,11 +521,17 @@ class Suite:
         return list(self.rows(spec, args, levels, self._exponents(spec, args.ps)))
 
 
+# biorth, decay and lemma4 assemble T_m, of 2^m (m - j0 + 1) entries for
+# Haar, and keep every level: at level 16 (1.1 M entries, 27 MB a matrix) a
+# suite runs for 0.5-3 s and peaks at 110-160 MB, and each level more
+# doubles both, so they stop there.
+ASSEMBLY_CAP = 16
+
 SUITES = {suite.name: suite for suite in (
-    Suite("biorth", _biorth_rows),
-    Suite("decay", _decay_rows, first=lambda spec: spec.j0 + 1),
+    Suite("biorth", _biorth_rows, cap=lambda n: ASSEMBLY_CAP),
+    Suite("decay", _decay_rows, first=lambda spec: spec.j0 + 1, cap=lambda n: ASSEMBLY_CAP),
     Suite("lemma1", _lemma1_rows, needs=0, p_range=_lemma1_p),
-    Suite("lemma4", _lemma4_rows, needs=3, p_range=_lemma4_p),
+    Suite("lemma4", _lemma4_rows, needs=3, p_range=_lemma4_p, cap=lambda n: ASSEMBLY_CAP),
     Suite("kron", _kron_rows, needs=0),
     # One dense eigendecomposition per level: deeper is too slow.
     Suite("riesz", _riesz_rows, needs=3, cap=lambda n: 10),

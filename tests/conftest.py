@@ -63,6 +63,16 @@ def scaled():
     )
 
 
+def csr(a: BandMatrix):
+    """A scipy CSR copy of ``a``, built from its entries: the oracle the
+    numpy products of ``BandMatrix`` are checked against.  scipy is a test
+    dependency only."""
+    import scipy.sparse as sp
+
+    r, c, v = a.entries()
+    return sp.csr_matrix((v, (r, c)), shape=a.shape)
+
+
 def child_env() -> dict:
     """Environment for a child ``python`` process: the source tree of the
     imported ``hyperwave`` first on PYTHONPATH, so ``python -m hyperwave``

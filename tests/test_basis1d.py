@@ -40,20 +40,6 @@ class TestBandMatrix:
     def test_duplicate_positions_rejected(self):
         with pytest.raises(DimensionMismatch):
             BandMatrix(2, 2, [1, 0, 1], [0, 0, 0], [1.0, 2.0, 3.0])
-        import scipy.sparse as sp
-
-        twice = sp.csr_matrix((np.ones(3), np.array([0, 1, 1]), np.array([0, 1, 3])),
-                              shape=(2, 2))
-        with pytest.raises(DimensionMismatch):
-            BandMatrix.from_csr(twice)
-
-    def test_from_csr_keeps_the_matrix(self):
-        import scipy.sparse as sp
-
-        m = sp.random(6, 4, density=0.5, format="csr", random_state=0)
-        a = BandMatrix.from_csr(m)
-        assert a.csr is m and a.nnz == m.nnz
-        np.testing.assert_array_equal(a.to_dense(), m.toarray())
 
     def test_operand_shape_checked(self):
         a = BandMatrix.identity(3)

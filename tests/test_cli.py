@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -553,8 +554,21 @@ class TestNothingToCheck:
         monkeypatch.setenv("COLUMNS", "200")  # argparse may wrap inside "--n"
         assert main(["verify", "--help"]) == 0
         text = " ".join(capsys.readouterr().out.split())
-        assert "--m-max M_MAX finest level; for tractability riesz stops at 10, embedding " \
-               "stops at 8 (6 for --n 3)" in text
+        assert "--m-max M_MAX finest level; for tractability biorth stops at 16, decay stops " \
+               "at 16, lemma4 stops at 16, riesz stops at 10, embedding stops at 8 (6 for " \
+               "--n 3)" in text
+
+    @pytest.mark.parametrize("suite", ["biorth", "decay", "lemma4"])
+    def test_assembling_suites_stop_at_their_cap(self, tmp_path, monkeypatch, suite):
+        """A deep --m-max runs the suites that assemble T_m up to level 16;
+        their rows are stubbed, so no deep level is built."""
+        def rows(spec, args, levels, ps):
+            return [(suite, "", m, 0.0, 1.0, True) for m in levels]
+
+        monkeypatch.setitem(cli.SUITES, suite, replace(verify.SUITES[suite], rows=rows))
+        out = tmp_path / "r.csv"
+        assert main(["verify", "--suite", suite, "--m-max", "22", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-1].split(",")[2] == "16" == str(verify.ASSEMBLY_CAP)
 
     @pytest.mark.parametrize("flag", [["--q", 400], ["--s", 200]])
     def test_overflowing_norms_exit_3(self, tmp_path, capsys, flag):
@@ -991,12 +1005,14 @@ class TestMainInProcess:
 
 def scipy_modules_after(tmp_path, *commands):
     """Exit codes of ``cli.main`` over ``commands`` in one fresh interpreter,
-    and the scipy modules loaded by then."""
+    and the scipy modules loaded by the end of each."""
     script = (
         "import json, sys\n"
         "from hyperwave.cli import main\n"
-        f"codes = [main(argv) for argv in {[list(map(str, c)) for c in commands]!r}]\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "codes, loaded = [], []\n"
+        f"for argv in {[list(map(str, c)) for c in commands]!r}:\n"
+        "    codes.append(main(argv))\n"
+        "    loaded.append(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "print(json.dumps([codes, loaded]))\n"
     )
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -1017,12 +1033,27 @@ class TestColdStart:
             ("compare", "--jmax", 5, "--nmax", 256, "--out", "cmp.csv"),
         )
         assert codes == [0] * 6
-        assert loaded == []
+        assert loaded == [[]] * 6
 
-    def test_verify_loads_scipy_and_passes(self, tmp_path):
-        codes, loaded = scipy_modules_after(
-            tmp_path, ("verify", "--suite", "biorth", "--m-max", 8, "--out", "b.csv"))
-        assert codes == [0]
-        assert "scipy.sparse" in loaded
+    def test_no_command_loads_scipy(self, tmp_path):
+        """The library needs numpy alone: no scipy module after any of the
+        seven commands of the benchmark's cold-start workload, the whole
+        verify report, or a verify run on a basis read from a mask file."""
+        save_array(np.random.default_rng(0).standard_normal((256, 256)), tmp_path / "input.arr")
+        commands = [
+            ("transform", "--generate", "random_decay", "--n", 2, "--jmax", 8, "--out", "u.coeffs"),
+            ("nterm", "--coeffs", "u.coeffs", "--out", "curve.csv"),
+            ("transform", "--coeffs", "u.coeffs", "--direction", "inverse", "--out", "back.arr"),
+            ("transform", "--input", "input.arr", "--system", "iso", "--out", "v.coeffs"),
+            ("transform", "--coeffs", "v.coeffs", "--direction", "inverse", "--out", "iso.arr"),
+            ("compare", "--kind", "tensor_kink", "--jmax", 8, "--out", "compare.csv"),
+            ("verify", "--suite", "biorth", "--m-max", 10, "--out", "b.csv"),
+            ("verify", "--suite", "all", "--out", "all.csv"),
+            ("verify", "--suite", "riesz", "--m-max", 6, "--basis", scaled_basis(tmp_path, 0),
+             "--out", "mask.csv"),
+        ]
+        codes, loaded = scipy_modules_after(tmp_path, *commands)
+        assert codes == [0] * len(commands)
+        assert loaded == [[]] * len(commands)
         lines = (tmp_path / "b.csv").read_text().splitlines()
-        assert len(lines) == 10 and all(line.endswith("true") for line in lines[1:])
+        assert len(lines) == 12 and all(line.endswith("true") for line in lines[1:])

@@ -65,7 +65,7 @@ from hyperwave import (
     testfunctions,
     verify,
 )
-from hyperwave import hyper_forward, hyper_from_iso, hyper_inverse, iso_synthesize
+from hyperwave import bandmatrix, hyper_forward, hyper_from_iso, hyper_inverse, iso_synthesize
 from hyperwave import load_coeffs, save_coeffs, tensorbasis, transform1d
 from hyperwave import load_mask_file, load_matrix_file, save_mask_file, save_matrix_file
 from hyperwave.cli import load_array, save_array
@@ -86,7 +86,7 @@ from hyperwave.tensorbasis import (
 )
 from hyperwave.transform1d import _analyze_array, _synthesize_array
 from hyperwave.verify import TransformNormRow, _p_norm_estimate, check_transform_norms
-from conftest import make_hyper, make_iso, random_hyper, random_sparse_hyper
+from conftest import csr, make_hyper, make_iso, random_hyper, random_sparse_hyper
 
 
 def reference_besov_hybrid_norm(u, params):
@@ -511,7 +511,7 @@ def reference_iso_synthesize(spec, v):
     def prolong(block, j_from):
         cur = block
         for level in range(j_from + 1, mmax + 1):
-            m0 = spec.masks(level).m0.csr
+            m0 = csr(spec.masks(level).m0)
             cur = m0 @ cur
             cur = (m0 @ cur.T).T
         return cur
@@ -521,8 +521,8 @@ def reference_iso_synthesize(spec, v):
             out += prolong(block, spec.j0)
             continue
         quad = spec.masks(m)
-        f1 = quad.m1.csr if e[0] else quad.m0.csr
-        f2 = quad.m1.csr if e[1] else quad.m0.csr
+        f1 = csr(quad.m1 if e[0] else quad.m0)
+        f2 = csr(quad.m1 if e[1] else quad.m0)
         out += prolong((f2 @ (f1 @ block).T).T, m)
     return out
 
@@ -538,7 +538,7 @@ def reference_levelwise_iso_synthesize(spec, v):
         arr[_iso_block_slices(spec, m, e)] = block
     for m in range(spec.j0 + 1, v.max_level + 1):
         quad = spec.masks(m)
-        m0, m1 = quad.m0.csr, quad.m1.csr
+        m0, m1 = csr(quad.m0), csr(quad.m1)
         lo, hi = spec.block_slice(m)
         arr[:hi, :hi] = m0 @ arr[:lo, :hi] + m1 @ arr[lo:hi, :hi]
         arr[:hi, :hi] = (m0 @ arr[:hi, :lo].T + m1 @ arr[:hi, lo:hi].T).T
@@ -1253,19 +1253,20 @@ def reference_build_transform(spec, m):
     for level in range(spec.j0 + 1, m + 1):
         quad = spec.masks(level)
         pad = size - spec.delta_size(level)
-        g = sp.hstack([quad.m0.csr, quad.m1.csr], format="csr")
-        g_dual = sp.hstack([quad.mt0.csr, quad.mt1.csr], format="csr")
+        g = sp.hstack([csr(quad.m0), csr(quad.m1)], format="csr")
+        g_dual = sp.hstack([csr(quad.mt0), csr(quad.mt1)], format="csr")
         if pad:
             eye = sp.identity(pad, format="csr")
             g = sp.block_diag([g, eye], format="csr")
             g_dual = sp.block_diag([g_dual, eye], format="csr")
         t = g @ t
         t_dual = g_dual @ t_dual
-    return BandMatrix.from_csr(t), BandMatrix.from_csr(t_dual)
+    return t, t_dual
 
 
 def assert_same_csr(got, want):
-    got, want = got.csr, want.csr
+    """A ``BandMatrix`` holds the entries of a scipy matrix, bit for bit."""
+    got, want = csr(got), sp.csr_matrix(want)
     got.sort_indices()
     want.sort_indices()
     assert got.shape == want.shape
@@ -1278,7 +1279,7 @@ class TestBuildTransformBitwise:
     @pytest.mark.parametrize("name", ["haar", "haar_j2", "scaled", "lifted"])
     def test_transforms_match(self, request, name):
         spec = request.getfixturevalue(name)
-        for m in range(spec.j0, min(spec.max_level, 10) + 1):
+        for m in range(spec.j0, min(spec.max_level, 12) + 1):
             for got, want in zip(build_transform(spec, m), reference_build_transform(spec, m)):
                 assert_same_csr(got, want)
 
@@ -1297,7 +1298,7 @@ class TestBuildTransformBitwise:
         pairs_down = [build_transform(down, m) for m in (8, 5)][::-1]
         for got, want in zip(pairs_up, pairs_down):
             for a, b in zip(got, want):
-                assert_same_csr(a, b)
+                assert_same_csr(a, csr(b))
 
 
 def reference_check_transform_norms(spec, p, m_max, trials=20, seed=0):
@@ -1392,9 +1393,9 @@ class TestMaskProductsBitwise:
                 if width is not None and mask.rows * width > 1 << 20:
                     continue
                 for x, got, want in (
-                    (x := special_operand(rng, mask.cols, width), mask.apply(x), mask.csr @ x),
+                    (x := special_operand(rng, mask.cols, width), mask.apply(x), csr(mask) @ x),
                     (x := special_operand(rng, mask.rows, width), mask.apply_transpose(x),
-                     mask.csr.T @ x),
+                     csr(mask).T @ x),
                 ):
                     assert_same_bits_but_nan_sign(got, want)
 
@@ -1409,9 +1410,9 @@ class TestMaskProductsBitwise:
             for width in (None, 3):
                 for x, got, want in (
                     (x := special_operand(rng, holed.cols, width), holed.apply(x),
-                     holed.csr @ x),
+                     csr(holed) @ x),
                     (x := special_operand(rng, holed.rows, width), holed.apply_transpose(x),
-                     holed.csr.T @ x),
+                     csr(holed).T @ x),
                 ):
                     assert_same_bits_but_nan_sign(got, want)
                 assert holed.apply(np.full(holed.cols, np.nan))[5] == 0.0
@@ -1421,11 +1422,135 @@ class TestMaskProductsBitwise:
         """0.0 + (-0.0) is +0.0: an all -0.0 operand gives +0.0 entries."""
         for mask in masks_of(request, "lifted"):
             for x, got, want in (
-                (x := np.full(mask.cols, -0.0), mask.apply(x), mask.csr @ x),
-                (x := np.full((mask.rows, 3), -0.0), mask.apply_transpose(x), mask.csr.T @ x),
+                (x := np.full(mask.cols, -0.0), mask.apply(x), csr(mask) @ x),
+                (x := np.full((mask.rows, 3), -0.0), mask.apply_transpose(x), csr(mask).T @ x),
             ):
                 assert got.tobytes() == want.tobytes()
                 assert not np.signbit(got).any()
+
+
+def reference_defect(a, b, eye=True):
+    """The scipy value of max |A^T B - I| (of max |A^T B| without ``eye``)
+    as the checks computed it."""
+    product = csr(a).T @ csr(b)
+    if eye:
+        product = product - sp.identity(product.shape[0], format="csr")
+    return float(abs(product).max()) if product.nnz else 0.0
+
+
+def reference_operator_p_norm_estimate(a, p, trials, seed):
+    """The p-norm estimate of a p outside {1, 2, inf} with one scipy
+    product per trial."""
+    best = float((a.column_abs_pow_sums(p).max()) ** (1.0 / p)) if a.cols else 0.0
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        u = rng.standard_normal(a.cols)
+        denom = float(np.sum(np.abs(u) ** p) ** (1.0 / p))
+        if denom != 0.0:
+            best = max(best, float(np.sum(np.abs(csr(a) @ u) ** p) ** (1.0 / p)) / denom)
+    return best
+
+
+def holed_matrix(rng, rows, cols):
+    """A random sparse matrix with an all-zero row and column, explicit
+    +-0.0 entries and a few +-inf and nan entries."""
+    dense = special_operand(rng, rows, cols)
+    dense[rng.random((rows, cols)) < 0.5] = np.nan  # marks the positions left empty
+    dense[rows // 2:rows // 2 + 1, :] = dense[:, cols // 3:cols // 3 + 1] = np.nan
+    r, c = np.nonzero(~np.isnan(dense))
+    values = dense[r, c]
+    values[rng.random(values.size) < 0.02] = np.nan
+    return BandMatrix(rows, cols, r, c, values)
+
+
+@pytest.mark.filterwarnings("error")
+class TestSparseProductsBitwise:
+    """``BandMatrix.dot``, ``matmul`` and ``product_defect``, and the checks
+    built on them, against the scipy CSR products they replaced."""
+
+    @pytest.mark.parametrize("name", ["haar", "haar_j2", "scaled", "lifted"])
+    def test_defect_and_gram_match_scipy(self, request, name):
+        spec = request.getfixturevalue(name)
+        for m in range(spec.j0, min(spec.max_level, 12) + 1):
+            t, t_dual = build_transform(spec, m)
+            assert verify.check_biorthogonality(spec, m) == reference_defect(t_dual, t)
+            if m <= 10:
+                gram = (csr(t).T @ csr(t)).toarray()
+                assert t.matmul(t, transpose=True).to_dense().tobytes() == gram.tobytes()
+                ev = np.linalg.eigvalsh(gram)
+                assert verify.check_riesz(spec, m) == (ev[-1] / ev[0] if ev[0] > 0 else np.inf)
+        for quad in (spec.masks(j) for j in range(spec.j0 + 1, min(spec.max_level, 8) + 1)):
+            for a, b in itertools.product(quad, repeat=2):
+                for eye in (True, False):
+                    if eye and a.cols != b.cols:
+                        continue
+                    assert a.product_defect(b, eye=eye) == \
+                        reference_defect(a, b, eye)
+
+    def test_products_of_special_values_match_scipy(self):
+        rng = np.random.default_rng(11)
+        for rows, inner, cols in ((7, 9, 5), (40, 30, 50), (1, 6, 1), (0, 4, 3), (3, 0, 2)):
+            a, b = holed_matrix(rng, inner, rows), holed_matrix(rng, inner, cols)
+            got, want = a.matmul(b, transpose=True), sp.csr_matrix(csr(a).T @ csr(b))
+            want.sort_indices()
+            assert_same_csr_but_nan_sign(got, want)
+            got = a.T.matmul(b).to_dense()
+            assert_same_bits_but_nan_sign(got, (csr(a).T @ csr(b)).toarray())
+            defect = a.product_defect(b, eye=False)
+            assert np.isnan(defect) if np.isnan(want.data).any() else \
+                defect == reference_defect(a, b, eye=False)
+
+    def test_long_rows_match_scipy(self, monkeypatch):
+        """Rows of more terms than a block holds are added chunk by chunk."""
+        monkeypatch.setattr(bandmatrix, "PRODUCT_TERMS", 64)
+        rng = np.random.default_rng(12)
+        a, b = holed_matrix(rng, 60, 9), holed_matrix(rng, 60, 40)
+        want = sp.csr_matrix(csr(a).T @ csr(b))
+        want.sort_indices()
+        assert_same_csr_but_nan_sign(a.matmul(b, transpose=True), want)
+        assert_same_bits_but_nan_sign(a.matmul(b, transpose=True).to_dense(), want.toarray())
+        spec = make_haar_basis(0)
+        t, t_dual = build_transform(spec, 8)
+        assert verify.check_biorthogonality(spec, 8) == reference_defect(t_dual, t)
+
+    @pytest.mark.parametrize("name", ["haar", "lifted"])
+    @pytest.mark.parametrize("block", [bandmatrix.PRODUCT_TERMS, 16])
+    def test_matvecs_match_scipy(self, request, monkeypatch, name, block):
+        monkeypatch.setattr(bandmatrix, "PRODUCT_TERMS", block)
+        rng = np.random.default_rng(13)
+        spec = request.getfixturevalue(name)
+        matrices = [build_transform(spec, m)[1] for m in (spec.j0, 5, 8)]
+        matrices += [holed_matrix(rng, 30, 20), BandMatrix(4, 3, [], [], []),
+                     BandMatrix(0, 0, [], [], []), BandMatrix(0, 5, [], [], [])]
+        for a in matrices:
+            for width in (None, 1, 4):
+                x = special_operand(rng, a.cols, width)
+                assert_same_bits_but_nan_sign(a.dot(x), csr(a) @ x)
+                y = special_operand(rng, a.rows, width)
+                assert_same_bits_but_nan_sign(a.dot(y, transpose=True), csr(a).T @ y)
+            for x, got, want in ((x := np.full(a.cols, -0.0), a.dot(x), csr(a) @ x),
+                                 (y := np.full(a.rows, -0.0), a.dot(y, transpose=True),
+                                  csr(a).T @ y)):
+                assert_same_bits_but_nan_sign(got, want)
+                assert not np.signbit(got[~np.isnan(got)]).any()
+
+    def test_batched_trials_match_per_trial_loop(self, lifted):
+        for m in (3, 6, 8):
+            t, t_dual = build_transform(lifted, m)
+            for a in (t, t.T, t_dual, t_dual.T):
+                for p, trials, seed in ((1.5, 20, 0), (3.0, 7, 5), (0.5, 3, 2)):
+                    assert verify.operator_p_norm_estimate(a, p, trials, seed) == \
+                        reference_operator_p_norm_estimate(a, p, trials, seed)
+
+
+def assert_same_csr_but_nan_sign(got, want):
+    """A ``BandMatrix`` holds the entries of a scipy matrix, the sign of a
+    NaN aside."""
+    r, c, v = got.entries()
+    assert got.shape == want.shape
+    assert np.array_equal(np.diff(want.indptr), np.bincount(r, minlength=got.rows))
+    assert np.array_equal(c, want.indices)
+    assert_same_bits_but_nan_sign(v, want.data)
 
 
 def reference_triples(matrix):

@@ -14,6 +14,7 @@ from hyperwave import (
     inverse,
     make_haar_basis,
 )
+from conftest import csr
 
 SQ2 = math.sqrt(2.0)
 
@@ -151,7 +152,7 @@ class TestForwardInverse:
         assert [len(b) for b in ms.blocks] == [4, 4, 8, 16, 32]
         assert np.abs(inverse(haar_j2, ms) - c).max() <= 1e-12 * np.abs(c).max()
         t, td = build_transform(haar_j2, 6)
-        defect = (td.csr.T @ t.csr).toarray() - np.eye(haar_j2.delta_size(6))
+        defect = (csr(td).T @ csr(t)).toarray() - np.eye(haar_j2.delta_size(6))
         assert np.abs(defect).max() <= 1e-12
 
     def test_matrix_free_agrees_with_explicit(self, haar, scaled):
@@ -161,8 +162,8 @@ class TestForwardInverse:
                 c = rng.standard_normal(spec.delta_size(m))
                 t, td = build_transform(spec, m)
                 ms = forward(spec, c)
-                assert np.abs(td.csr.T @ c - ms.concat()).max() < 1e-12
-                assert np.abs(t.csr @ ms.concat() - inverse(spec, ms)).max() < 1e-12
+                assert np.abs(csr(td).T @ c - ms.concat()).max() < 1e-12
+                assert np.abs(csr(t) @ ms.concat() - inverse(spec, ms)).max() < 1e-12
 
     def test_length_mismatch_rejected(self, haar):
         with pytest.raises(DimensionMismatch):
@@ -176,13 +177,13 @@ class TestBiorthogonalityInvariant:
     @pytest.mark.parametrize("m", list(range(0, 11)))
     def test_haar_defect(self, haar, m):
         t, td = build_transform(haar, m)
-        defect = (td.csr.T @ t.csr).toarray() - np.eye(haar.delta_size(m))
+        defect = (csr(td).T @ csr(t)).toarray() - np.eye(haar.delta_size(m))
         assert np.abs(defect).max() <= 1e-12
 
     @pytest.mark.parametrize("m", [1, 4, 7])
     def test_mask_basis_defect(self, scaled, m):
         t, td = build_transform(scaled, m)
-        defect = (td.csr.T @ t.csr).toarray() - np.eye(scaled.delta_size(m))
+        defect = (csr(td).T @ csr(t)).toarray() - np.eye(scaled.delta_size(m))
         assert np.abs(defect).max() <= 1e-10
 
 

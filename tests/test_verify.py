@@ -21,7 +21,7 @@ from hyperwave import (
     operator_p_norm_estimate,
     running_max_stabilizes,
 )
-from conftest import make_hyper, random_hyper
+from conftest import csr, make_hyper, random_hyper
 
 
 def random_sparse_matrix(rng, max_size=8):
@@ -215,7 +215,7 @@ class TestRieszCheck:
         from hyperwave import build_transform
 
         t, _ = build_transform(haar, 6)
-        gram = (t.csr.T @ t.csr).toarray()
+        gram = (csr(t).T @ csr(t)).toarray()
         assert np.abs(np.diag(gram) - 1.0).max() <= 1e-12
 
     def test_scaled_basis_condition_stabilizes(self, scaled):
