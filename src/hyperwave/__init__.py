@@ -17,7 +17,10 @@ have read) are written once and then only read, and the arrays a
 ``BandMatrix`` hands out are read-only.  A kept grid costs 8 bytes per
 grid cell in both systems.  A ``CoeffVector`` checks the shapes and types
 of its index arrays when it is built and keeps each array as a read-only
-view; the caller's own arrays stay writable.  The library needs numpy
+view; the caller's own arrays stay writable.  Both coefficient systems
+have one entry order, the lexicographic order of coefficient files: every
+vector the library makes from a grid, or reads from a file it wrote, lists
+its entries in it, block by block, so writing one sorts nothing.  The library needs numpy
 alone: its sparse products are numpy code that gives the bits scipy's
 CSR products gave.
 """

@@ -83,7 +83,8 @@ def _greedy_order(u: CoeffVector, w: np.ndarray) -> np.ndarray:
     """The entries by descending ``w``, ties in lexicographic index order:
     a stable argsort of -w over the index order."""
     by_index = _index_order(u.index_columns())
-    return by_index[np.argsort(-w[by_index], kind="stable")]
+    order = np.argsort(-w[by_index], kind="stable")
+    return order if isinstance(by_index, slice) else by_index[order]
 
 
 def _tail_errors(w_sorted: np.ndarray) -> np.ndarray:

@@ -14,8 +14,8 @@ multiscale grid bins the grid's cells (:class:`_HybridBins`,
 :class:`_IsoBins`, shared with the embedding check in ``verify``) and
 builds no index array.  The sums carry the bits of the entry sums because
 ``np.bincount`` adds each bin in input order and the grid's zero cells add
-+0.0: a kept hyperbolic grid in C order is its entry order, and the blocks
-of a kept isotropic grid in iso order, each in C order, are its entries'.
++0.0: a kept grid's entries are its blocks in file order, each in C order,
+the order in which the grid's C order visits a block's cells.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ from .tensorbasis import (
     ISOTROPIC,
     CoeffVector,
     _index_code,
-    _iso_blocks,
+    _blocks,
     _kept_grid,
     _rescale_factor,
     rescale,
 )
-from .transform1d import _level_maps
 
 __all__ = [
     "NormParams",
@@ -135,7 +134,8 @@ class _HybridBins:
 
     def __init__(self, spec, n: int, m: int, p: float, k: int = 1):
         self.p, self.nl = p, m - spec.j0 + 1
-        lvl, _ = _level_maps(spec, m)
+        levels = range(spec.j0, m + 1)
+        lvl = np.repeat(levels, [spec.nabla_size(j) for j in levels])
         axes = [lvl.reshape([-1 if i == a else 1 for i in range(n)]) for a in range(n)]
         trial = np.arange(k).reshape((k,) + (1,) * n)
         codes = _index_code(axes, [spec.j0] * n, [self.nl] * n)
@@ -143,7 +143,7 @@ class _HybridBins:
         self.factors = None
         if p != 2.0:
             self.factors = _rescale_factor(np.arange(n * m + 1), 2.0, p)[sum(axes)]
-        self.starts = [spec.block_slice(j)[0] for j in range(spec.j0, m + 1)]
+        self.starts = [spec.block_slice(j)[0] for j in levels]
 
     def __call__(self, grids: np.ndarray):
         """The (k', nl^n) inner l^p norms of the blocks of each grid, in
@@ -160,7 +160,7 @@ class _HybridBins:
 class _IsoBins:
     """The bins of the isotropic level sums over the cells of up to k
     stacked isotropic multiscale grids (swept by the change of basis), read
-    block by block in iso order: per cell its level, offset by trial."""
+    block by block in file order: per cell its level, offset by trial."""
 
     def __init__(self, spec, n: int, m: int, p: float, k: int = 1):
         self.spec, self.n, self.m, self.p = spec, n, m, p
@@ -177,7 +177,7 @@ class _IsoBins:
         cells = np.empty((k, grids[0].size))
         present = np.zeros((k, self.factors.size), dtype=bool)
         at = 0
-        for m, _, block in _iso_blocks(self.spec, grids, self.n, self.m):
+        for (m, _), block in _blocks(self.spec, grids, self.n, self.m, ISOTROPIC):
             size = block[0].size
             out = cells[:, at:at + size].reshape(block.shape)
             if self.p == 2.0:

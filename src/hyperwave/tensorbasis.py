@@ -28,7 +28,7 @@ from .errors import (
     WrongSystem,
 )
 from .tables import fmt, header_fields, open_text, parse_row, read_head, read_rows, write_table
-from .transform1d import _level_maps, _step, _sweep
+from .transform1d import _step, _sweep
 
 __all__ = [
     "HYPERBOLIC",
@@ -108,17 +108,18 @@ class CoeffVector:
     type vectors instead.  ``p_norm`` records the L^p normalization of the
     underlying basis; values transform inversely to the basis functions.
 
-    A vector made from a dense multiscale grid keeps that grid, read-only,
-    for its whole life: 8 bytes per grid cell, whatever its number of
-    nonzeros.  Hyperbolic vectors from :func:`hyper_forward` and
-    :func:`hyper_from_iso` keep their tensor-product grid, isotropic ones
-    from :func:`iso_from_hyper` the grid after the change of basis.  Such
-    a vector builds ``levels``, ``positions``, ``values`` and (isotropic)
-    ``etypes`` from the grid when one of them is first read, in the order
-    and with the bits :func:`_grid_cells` gives; ``num_entries`` is the
-    grid's count of nonzero cells, taken when the vector is made, and the
-    sequence norms bin its cells without building them.  Vectors made
-    otherwise (from index arrays, files, ``replace``, :meth:`with_values`,
+    A vector lists its entries in the order they were given; one the
+    library makes from a grid, or reads from a file it wrote, lists them in
+    file order, the lexicographic order of :meth:`index_columns`.  One made
+    from a dense multiscale grid (by :func:`hyper_forward`,
+    :func:`hyper_from_iso` or :func:`iso_from_hyper`) keeps that grid,
+    read-only, for its whole life: 8 bytes per grid cell, whatever its
+    number of nonzeros.  It builds
+    ``levels``, ``positions``, ``values`` and (isotropic) ``etypes`` when
+    one of them is first read, block by block (:func:`_grid_cells`);
+    ``num_entries`` is the grid's count of nonzero cells, and the sequence
+    norms bin its cells without building them.  Vectors made otherwise
+    (from index arrays, files, ``replace``, :meth:`with_values`,
     :func:`rescale` or :meth:`canonical_order`) keep no grid.
     """
 
@@ -250,14 +251,23 @@ def _row_code(columns: np.ndarray):
     return _index_code(columns.T, lo, base)
 
 
-def _index_order(columns: np.ndarray) -> np.ndarray:
+def _index_order(columns: np.ndarray, unique: str = "") -> np.ndarray | slice:
     """The lexicographic order of the rows of an (N, k) int64 array, equal
-    rows in input order: a stable argsort of their code, or, when the code
-    does not fit 63 bits, the lexsort of the columns."""
+    rows in input order: ``slice(None)`` for rows in that order already,
+    found in one O(N) pass over their code, so the caller gathers nothing;
+    else a stable argsort of the code, or, when the code does not fit 63
+    bits, the lexsort of the columns.  Given ``unique``, the name of the
+    rows, equal rows raise DimensionMismatch('duplicate <unique>')."""
     code = _row_code(columns)
     if code is None:
-        return np.lexsort(columns.T[::-1])
-    return np.argsort(code, kind="stable")
+        order = np.lexsort(columns.T[::-1])
+        rows = columns[order]
+    else:
+        order = slice(None) if (code[1:] >= code[:-1]).all() else np.argsort(code, kind="stable")
+        rows = code[order][:, None]
+    if unique and (rows[1:] == rows[:-1]).all(axis=1).any():
+        raise DimensionMismatch(f"duplicate {unique}")
+    return order
 
 
 def _fold_columns(ufunc, columns: np.ndarray) -> np.ndarray:
@@ -293,52 +303,42 @@ def _analyze_grids(spec: BasisSpec, data: np.ndarray, n: int, m: int) -> np.ndar
     return _sweep(spec, np.array(data, dtype=np.float64), n, m, analysis=True)
 
 
-def _nonzero_cells(block: np.ndarray, *axis_maps) -> tuple[np.ndarray, ...]:
-    """The values of the nonzero cells of an n-D ``block`` in C order, then
-    one (N, n) int64 array per tuple of n per-axis maps, whose column a
-    holds map_a at each cell's axis-a index.
-
-    One boolean mask selects the cells ``np.nonzero`` would (NaN kept, -0.0
-    left out) without building their n-D index arrays: the last-axis index
-    is selected through the mask, and each other axis is constant along a
-    line of the last axis, so its map value is repeated by the line's count
-    of selected cells.  A masked selection per axis would cost a
-    mispredicted branch per cell of a half-filled grid.
-    """
+def _nonzero_cells(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values of the nonzero cells of an n-D ``block`` in C order and
+    their (N, n) int64 positions in it: the cells ``np.nonzero`` selects
+    (NaN kept, -0.0 left out), by one boolean mask and no n-D index
+    arrays.  The last-axis index is selected through the mask; each other
+    axis is constant along a line of the last axis, so its index is
+    repeated by the line's count of cells, where a masked selection per
+    axis would cost a mispredicted branch per cell of a half-filled grid."""
     mask = block != 0
     values = block[mask]
-    lines = block.shape[:-1]
     counts = mask.sum(axis=-1).ravel()
-    last = np.broadcast_to(np.arange(block.shape[-1]), block.shape)[mask]
-    out = [values]
-    for maps in axis_maps:
-        cols = np.empty((values.size, block.ndim), dtype=np.int64)
-        for a, amap in enumerate(maps[:-1]):
-            per_line = np.empty(lines, dtype=np.int64)
-            per_line[...] = amap.reshape([-1 if i == a else 1 for i in range(len(lines))])
-            cols[:, a] = np.repeat(per_line.ravel(), counts)
-        cols[:, -1] = maps[-1][last]
-        out.append(cols)
-    return tuple(out)
+    positions = np.empty((values.size, block.ndim), dtype=np.int64)
+    for a, line_index in enumerate(np.indices(block.shape[:-1])):
+        positions[:, a] = np.repeat(line_index.ravel(), counts)
+    positions[:, -1] = np.broadcast_to(np.arange(block.shape[-1]), block.shape)[mask]
+    return values, positions
 
 
 def _grid_cells(v: CoeffVector) -> dict:
     """The index arrays and values of a vector that keeps its grid, by
-    field name: the nonzero cells of a hyperbolic grid in C order; those
-    of an isotropic grid block by block, in the order of :func:`_iso_blocks`
-    and C order within a block."""
+    field name: the nonzero cells of its blocks in file order
+    (:func:`_blocks`), in C order within a block, each block written into
+    arrays of the final size."""
     spec, grid = v._kept
-    if v.system == HYPERBOLIC:
-        lvl, pos = _level_maps(spec, v.max_level)
-        cells = _nonzero_cells(grid, (lvl,) * v.n, (pos,) * v.n)
-        return dict(zip(("values", "levels", "positions"), cells))
-    blocks = _iso_blocks(spec, grid, v.n, v.max_level)
-    parts = [_nonzero_cells(block, [np.arange(s) for s in block.shape]) for _, _, block in blocks]
-    sizes = [values.size for values, _ in parts]
-    values, positions = (np.concatenate(col) for col in zip(*parts))
-    return {"values": values, "positions": positions,
-            "levels": np.repeat(np.array([m for m, _, _ in blocks], dtype=np.int64), sizes),
-            "etypes": np.repeat(np.array([e for _, e, _ in blocks], dtype=np.int8), sizes, axis=0)}
+    blocks = _blocks(spec, grid, v.n, v.max_level, v.system)
+    total, ends = v._kept_entries, [0]
+    cells = {"values": np.empty(total), "positions": np.empty((total, v.n), dtype=np.int64)}
+    for _, block in blocks:
+        values, positions = _nonzero_cells(block)
+        rows = slice(ends[-1], ends[-1] + values.size)
+        cells["values"][rows], cells["positions"][rows] = values, positions
+        ends.append(rows.stop)
+    names = ("levels",) if v.system == HYPERBOLIC else ("levels", "etypes")
+    for name, dtype, keys in zip(names, (np.int64, np.int8), zip(*(key for key, _ in blocks))):
+        cells[name] = np.repeat(np.array(keys, dtype=dtype), np.diff(ends), axis=0)
+    return cells
 
 
 def _from_multiscale_array(spec, arr, n, m, system=HYPERBOLIC) -> CoeffVector:
@@ -477,16 +477,20 @@ def _iso_block_slices(spec: BasisSpec, m: int, e: tuple[int, ...]) -> tuple[slic
     return tuple(slice(lo, hi) if ei or not any(e) else slice(0, lo) for ei in e)
 
 
-def _iso_blocks(spec: BasisSpec, grid: np.ndarray, n: int, mmax: int) -> list:
-    """(m, e, block) for each isotropic block, in iso order: the coarse
-    type-0 block at j0, then each level m and type e in {0,1}^n \\ {0} in
-    ``itertools.product`` order.  ``block`` is the view of the level-m
-    type-e block in the last n axes of the isotropic multiscale ``grid``
-    (one the synthesis sweep has run on); leading axes index a batch of
-    grids."""
+def _blocks(spec: BasisSpec, grid: np.ndarray, n: int, mmax: int, system: str) -> list:
+    """(key, block) for each block of the system in file order: ``key``
+    holds the level vector j of a hyperbolic block, or the level m and type
+    e of an isotropic one (type 0 at j0 only, the others above it), and
+    ``block`` is its view in the last n axes of the multiscale ``grid``,
+    an isotropic one swept by the change of basis; leading axes index a
+    batch of grids."""
+    if system == HYPERBOLIC:
+        keys = [(j,) for j in itertools.product(range(spec.j0, mmax + 1), repeat=n)]
+        return [(key, grid[(..., *(slice(*spec.block_slice(level)) for level in key[0]))])
+                for key in keys]
     types = [e for e in itertools.product((0, 1), repeat=n) if any(e)]
-    blocks = [(spec.j0, (0,) * n), *itertools.product(range(spec.j0 + 1, mmax + 1), types)]
-    return [(m, e, grid[(..., *_iso_block_slices(spec, m, e))]) for m, e in blocks]
+    keys = [(spec.j0, (0,) * n), *itertools.product(range(spec.j0 + 1, mmax + 1), types)]
+    return [(key, grid[(..., *_iso_block_slices(spec, *key))]) for key in keys]
 
 
 def iso_from_hyper(spec: BasisSpec, u: CoeffVector) -> CoeffVector:
@@ -497,8 +501,8 @@ def iso_from_hyper(spec: BasisSpec, u: CoeffVector) -> CoeffVector:
     block, into level-(m-1) scaling positions by T_{m-1}, and keeps the
     level-m wavelet positions on the axes with e_i = 1.  The result keeps
     the swept grid, as :func:`hyper_from_iso` keeps its own; its entries,
-    built when first read, are the nonzero cells of the blocks in iso
-    order (:func:`_iso_blocks`), so it scatters and extracts nothing.
+    built when first read, are the nonzero cells of the blocks in file
+    order (:func:`_blocks`), so it scatters and extracts nothing.
     """
     _require_l2(u, HYPERBOLIC)
     arr = _sweep(spec, _to_multiscale_array(spec, u), u.n, u.max_level, analysis=False, full=False)
@@ -568,17 +572,21 @@ def _rescale_factor(l1: np.ndarray, old_p: float, new_p: float) -> np.ndarray:
 
 
 def save_coeffs(cv: CoeffVector, path) -> None:
-    cv = cv.canonical_order()
+    """Write ``cv`` as a coefficient file: the entries of a vector the
+    library made as they stand, in file order already, others sorted.  A
+    repeated index raises DimensionMismatch before the file is opened."""
+    columns = cv.index_columns()
+    order = _index_order(columns, unique="coefficient indices")
     head = (f"hyperwave-coeffs v1 {cv.system} n={cv.n} p={fmt(cv.p_norm)} "
             f"basis={cv.basis} jmax={cv.max_level}")
-    write_table(path, head, cv.index_columns(), cv.values)
+    write_table(path, head, columns[order], cv.values[order])
 
 
 def load_coeffs(path) -> CoeffVector:
     """The vector of a coefficient file, its rows streamed
-    (:func:`hyperwave.tables.read_rows`).  A repeated index is found in one
-    O(N) pass over the codes of rows in file order, which strictly increase
-    in every file :func:`save_coeffs` writes; only other files are sorted."""
+    (:func:`hyperwave.tables.read_rows`) and kept in their order.  The
+    repeated-index check of :func:`_index_order` sorts only a file whose
+    rows are not in file order, as :func:`save_coeffs` writes them."""
     with open_text(path, "coefficient", DimensionMismatch) as fh:
         line = read_head(fh)
         head = line.split()
@@ -599,9 +607,5 @@ def load_coeffs(path) -> CoeffVector:
             raise
         except (ValueError, DimensionMismatch) as exc:
             raise DimensionMismatch(f"malformed coefficient line in {path}: {exc}") from None
-    code = _row_code(columns)
-    if code is None or not (code[1:] > code[:-1]).all():
-        rows = columns[np.lexsort(columns.T[::-1])] if code is None else np.sort(code)[:, None]
-        if (rows[1:] == rows[:-1]).all(axis=1).any():
-            raise DimensionMismatch("duplicate coefficient indices in file")
+    _index_order(columns, unique=f"coefficient indices in {path}")
     return cv

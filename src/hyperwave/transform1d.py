@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandmatrix import BandMatrix
+from .bandmatrix import PRODUCT_TERMS, BandMatrix
 from .basis1d import BasisSpec
 from .errors import DimensionMismatch, LevelBelowCoarsest
 
@@ -168,18 +168,6 @@ def _synthesize_array(spec: BasisSpec, a: np.ndarray, m: int) -> np.ndarray:
     return _sweep(spec, np.array(a, dtype=np.float64).T, 1, m, analysis=False).T
 
 
-def _level_maps(spec: BasisSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per multiscale position: its level and its within-block position."""
-    size = spec.delta_size(m)
-    lvl = np.empty(size, dtype=np.int64)
-    pos = np.empty(size, dtype=np.int64)
-    for j in range(spec.j0, m + 1):
-        lo, hi = spec.block_slice(j)
-        lvl[lo:hi] = j
-        pos[lo:hi] = np.arange(hi - lo)
-    return lvl, pos
-
-
 def _same_mask(a: BandMatrix, b: BandMatrix) -> bool:
     """True when two masks have the same shape and bitwise equal entries."""
     return a is b or (a.shape == b.shape and all(
@@ -283,14 +271,16 @@ def check_entry_decay(spec: BasisSpec, m: int, alpha: float) -> float:
     t, _ = build_transform(spec, m)
     size = spec.delta_size(m)
     rows, cols, values = t.entries()
-    lvl, pos = _level_maps(spec, m)
-    j = lvl[cols]
-    k = pos[cols]
     widths = np.array([spec.nabla_size(level) for level in range(spec.j0, m + 1)])
-    n_block = widths[j - spec.j0]
-    # Fine-cell center in level-j block units.
-    x = (rows + 0.5) / size * n_block
-    dist = np.maximum(0.0, np.maximum(k - x, x - (k + 1)))
-    envelope = 2.0 ** ((j - m) / 2.0) * (1.0 + dist) ** (-alpha)
-    ratios = np.abs(values) / envelope
-    return float(ratios.max()) if ratios.size else 0.0
+    # Per column of T_m: its level and the first column of its level.
+    lvl, start = np.repeat([range(spec.j0, m + 1), np.cumsum(widths) - widths], widths, axis=1)
+    worst = []  # per block of entries, to keep temporaries small; a maximum is order-free
+    for s in range(0, values.size, PRODUCT_TERMS):
+        block = slice(s, s + PRODUCT_TERMS)
+        j, k = lvl[cols[block]], cols[block] - start[cols[block]]
+        # Fine-cell center in level-j block units.
+        x = (rows[block] + 0.5) / size * widths[j - spec.j0]
+        dist = np.maximum(0.0, np.maximum(k - x, x - (k + 1)))
+        envelope = 2.0 ** ((j - m) / 2.0) * (1.0 + dist) ** (-alpha)
+        worst.append((np.abs(values[block]) / envelope).max())
+    return float(np.max(worst, initial=0.0))

@@ -284,8 +284,8 @@ def check_embedding_chain(
     isotropic norm of regularity q + n*s, for coefficients on the n-cube.
     Both are expected uniformly bounded over the truncation level.  The
     hybrid norm adds the terms of each block in index order, as
-    ``besov_hybrid_norm`` does for entries stored in that order (those of
-    ``hyper_forward``).
+    ``besov_hybrid_norm`` does for entries in file order, the one order of
+    every vector the library makes.
     """
     if u.system != HYPERBOLIC:
         raise WrongSystem("embedding check expects hyperbolic coefficients")

@@ -28,6 +28,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -75,10 +76,10 @@ from hyperwave.seqnorms import _block_norm, _outer_norm
 from hyperwave.tables import WRITE_CHUNK_ROWS, fmt
 from hyperwave.tensorbasis import (
     _analyze_grids,
+    _blocks,
     _from_multiscale_array,
     _index_order,
     _iso_block_slices,
-    _iso_blocks,
     _kept_grid,
     _nonzero_cells,
     _row_code,
@@ -596,7 +597,7 @@ def reference_generic_iso_from_hyper(spec, u):
     for m, e, block in reference_iso_blocks(spec, _to_multiscale_array(spec, u), u.n,
                                             u.max_level):
         blocks.append((m, e))
-        parts.append(_nonzero_cells(block, [np.arange(s) for s in block.shape]))
+        parts.append(_nonzero_cells(block))
     sizes = [values.size for values, _ in parts]
     levels = np.repeat(np.array([m for m, _ in blocks], dtype=np.int64), sizes)
     etypes = np.repeat(np.array([e for _, e in blocks], dtype=np.int8), sizes, axis=0)
@@ -806,9 +807,9 @@ def reference_iso_cells(spec, grid, n, mmax):
     at once, before isotropic vectors kept their grid: the nonzero cells of
     each block in iso order, in C order within a block."""
     blocks, parts = [], []
-    for m, e, block in _iso_blocks(spec, grid, n, mmax):
+    for (m, e), block in _blocks(spec, grid, n, mmax, ISOTROPIC):
         blocks.append((m, e))
-        parts.append(_nonzero_cells(block, [np.arange(s) for s in block.shape]))
+        parts.append(_nonzero_cells(block))
     sizes = [values.size for values, _ in parts]
     levels = np.repeat(np.array([m for m, _ in blocks], dtype=np.int64), sizes)
     etypes = np.repeat(np.array([e for _, e in blocks], dtype=np.int8), sizes, axis=0)
@@ -901,9 +902,10 @@ class TestKeptGrid:
         assert back.num_entries == u.num_entries
         assert scatters == {"_scatter": 0, "_nonzero_cells": 0}
         assert not {"levels", "positions", "values"} & set(vars(u))
-        assert len(u.values) == u.num_entries and scatters["_nonzero_cells"] == 1
+        # One extraction per hyperbolic block: levels 0..4 on each of 3 axes.
+        assert len(u.values) == u.num_entries and scatters["_nonzero_cells"] == 5 ** 3
         assert u.levels.shape == u.positions.shape == (u.num_entries, 3)
-        assert scatters["_nonzero_cells"] == 1
+        assert scatters["_nonzero_cells"] == 5 ** 3
 
     def test_grid_is_a_writable_copy_of_a_read_only_one(self, haar):
         u = hyper_forward(haar, 2, np.arange(64.0).reshape(8, 8))
@@ -1013,12 +1015,11 @@ def test_lemma4_p2_unit_only_for_an_orthonormal_basis(request, name, emitted):
     assert [row[0] for row in rows].count("lemma4_bounded") == 1
 
 
-def reference_nonzero_cells(block, *axis_maps):
-    """The np.nonzero route: the index arrays of the nonzero cells, then
-    one gather per axis and map, stacked."""
+def reference_nonzero_cells(block):
+    """The np.nonzero route: the values of the nonzero cells, then their
+    index arrays stacked into (N, n) positions."""
     idx = np.nonzero(block)
-    cols = (np.stack([t[ix] for t, ix in zip(maps, idx)], axis=1) for maps in axis_maps)
-    return (np.ascontiguousarray(block[idx]), *cols)
+    return np.ascontiguousarray(block[idx]), np.stack(idx, axis=1).astype(np.int64)
 
 
 def special_blocks(rng, n):
@@ -1043,10 +1044,8 @@ class TestNonzeroCellsBitwise:
     def test_cells_match_nonzero_route(self, n):
         rng = np.random.default_rng(40 + n)
         for block in special_blocks(rng, n):
-            maps = (tuple(rng.integers(-5, 50, s) for s in block.shape),
-                    tuple(np.arange(s) for s in block.shape))
-            got, want = _nonzero_cells(block, *maps), reference_nonzero_cells(block, *maps)
-            assert len(got) == len(want) == 3
+            got, want = _nonzero_cells(block), reference_nonzero_cells(block)
+            assert len(got) == len(want) == 2
             for x, y in zip(got, want):
                 assert x.dtype == y.dtype and x.shape == y.shape
                 assert x.tobytes() == y.tobytes()
@@ -1697,6 +1696,19 @@ def tied_vector(spec, rng, system):
                                           u.index_columns()[rows], values)
 
 
+@pytest.fixture
+def sorts(monkeypatch):
+    """The number of calls to ``np.argsort``, ``np.lexsort`` and ``np.sort``
+    made during the test."""
+    calls = Counter()
+    for name in ("argsort", "lexsort", "sort"):
+        def counted(*args, _name=name, _fn=getattr(np, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    return calls
+
+
 class TestIndexOrder:
     """The index order and the greedy order from one int64 code per index,
     against the lexsort of the index columns they replace."""
@@ -1706,8 +1718,10 @@ class TestIndexOrder:
         for cv in (u, iso_from_hyper(haar, u)):
             columns = cv.index_columns()
             rows = np.random.default_rng(2).permutation(len(columns))
-            for cols in (columns, columns[rows]):
-                assert np.array_equal(_index_order(cols), np.lexsort(cols.T[::-1]))
+            # The library's vectors list their entries in index order already.
+            assert _index_order(columns) == slice(None)
+            assert np.array_equal(np.lexsort(columns.T[::-1]), np.arange(len(columns)))
+            assert np.array_equal(_index_order(columns[rows]), np.lexsort(columns[rows].T[::-1]))
             w = 2.0 ** (0.3 * cv.level_linf()) * np.abs(cv.values)
             assert np.array_equal(_greedy_order(cv, w), np.lexsort((*columns.T[::-1], -w)))
 
@@ -1727,16 +1741,112 @@ class TestIndexOrder:
         assert u.canonical_order().index_columns().tobytes() == \
             u.index_columns()[np.lexsort(u.index_columns().T[::-1])].tobytes()
 
-    def test_code_beyond_63_bits_takes_the_lexsort(self):
+    def test_rows_in_order_are_not_sorted(self, sorts):
+        columns = np.array([[0, 1, 5], [0, 1, 5], [0, 2, -3], [1, 0, 0], [1, 0, 0]])
+        for rows in (columns, columns[:0], columns[:1]):
+            assert _index_order(rows) == slice(None)
+        assert not sorts
+        with pytest.raises(DimensionMismatch, match="duplicate rows"):
+            _index_order(columns, unique="rows")
+        assert _index_order(np.unique(columns, axis=0), unique="rows") == slice(None)
+
+    def test_shuffled_rows_take_the_lexsort(self):
+        rng = np.random.default_rng(9)
+        columns = rng.integers(-3, 4, (500, 3))
+        want = np.lexsort(columns.T[::-1])
+        assert np.array_equal(_index_order(columns), want)
+        with pytest.raises(DimensionMismatch, match="duplicate rows"):
+            _index_order(columns, unique="rows")
+
+    def test_code_beyond_63_bits_takes_the_lexsort(self, sorts):
         big = np.iinfo(np.int64)
         columns = np.array([[0, big.max, 1], [0, big.min, 1], [0, big.min, 0], [0, 0, 2]])
         assert _row_code(columns) is None
         assert np.array_equal(_index_order(columns), np.lexsort(columns.T[::-1]))
+        # Rows in order are sorted too when their code does not fit.
+        in_order = columns[[2, 1, 3, 0]]
+        sorts.clear()
+        assert np.array_equal(_index_order(in_order, unique="rows"), [0, 1, 2, 3])
+        assert sorts["lexsort"] == 1
+        with pytest.raises(DimensionMismatch, match="duplicate rows"):
+            _index_order(in_order[[0, 1, 3, 3]], unique="rows")
         assert _row_code(columns[:, ::2]) is not None
         span = np.array([[0, 0], [0, big.max]])  # a radix of exactly 2^63
         assert _row_code(span) is None
         assert np.array_equal(_index_order(span[::-1]), [1, 0])
         assert _row_code(np.array([[0, 0], [0, big.max - 1]])) is not None
+
+
+def grid_made_vectors(spec, n, rng):
+    """The results of ``hyper_forward``, ``iso_from_hyper`` and
+    ``hyper_from_iso``, holding +-0.0, +-inf and NaN, on special data and
+    on vectors with entries at the two lowest levels only, so that every
+    block above them is empty; then those of all-zero data, with no entry."""
+    m = spec.j0 + 3
+    size = spec.delta_size(m)
+    out = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        special = special_operand(rng, size ** n, None)
+        special[[1, 3, -1]] = np.inf, -np.inf, np.nan
+        for data in (special.reshape((size,) * n), np.zeros((size,) * n)):
+            u = hyper_forward(spec, n, data)
+            v = iso_from_hyper(spec, u)
+            out += [u, v, hyper_from_iso(spec, v)]
+        for x in out[:2]:
+            low = x.levels.reshape(x.num_entries, -1).max(axis=1) <= spec.j0 + 1
+            sparse = CoeffVector.from_index_columns(x.system, n, 2.0, m, x.basis,
+                                                    x.index_columns()[low], x.values[low])
+            out.append(iso_from_hyper(spec, sparse) if x.system == HYPERBOLIC
+                       else hyper_from_iso(spec, sparse))
+    return out
+
+
+class TestOneIndexOrder:
+    """Every vector the library makes from a grid lists its entries in file
+    order, so writing it sorts nothing."""
+
+    @pytest.mark.parametrize("name", ["haar", "haar_j2", "scaled", "lifted"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_entries_in_file_order(self, request, name, n):
+        spec = request.getfixturevalue(name)
+        xs = grid_made_vectors(spec, n, np.random.default_rng(70 + n))
+        assert np.isnan(xs[0]._kept[1]).any() and not any(x.num_entries for x in xs[3:6])
+        for x in xs[6:]:
+            blocks = [block for _, block in _blocks(spec, x._kept[1], n, x.max_level, x.system)]
+            assert x.num_entries and not all(block.any() for block in blocks)
+        for x in xs:
+            code = _row_code(x.index_columns())
+            assert code is not None and (code[1:] > code[:-1]).all()
+            assert len(x.values) == x.num_entries
+            # The entries are those of the kept grid, each once.
+            grid = x._kept[1]
+            assert _to_multiscale_array(spec, twin(x)).tobytes() == grid.tobytes()
+
+    @pytest.mark.parametrize("name", ["haar", "haar_j2", "scaled", "lifted"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_save_sorts_nothing(self, request, tmp_path, sorts, name, n):
+        spec = request.getfixturevalue(name)
+        rng = np.random.default_rng(80 + n)
+        for i, x in enumerate(grid_made_vectors(spec, n, rng)):
+            sorts.clear()
+            save_coeffs(x, tmp_path / f"{i}.coeffs")
+            assert not sorts
+            rows = rng.permutation(x.num_entries)
+            shuffled = CoeffVector.from_index_columns(x.system, n, 2.0, x.max_level, x.basis,
+                                                      x.index_columns()[rows], x.values[rows])
+            save_coeffs(shuffled, tmp_path / "shuffled.coeffs")
+            assert ((tmp_path / f"{i}.coeffs").read_bytes()
+                    == (tmp_path / "shuffled.coeffs").read_bytes())
+
+    def test_save_refuses_a_repeated_index(self, tmp_path):
+        u = make_hyper({((2,), (1,)): 1.0}, 1, 3)
+        twice = CoeffVector.from_index_columns(HYPERBOLIC, 1, 2.0, 3, "haar",
+                                               np.repeat(u.index_columns(), 2, axis=0),
+                                               np.array([1.0, 2.0]))
+        path = tmp_path / "twice.coeffs"
+        with pytest.raises(DimensionMismatch, match="duplicate coefficient indices"):
+            save_coeffs(twice, path)
+        assert not path.exists()
 
 
 HEAD1 = "hyperwave-coeffs v1 hyperbolic n=1 p=2 basis=haar jmax=3"

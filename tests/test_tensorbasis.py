@@ -27,7 +27,7 @@ from hyperwave import (
     save_coeffs,
     tensorbasis,
 )
-from hyperwave.tensorbasis import _iso_blocks, _to_multiscale_array
+from hyperwave.tensorbasis import ISOTROPIC, _blocks, _to_multiscale_array
 from hyperwave.transform1d import _sweep
 from conftest import from_index_arrays, make_hyper, make_iso, random_hyper
 
@@ -245,11 +245,11 @@ class TestScalingSweep:
         rng = np.random.default_rng(n)
         for spec in (haar, scaled):
             grids = rng.standard_normal((3,) + (spec.delta_size(m),) * n)
-            batch = _iso_blocks(spec, swept(spec, grids.copy(), n, m), n, m)
+            batch = _blocks(spec, swept(spec, grids.copy(), n, m), n, m, ISOTROPIC)
             for i, grid in enumerate(grids):
-                single = _iso_blocks(spec, swept(spec, grid.copy(), n, m), n, m)
-                assert [(m_, e) for m_, e, _ in batch] == [(m_, e) for m_, e, _ in single]
-                for (_, _, got), (_, _, want) in zip(batch, single):
+                single = _blocks(spec, swept(spec, grid.copy(), n, m), n, m, ISOTROPIC)
+                assert [key for key, _ in batch] == [key for key, _ in single]
+                for (_, got), (_, want) in zip(batch, single):
                     assert got[i].tobytes() == want.tobytes()
 
     def test_inputs_left_unchanged(self, haar):
