@@ -13,16 +13,17 @@ assembled transforms of a ``BasisSpec``, the ``support`` keys of an
 ``NTermResult``; of a ``CoeffVector``, the index arrays, values and
 isotropic ``etypes`` of one that keeps the grid it was made from, in
 either system, and the block sums of each exponent p the sequence norms
-have read) are written once and then only read, and the arrays a
-``BandMatrix`` hands out are read-only.  A kept grid costs 8 bytes per
-grid cell in both systems.  A ``CoeffVector`` checks the shapes and types
-of its index arrays when it is built and keeps each array as a read-only
-view; the caller's own arrays stay writable.  Both coefficient systems
-have one entry order, the lexicographic order of coefficient files: every
+have read) are written once and then only read.  A kept grid costs 8
+bytes per grid cell in both systems.  A ``CoeffVector`` and a
+``MultiscaleVector`` keep the arrays they are given as read-only views,
+leaving the caller's arrays writable, and a ``BandMatrix`` hands out
+read-only arrays.  One index order, the lexicographic order of coefficient
+files, ``tables._index_order``, orders and checks for repeats the entries
+of both coefficient systems and the triples of a ``BandMatrix``; every
 vector the library makes from a grid, or reads from a file it wrote, lists
-its entries in it, block by block, so writing one sorts nothing.  The library needs numpy
-alone: its sparse products are numpy code that gives the bits scipy's
-CSR products gave.
+its entries in it, so writing one sorts nothing.  The library needs numpy
+alone: its sparse products are numpy code that gives the bits scipy's CSR
+products gave.
 """
 
 from .bandmatrix import BandMatrix

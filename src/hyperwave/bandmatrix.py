@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
+from .tables import _index_order
 
 __all__ = ["BandMatrix"]
 
@@ -23,8 +24,9 @@ def _read_only(*arrays):
 class BandMatrix:
     """Sparse real matrix stored as (row, col, value) triples.
 
-    The triples are validated (entries within the declared dimensions, no
-    duplicate positions), sorted by (row, col) and read-only.  Products
+    The triples are validated (entries within the declared dimensions),
+    put in (row, col) order, with no repeated position, by the library's one
+    index order, ``tables._index_order``, and read-only.  Products
     with dense operands run in numpy over the two-scale diagonals
     row = 2*col + d: each diagonal is cut into runs of consecutive
     columns, and M @ x adds ``v * x[c0:c0+n]`` into every second row
@@ -56,19 +58,11 @@ class BandMatrix:
         self.rows, self.cols = _check_dims(rows, cols)
         if not (row_idx.ndim == 1 and row_idx.shape == col_idx.shape == values.shape):
             raise DimensionMismatch("triple arrays must be 1-D and of equal length")
-        if row_idx.size:
-            if row_idx.min() < 0 or row_idx.max() >= rows:
-                raise DimensionMismatch("row index outside declared dimensions")
-            if col_idx.min() < 0 or col_idx.max() >= cols:
-                raise DimensionMismatch("column index outside declared dimensions")
-            dr, dc = np.diff(row_idx), np.diff(col_idx)
-            if not ((dr > 0) | ((dr == 0) & (dc > 0))).all():
-                order = np.lexsort((col_idx, row_idx))
-                row_idx, col_idx, values = row_idx[order], col_idx[order], values[order]
-                dr, dc = np.diff(row_idx), np.diff(col_idx)
-                if ((dr == 0) & (dc == 0)).any():
-                    raise DimensionMismatch("duplicate (row, col) positions")
-        self._entries = _read_only(row_idx, col_idx, values)
+        for idx, size, name in ((row_idx, rows, "row"), (col_idx, cols, "column")):
+            if idx.min(initial=0) < 0 or idx.max(initial=-1) >= size:
+                raise DimensionMismatch(f"{name} index outside declared dimensions")
+        order = _index_order((row_idx, col_idx), unique="(row, col) positions")
+        self._entries = _read_only(row_idx[order], col_idx[order], values[order])
         self._plans = {}
 
     @classmethod
@@ -105,7 +99,7 @@ class BandMatrix:
     @property
     def T(self) -> "BandMatrix":
         r, c, v = self._entries
-        order = np.argsort(c, kind="stable")  # by (col, row): the rows are sorted
+        order = _index_order((c, r))
         return BandMatrix._adopt(self.cols, self.rows, c[order], r[order], v[order])
 
     def to_dense(self) -> np.ndarray:
@@ -120,7 +114,7 @@ class BandMatrix:
         diagonal row = 2*col + d, by ascending d and then c0."""
         r, c, v = self.entries()
         d = r - 2 * c
-        order = np.lexsort((c, d))
+        order = _index_order((d, c))
         d, c, v = d[order], c[order], v[order]
         v.setflags(write=False)
         cuts = np.flatnonzero((d[1:] != d[:-1]) | (c[1:] != c[:-1] + 1)) + 1

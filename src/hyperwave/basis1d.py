@@ -333,8 +333,7 @@ def _write_blocks(path, blocks) -> None:
     with open(path, "w") as fh:
         for level, m in blocks:
             r, c, v = m.entries()
-            rows = table_text(np.column_stack([r, c]), v)
-            fh.write(f"{level} {m.rows} {m.cols}\n{rows}#\n")
+            fh.write(f"{level} {m.rows} {m.cols}\n{table_text((r, c), v)}#\n")
 
 
 def _read_blocks(path, kind: str) -> list[tuple[int, BandMatrix]]:

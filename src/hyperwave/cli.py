@@ -58,7 +58,7 @@ def _grid_level(size: int) -> int:
 def save_array(arr: np.ndarray, path) -> None:
     arr = np.asarray(arr, dtype=np.float64)
     head = f"hyperwave-array v1 n={arr.ndim} m={_grid_level(arr.shape[0])}"
-    write_table(path, head, np.zeros((arr.size, 0), np.int64), arr.reshape(-1))
+    write_table(path, head, (), arr.reshape(-1))
 
 
 def load_array(path) -> np.ndarray:

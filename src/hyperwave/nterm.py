@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import InsufficientPoints, InvalidExponent
 from .seqnorms import NormParams, besov_hybrid_norm
-from .tensorbasis import CoeffVector, _index_order, rescale
+from .tables import _index_order
+from .tensorbasis import CoeffVector, rescale
 
 __all__ = [
     "NTermResult",
@@ -82,7 +83,7 @@ def _weights(u: CoeffVector, q: float) -> np.ndarray:
 def _greedy_order(u: CoeffVector, w: np.ndarray) -> np.ndarray:
     """The entries by descending ``w``, ties in lexicographic index order:
     a stable argsort of -w over the index order."""
-    by_index = _index_order(u.index_columns())
+    by_index = _index_order(u._columns())
     order = np.argsort(-w[by_index], kind="stable")
     return order if isinstance(by_index, slice) else by_index[order]
 

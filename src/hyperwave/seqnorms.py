@@ -20,16 +20,18 @@ the order in which the grid's C order visits a block's cells.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bandmatrix import _read_only
 from .errors import DimensionMismatch, InvalidExponent, WrongSystem
+from .tables import _index_code, _row_code
 from .tensorbasis import (
     HYPERBOLIC,
     ISOTROPIC,
     CoeffVector,
-    _index_code,
     _blocks,
     _kept_grid,
     _rescale_factor,
@@ -95,21 +97,30 @@ def _outer_norm(weighted: np.ndarray, tau: float) -> float:
     return float(np.sum(weighted ** tau) ** (1.0 / tau))
 
 
-def _grouped_block_norms(code: np.ndarray, span: int, values: np.ndarray, p: float):
-    """The distinct codes, ascending, and the inner l^p norm of |values|
-    over the entries of each; every code lies in [0, span).
+def _grouped_block_norms(u: CoeffVector, columns, p: float):
+    """The (B, k) level vectors, in lexicographic order, of the blocks of
+    ``u`` that hold entries, keyed by its level ``columns``, and the inner
+    l^p norm of its L^p-normalized values over each.
 
-    When the code space is no larger than the entry count, the codes are
-    the bins themselves: ``np.bincount`` adds each bin in input order, as
-    it does over the inverse of ``np.unique``, so the sums carry the same
-    bits without a sort.  A wider span, such as levels 0 and 2^40, would
-    allocate one bin per code, and keeps ``np.unique``.
+    The blocks are coded by ``tables._row_code``.  When the code space is
+    no larger than the entry count, the codes are the bins themselves:
+    ``np.bincount`` adds each bin in input order, as it does over the
+    inverse of ``np.unique``, so the sums carry the same bits without a
+    sort.  A wider span, such as levels 0 and 2^40, would allocate one bin
+    per code, and keeps ``np.unique``.
     """
+    coded = _row_code(columns)
+    if coded is None:
+        raise DimensionMismatch(f"levels {u.levels.min()}..{u.levels.max()} span too many blocks")
+    code, lo, base = coded
+    span, values = math.prod(base), rescale(u, p).values
     if span <= code.size:
         codes = np.flatnonzero(np.bincount(code, minlength=span))
-        return codes, _block_norm(values, code, span, p)[codes]
-    codes, group = np.unique(code, return_inverse=True)
-    return codes, _block_norm(values, group, codes.size, p)
+        inner = _block_norm(values, code, span, p)[codes]
+    else:
+        codes, group = np.unique(code, return_inverse=True)
+        inner = _block_norm(values, group, codes.size, p)
+    return _level_blocks(codes, lo, base), inner
 
 
 def _stored_block_norms(v: CoeffVector, p: float, build):
@@ -118,10 +129,7 @@ def _stored_block_norms(v: CoeffVector, p: float, build):
     from ``v`` are new objects and start without them."""
     stored = vars(v).setdefault("_block_norms", {})
     if p not in stored:
-        levels, inner = build()
-        for a in (levels, inner):
-            a.flags.writeable = False
-        stored.setdefault(p, (levels, inner))
+        stored.setdefault(p, _read_only(*build()))
     return stored[p]
 
 
@@ -130,7 +138,8 @@ class _HybridBins:
     level-m multiscale grids of L^2-normalized hyperbolic coefficients,
     shape (k, size, ..., size): per cell its block code, offset by trial so
     that a batch of k' <= k grids takes the first k' of them, and for
-    p != 2 its rescale factor to L^p."""
+    p != 2 its rescale factor to L^p; and the level vector of each block,
+    in code order."""
 
     def __init__(self, spec, n: int, m: int, p: float, k: int = 1):
         self.p, self.nl = p, m - spec.j0 + 1
@@ -138,8 +147,8 @@ class _HybridBins:
         lvl = np.repeat(levels, [spec.nabla_size(j) for j in levels])
         axes = [lvl.reshape([-1 if i == a else 1 for i in range(n)]) for a in range(n)]
         trial = np.arange(k).reshape((k,) + (1,) * n)
-        codes = _index_code(axes, [spec.j0] * n, [self.nl] * n)
-        self.codes = (codes + trial * self.nl ** n).ravel()
+        self.codes = _index_code([trial, *axes], [0] + [spec.j0] * n, [k] + [self.nl] * n).ravel()
+        self.blocks = _level_blocks(np.arange(self.nl ** n), [spec.j0] * n, [self.nl] * n)
         self.factors = None
         if p != 2.0:
             self.factors = _rescale_factor(np.arange(n * m + 1), 2.0, p)[sum(axes)]
@@ -197,18 +206,11 @@ def _hybrid_block_norms(u: CoeffVector, p: float):
     kept = _kept_grid(u)
     if kept is not None:
         spec, grid = kept
-        inner, present = _HybridBins(spec, u.n, u.max_level, p)(grid[None])
+        bins = _HybridBins(spec, u.n, u.max_level, p)
+        inner, present = bins(grid[None])
         codes = np.flatnonzero(present[0])
-        return _level_blocks(codes, spec.j0, u.max_level - spec.j0 + 1, u.n), inner[0, codes]
-    # Levels offset by the smallest one, so the codes span few blocks.
-    levels = u.levels.astype(np.int64, copy=False)
-    lo = int(levels.min())
-    base = int(u.max_level) - lo + 1
-    if base ** u.n > np.iinfo(np.int64).max:
-        raise DimensionMismatch(f"levels {lo}..{u.max_level} span too many blocks to index")
-    codes, inner = _grouped_block_norms(_index_code(levels.T, [lo] * u.n, [base] * u.n),
-                                        base ** u.n, rescale(u, p).values, p)
-    return _level_blocks(codes, lo, base, u.n), inner
+        return bins.blocks[codes], inner[0, codes]
+    return _grouped_block_norms(u, u.levels.T, p)
 
 
 def besov_hybrid_norm(u: CoeffVector, params: NormParams) -> float:
@@ -226,10 +228,11 @@ def besov_hybrid_norm(u: CoeffVector, params: NormParams) -> float:
     return _outer_norm(_hybrid_weights(blocks, params.q, params.s) * inner, params.tau)
 
 
-def _level_blocks(codes: np.ndarray, lo: int, base: int, n: int) -> np.ndarray:
+def _level_blocks(codes: np.ndarray, lo, base) -> np.ndarray:
     """The (B, n) level vectors of ``codes``, made by ``_index_code`` with
-    every digit offset by ``lo`` in radix ``base``."""
-    return codes[:, None] // base ** np.arange(n - 1, -1, -1) % base + lo
+    digit a offset by ``lo[a]`` in radix ``base[a]``."""
+    place = np.cumprod([1, *base[:0:-1]])[::-1]
+    return codes[:, None] // place % base + lo
 
 
 def _hybrid_weights(blocks: np.ndarray, q: float, s: float) -> np.ndarray:
@@ -246,14 +249,8 @@ def _iso_level_norms(v: CoeffVector, p: float) -> tuple[np.ndarray, np.ndarray]:
         spec, grid = kept
         inner, present = _IsoBins(spec, v.n, v.max_level, p)(grid[None])
         return np.arange(spec.j0, v.max_level + 1)[present[0]], inner[0, present[0]]
-    levels = v.levels.astype(np.int64, copy=False)
-    if not levels.size:
-        return levels, np.zeros(0)
-    lo, hi = int(levels.min()), int(levels.max())
-    if hi - lo > np.iinfo(np.int64).max:
-        raise DimensionMismatch(f"levels {lo}..{hi} span too many blocks to index")
-    codes, inner = _grouped_block_norms(levels - lo, hi - lo + 1, rescale(v, p).values, p)
-    return codes + lo, inner
+    levels, inner = _grouped_block_norms(v, [v.levels], p)
+    return levels[:, 0], inner
 
 
 def besov_iso_norm(v: CoeffVector, alpha: float, p: float = 2.0, tau: float = 2.0) -> float:

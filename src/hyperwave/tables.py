@@ -4,13 +4,17 @@ bits.  Coefficient files, array files (k = 0) and the blocks of mask and
 matrix files (k = 2) are header lines followed by such rows.  The rows of
 coefficient and array files are streamed: ``np.loadtxt`` parses them from
 the open file, with no list of lines, and the line reader runs only to
-name the first row it rejects."""
+name the first row it rejects.  :func:`_index_order` is the file order of
+rows and the repeated-index check of every index set, BandMatrix's too."""
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
+
+from .errors import DimensionMismatch
 
 __all__ = [
     "fmt", "open_text", "read_head", "read_lines", "read_rows", "header_fields", "parse_row",
@@ -100,21 +104,59 @@ def parse_ints(tokens) -> tuple[int, ...]:
     return parse_row([*tokens, "0"])[0]
 
 
-def table_text(columns: np.ndarray, values: np.ndarray) -> str:
-    """One newline-terminated row per entry of ``columns`` (N, k) and ``values``."""
-    cells = np.concatenate([columns, values[:, None]], axis=1, dtype=object)
-    row = "%d " * columns.shape[1] + "%.17g\n"
-    return "".join([row] * len(cells)) % tuple(cells.ravel().tolist())
+def table_text(columns, values: np.ndarray) -> str:
+    """One newline-terminated row per entry of ``columns``, k 1-D int arrays, and ``values``."""
+    cells = np.stack([*columns, values], axis=1, dtype=object).ravel().tolist()
+    return ("%d " * len(columns) + "%.17g\n") * len(values) % tuple(cells)
 
 
 WRITE_CHUNK_ROWS = 4096  # rows formatted per write: the text of one chunk is held at a time
 
 
-def write_table(path, head: str, columns: np.ndarray, values: np.ndarray) -> None:
-    """The header line, then the rows of ``columns`` and ``values``, written
-    ``WRITE_CHUNK_ROWS`` rows at a time."""
+def write_table(path, head: str, columns, values: np.ndarray) -> None:
+    """The header line, then the rows of ``columns`` and ``values``, stacked
+    and written ``WRITE_CHUNK_ROWS`` rows at a time."""
     with open(path, "w") as fh:
         fh.write(head + "\n")
         for start in range(0, len(values), WRITE_CHUNK_ROWS):
             rows = slice(start, start + WRITE_CHUNK_ROWS)
-            fh.write(table_text(columns[rows], values[rows]))
+            fh.write(table_text([c[rows] for c in columns], values[rows]))
+
+
+def _index_code(columns, lo, base) -> np.ndarray:
+    """One int64 code per index, given as one integer array per digit in
+    ``columns``, most significant first: its digits in the mixed radix
+    ``base`` are the columns less ``lo`` (the caller keeps them in range),
+    so ascending codes are the lexicographic order of the indices."""
+    code = np.subtract(columns[0], lo[0], dtype=np.int64)
+    for digit, low, radix in zip(columns[1:], lo[1:], base[1:]):
+        code = code * radix + np.subtract(digit, low, dtype=np.int64)
+    return code
+
+
+def _row_code(columns):
+    """(code, lo, base): :func:`_index_code` of ``columns``, each offset by
+    its minimum in the radix of its span; None when the product of the spans
+    needs 63 bits or more, so that every radix and code fits int64."""
+    bounds = [(int(c.min()), int(c.max())) if len(c) else (0, 0) for c in columns]
+    lo, base = [low for low, _ in bounds], [high - low + 1 for low, high in bounds]
+    if math.prod(base) >= 2 ** 63:
+        return None
+    return _index_code(columns, lo, base), lo, base
+
+
+def _index_order(columns, unique: str = "") -> np.ndarray | slice:
+    """The lexicographic order of the rows of ``columns``, 1-D integer arrays
+    most significant first, equal rows in input order: ``slice(None)`` for
+    rows in that order already, found in one pass over their code; else the
+    lexsort of the code, or of the columns when the code does not fit.
+    Given ``unique``, the name of the rows, equal rows raise
+    DimensionMismatch('duplicate <unique>')."""
+    coded = _row_code(columns)
+    keys = list(columns) if coded is None else [coded[0]]
+    in_order = coded is not None and (keys[0][1:] >= keys[0][:-1]).all()
+    order = slice(None) if in_order else np.lexsort(keys[::-1])
+    keys = [key[order] for key in keys]
+    if unique and np.logical_and.reduce([key[1:] == key[:-1] for key in keys]).any():
+        raise DimensionMismatch(f"duplicate {unique}")
+    return order

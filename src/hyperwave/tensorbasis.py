@@ -13,7 +13,6 @@ synthesis takes the same step level by level, all axes at each level.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -27,7 +26,8 @@ from .errors import (
     UnsupportedDimension,
     WrongSystem,
 )
-from .tables import fmt, header_fields, open_text, parse_row, read_head, read_rows, write_table
+from .tables import (_index_order, fmt, header_fields, open_text, parse_row, read_head,
+                     read_rows, write_table)
 from .transform1d import _step, _sweep
 
 __all__ = [
@@ -110,13 +110,13 @@ class CoeffVector:
 
     A vector lists its entries in the order they were given; one the
     library makes from a grid, or reads from a file it wrote, lists them in
-    file order, the lexicographic order of :meth:`index_columns`.  One made
-    from a dense multiscale grid (by :func:`hyper_forward`,
-    :func:`hyper_from_iso` or :func:`iso_from_hyper`) keeps that grid,
-    read-only, for its whole life: 8 bytes per grid cell, whatever its
-    number of nonzeros.  It builds
-    ``levels``, ``positions``, ``values`` and (isotropic) ``etypes`` when
-    one of them is first read, block by block (:func:`_grid_cells`);
+    file order, the lexicographic order of its index columns, which
+    ``tables._index_order`` finds and checks from the 1-D views of
+    :meth:`_columns`, unstacked.  One made from a dense multiscale grid (by
+    :func:`hyper_forward`, :func:`hyper_from_iso` or :func:`iso_from_hyper`)
+    keeps that grid, read-only, for its whole life: 8 bytes per grid cell,
+    whatever its number of nonzeros.  It builds its index fields and values
+    when one of them is first read, block by block (:func:`_grid_cells`);
     ``num_entries`` is the grid's count of nonzero cells, and the sequence
     norms bin its cells without building them.  Vectors made otherwise
     (from index arrays, files, ``replace``, :meth:`with_values`,
@@ -184,16 +184,20 @@ class CoeffVector:
 
     def canonical_order(self) -> "CoeffVector":
         """Entries sorted lexicographically by index; the file-format order."""
-        order = _index_order(self.index_columns())
+        order = _index_order(self._columns())
         return replace(self, **{name: a[order] for name in ("levels", "etypes", "positions",
                                 "values") if (a := getattr(self, name)) is not None})
+
+    def _columns(self) -> list[np.ndarray]:
+        """The columns of :meth:`index_columns` as read-only 1-D views."""
+        fields = (self.levels, self.etypes, self.positions)
+        return [c for a in fields if a is not None for c in np.atleast_2d(a.T)]
 
     def index_columns(self) -> np.ndarray:
         """(N, k) int64 index matrix, most significant column first: the
         file columns j_1..j_n k_1..k_n (hyperbolic) or m e_1..e_n k_1..k_n
         (isotropic), whose row order is the lexicographic index order."""
-        cols = [c for c in (self.levels, self.etypes, self.positions) if c is not None]
-        return np.column_stack(cols).astype(np.int64, copy=False)
+        return np.column_stack(self._columns()).astype(np.int64, copy=False)
 
     @classmethod
     def from_index_columns(cls, system, n, p_norm, max_level, basis, columns, values):
@@ -227,47 +231,6 @@ def _row_tuples(columns: np.ndarray) -> list[tuple]:
     ``tolist`` of a k-field record view, with no list per row."""
     a = np.ascontiguousarray(columns, dtype=np.int64)
     return a.view([(f"f{i}", np.int64) for i in range(a.shape[1])]).ravel().tolist()
-
-
-def _index_code(columns, lo, base) -> np.ndarray:
-    """One int64 code per index, given as one integer array per digit in
-    ``columns``, most significant first: its digits in the mixed radix
-    ``base`` are the columns less ``lo`` (the caller keeps them in range),
-    so ascending codes are the lexicographic order of the indices."""
-    code = columns[0] - lo[0]
-    for digit, low, radix in zip(columns[1:], lo[1:], base[1:]):
-        code = code * radix + (digit - low)
-    return code
-
-
-def _row_code(columns: np.ndarray):
-    """:func:`_index_code` of the rows of an (N, k) int64 array, each column
-    offset by its minimum (or 0, if less), or None when the span of the
-    columns needs more than 63 bits, so that every radix and code fits int64."""
-    lo = [int(c.min(initial=0)) for c in columns.T]
-    base = [int(c.max(initial=0)) - low + 1 for c, low in zip(columns.T, lo)]
-    if math.prod(base) >= 2 ** 63:
-        return None
-    return _index_code(columns.T, lo, base)
-
-
-def _index_order(columns: np.ndarray, unique: str = "") -> np.ndarray | slice:
-    """The lexicographic order of the rows of an (N, k) int64 array, equal
-    rows in input order: ``slice(None)`` for rows in that order already,
-    found in one O(N) pass over their code, so the caller gathers nothing;
-    else a stable argsort of the code, or, when the code does not fit 63
-    bits, the lexsort of the columns.  Given ``unique``, the name of the
-    rows, equal rows raise DimensionMismatch('duplicate <unique>')."""
-    code = _row_code(columns)
-    if code is None:
-        order = np.lexsort(columns.T[::-1])
-        rows = columns[order]
-    else:
-        order = slice(None) if (code[1:] >= code[:-1]).all() else np.argsort(code, kind="stable")
-        rows = code[order][:, None]
-    if unique and (rows[1:] == rows[:-1]).all(axis=1).any():
-        raise DimensionMismatch(f"duplicate {unique}")
-    return order
 
 
 def _fold_columns(ufunc, columns: np.ndarray) -> np.ndarray:
@@ -433,7 +396,7 @@ def _range_error(spec: BasisSpec, u: CoeffVector, rows: np.ndarray) -> str:
         i, levels = int(rows[0]), tuple(u.levels[rows[0]].tolist())
         where = f"level {levels} block of shape {tuple(map(spec.nabla_size, levels))}"
     else:
-        i = int(rows[np.lexsort((*u.etypes[rows].T[::-1], u.levels[rows]))[0]])
+        i = int(rows[_index_order((u.levels[rows], *u.etypes[rows].T))][0])
         m, e = int(u.levels[i]), tuple(u.etypes[i].tolist())
         if (m <= spec.j0) if any(e) else (m != spec.j0):
             return (f"no level-{m} block of type {e}: type 0 exists at the coarsest "
@@ -575,11 +538,11 @@ def save_coeffs(cv: CoeffVector, path) -> None:
     """Write ``cv`` as a coefficient file: the entries of a vector the
     library made as they stand, in file order already, others sorted.  A
     repeated index raises DimensionMismatch before the file is opened."""
-    columns = cv.index_columns()
+    columns = cv._columns()
     order = _index_order(columns, unique="coefficient indices")
     head = (f"hyperwave-coeffs v1 {cv.system} n={cv.n} p={fmt(cv.p_norm)} "
             f"basis={cv.basis} jmax={cv.max_level}")
-    write_table(path, head, columns[order], cv.values[order])
+    write_table(path, head, [c[order] for c in columns], cv.values[order])
 
 
 def load_coeffs(path) -> CoeffVector:
@@ -607,5 +570,5 @@ def load_coeffs(path) -> CoeffVector:
             raise
         except (ValueError, DimensionMismatch) as exc:
             raise DimensionMismatch(f"malformed coefficient line in {path}: {exc}") from None
-    _index_order(columns, unique=f"coefficient indices in {path}")
+    _index_order(columns.T, unique=f"coefficient indices in {path}")
     return cv

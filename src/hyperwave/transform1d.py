@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandmatrix import PRODUCT_TERMS, BandMatrix
+from .bandmatrix import PRODUCT_TERMS, BandMatrix, _read_only
 from .basis1d import BasisSpec
 from .errors import DimensionMismatch, LevelBelowCoarsest
 
@@ -42,11 +42,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MultiscaleVector:
-    """Coefficient blocks (c_j0, d_j0+1, ..., d_m) of a multiscale expansion."""
+    """Coefficient blocks (c_j0, d_j0+1, ..., d_m) of a multiscale expansion,
+    read-only views of the arrays given."""
 
     j0: int
     m: int
     blocks: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", _read_only(*(np.asarray(b).view() for b in self.blocks)))
 
     def concat(self) -> np.ndarray:
         return np.concatenate(self.blocks)

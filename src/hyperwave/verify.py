@@ -40,16 +40,14 @@ from .seqnorms import (
     _HybridBins,
     _hybrid_weights,
     _IsoBins,
-    _level_blocks,
     _level_weights,
     _outer_norm,
 )
-from .tables import fmt
+from .tables import _index_code, fmt
 from .tensorbasis import (
     HYPERBOLIC,
     CoeffVector,
     _analyze_grids,
-    _index_code,
     _kept_grid,
     _require_l2,
     _to_multiscale_array,
@@ -139,7 +137,8 @@ def operator_p_norm_estimate(
     if p == 1:
         return float(a.column_abs_pow_sums(1.0).max()) if a.cols else 0.0
     if np.isinf(p):
-        return float(a.T.column_abs_pow_sums(1.0).max()) if a.rows else 0.0
+        r, _, v = a.entries()  # each row summed by ascending column, as the columns of a.T
+        return float(np.bincount(r, np.abs(v), minlength=a.rows).max()) if a.rows else 0.0
     if p == 2:
         return _spectral_norm(a, seed=seed)
     # Coordinate vectors give the column p-norms exactly.
@@ -337,10 +336,9 @@ def _embedding_ratios(spec, n, m, q, s, k=1):
         )
     tau = 1.0 / (s + 0.5)
     levels = np.arange(spec.j0, m + 1)
-    nl = levels.size
     hybrid_bins, iso_bins = _HybridBins(spec, n, m, tau, k), _IsoBins(spec, n, m, tau, k)
     with np.errstate(over="ignore", invalid="ignore"):
-        hybrid_weights = _hybrid_weights(_level_blocks(np.arange(nl ** n), spec.j0, nl, n), q, s)
+        hybrid_weights = _hybrid_weights(hybrid_bins.blocks, q, s)
         iso_weights = [_level_weights(levels, alpha) for alpha in (q + s, q + n * s)]
 
     @np.errstate(over="ignore", invalid="ignore")  # a norm that is not finite is raised below

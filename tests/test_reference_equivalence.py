@@ -73,16 +73,14 @@ from hyperwave.cli import load_array, save_array
 from hyperwave.errors import DimensionMismatch
 from hyperwave.nterm import _greedy_order, _tail_errors
 from hyperwave.seqnorms import _block_norm, _outer_norm
-from hyperwave.tables import WRITE_CHUNK_ROWS, fmt
+from hyperwave.tables import WRITE_CHUNK_ROWS, _index_order, _row_code, fmt
 from hyperwave.tensorbasis import (
     _analyze_grids,
     _blocks,
     _from_multiscale_array,
-    _index_order,
     _iso_block_slices,
     _kept_grid,
     _nonzero_cells,
-    _row_code,
     _to_multiscale_array,
 )
 from hyperwave.transform1d import _analyze_array, _synthesize_array
@@ -1533,6 +1531,20 @@ class TestSparseProductsBitwise:
                 assert_same_bits_but_nan_sign(got, want)
                 assert not np.signbit(got[~np.isnan(got)]).any()
 
+    def test_row_sums_match_the_transpose_column_sums(self, lifted):
+        """The p = inf estimate, one ``np.bincount`` over the rows, holds the
+        bits of the column sums of the transpose it replaced."""
+        rng = np.random.default_rng(50)
+        shapes = ((5, 7), (40, 30), (1, 1), (9, 2), (30, 30))
+        matrices = [holed_matrix(rng, rows, cols) for rows, cols in shapes]
+        matrices += [t for m in (2, 5, 8) for t in build_transform(lifted, m)]
+        matrices += [BandMatrix(0, 3, [], [], []), BandMatrix(3, 0, [], [], [])]
+        for a in matrices:
+            for b in (a, a.T):
+                want = float(b.T.column_abs_pow_sums(1.0).max()) if b.rows else 0.0
+                got = verify.operator_p_norm_estimate(b, np.inf)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_batched_trials_match_per_trial_loop(self, lifted):
         for m in (3, 6, 8):
             t, t_dual = build_transform(lifted, m)
@@ -1710,8 +1722,9 @@ def sorts(monkeypatch):
 
 
 class TestIndexOrder:
-    """The index order and the greedy order from one int64 code per index,
-    against the lexsort of the index columns they replace."""
+    """The index order of ``tables`` and the greedy order from one int64
+    code per index, against the lexsort of the index columns they replace;
+    the columns are given as a sequence, most significant first."""
 
     def test_lexsort_order_at_m10(self, haar):
         u = random_hyper(haar, np.random.default_rng(1), 2, 10)
@@ -1719,9 +1732,9 @@ class TestIndexOrder:
             columns = cv.index_columns()
             rows = np.random.default_rng(2).permutation(len(columns))
             # The library's vectors list their entries in index order already.
-            assert _index_order(columns) == slice(None)
+            assert _index_order(columns.T) == slice(None)
             assert np.array_equal(np.lexsort(columns.T[::-1]), np.arange(len(columns)))
-            assert np.array_equal(_index_order(columns[rows]), np.lexsort(columns[rows].T[::-1]))
+            assert np.array_equal(_index_order(columns[rows].T), np.lexsort(columns[rows].T[::-1]))
             w = 2.0 ** (0.3 * cv.level_linf()) * np.abs(cv.values)
             assert np.array_equal(_greedy_order(cv, w), np.lexsort((*columns.T[::-1], -w)))
 
@@ -1744,37 +1757,134 @@ class TestIndexOrder:
     def test_rows_in_order_are_not_sorted(self, sorts):
         columns = np.array([[0, 1, 5], [0, 1, 5], [0, 2, -3], [1, 0, 0], [1, 0, 0]])
         for rows in (columns, columns[:0], columns[:1]):
-            assert _index_order(rows) == slice(None)
+            assert _index_order(rows.T) == slice(None)
         assert not sorts
         with pytest.raises(DimensionMismatch, match="duplicate rows"):
-            _index_order(columns, unique="rows")
-        assert _index_order(np.unique(columns, axis=0), unique="rows") == slice(None)
+            _index_order(columns.T, unique="rows")
+        assert _index_order(np.unique(columns, axis=0).T, unique="rows") == slice(None)
 
     def test_shuffled_rows_take_the_lexsort(self):
         rng = np.random.default_rng(9)
         columns = rng.integers(-3, 4, (500, 3))
         want = np.lexsort(columns.T[::-1])
-        assert np.array_equal(_index_order(columns), want)
+        assert np.array_equal(_index_order(columns.T), want)
         with pytest.raises(DimensionMismatch, match="duplicate rows"):
-            _index_order(columns, unique="rows")
+            _index_order(columns.T, unique="rows")
 
     def test_code_beyond_63_bits_takes_the_lexsort(self, sorts):
         big = np.iinfo(np.int64)
         columns = np.array([[0, big.max, 1], [0, big.min, 1], [0, big.min, 0], [0, 0, 2]])
-        assert _row_code(columns) is None
-        assert np.array_equal(_index_order(columns), np.lexsort(columns.T[::-1]))
+        assert _row_code(columns.T) is None
+        assert np.array_equal(_index_order(columns.T), np.lexsort(columns.T[::-1]))
         # Rows in order are sorted too when their code does not fit.
         in_order = columns[[2, 1, 3, 0]]
         sorts.clear()
-        assert np.array_equal(_index_order(in_order, unique="rows"), [0, 1, 2, 3])
+        assert np.array_equal(_index_order(in_order.T, unique="rows"), [0, 1, 2, 3])
         assert sorts["lexsort"] == 1
         with pytest.raises(DimensionMismatch, match="duplicate rows"):
-            _index_order(in_order[[0, 1, 3, 3]], unique="rows")
-        assert _row_code(columns[:, ::2]) is not None
+            _index_order(in_order[[0, 1, 3, 3]].T, unique="rows")
+        assert _row_code(columns[:, ::2].T) is not None
         span = np.array([[0, 0], [0, big.max]])  # a radix of exactly 2^63
-        assert _row_code(span) is None
-        assert np.array_equal(_index_order(span[::-1]), [1, 0])
-        assert _row_code(np.array([[0, 0], [0, big.max - 1]])) is not None
+        assert _row_code(span.T) is None
+        assert np.array_equal(_index_order(span[::-1].T), [1, 0])
+        assert _row_code(np.array([[0, 0], [0, big.max - 1]]).T) is not None
+
+
+class TestBandMatrixOrder:
+    """``BandMatrix`` orders its triples and rejects a repeated position
+    through ``tables._index_order``, the index order of the coefficient
+    vectors."""
+
+    def test_shuffled_triples_give_the_sorted_entries(self):
+        rng = np.random.default_rng(31)
+        for rows, cols in ((40, 30), (17, 64), (1, 9)):
+            a = holed_matrix(rng, rows, cols)
+            shuffle = rng.permutation(a.nnz)
+            b = BandMatrix(rows, cols, *(x[shuffle] for x in a.entries()))
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(a.entries(), b.entries()))
+            x, y = special_operand(rng, cols, 3), special_operand(rng, rows, None)
+            for got, want in ((b.apply(x), a.apply(x)), (b.dot(x), a.dot(x)),
+                              (b.apply_transpose(y), a.apply_transpose(y)),
+                              (b.dot(y, transpose=True), a.dot(y, transpose=True))):
+                assert got.tobytes() == want.tobytes()
+            assert_same_bits_but_nan_sign(b.dot(x), csr(a) @ x)
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_repeated_position_rejected(self, shuffled):
+        r, c = np.array([0, 1, 1, 2]), np.array([3, 0, 0, 1])
+        order = [2, 0, 3, 1] if shuffled else slice(None)
+        with pytest.raises(DimensionMismatch, match=r"duplicate \(row, col\) positions"):
+            BandMatrix(3, 4, r[order], c[order], np.arange(4.0)[order])
+
+    def test_code_beyond_63_bits_takes_the_lexsort(self, sorts):
+        big = 2 ** 40
+        r, c = np.array([0, big - 1, 5, big - 1]), np.array([big - 1, 0, 7, 3])
+        assert _row_code((r, c)) is None
+        a = BandMatrix(big, big, r, c, [1.0, 2.0, 3.0, 4.0])
+        assert sorts["lexsort"] == 1 and not sorts["argsort"]
+        assert a.entries()[0].tolist() == [0, 5, big - 1, big - 1]
+        assert a.entries()[1].tolist() == [big - 1, 7, 0, 3]
+        assert a.entries()[2].tolist() == [1.0, 3.0, 2.0, 4.0]
+        shuffled, in_order = ([*r, 5], [*c, 7]), ([0, 5, 5, big - 1, big - 1], [big - 1, 7, 7, 0, 3])
+        for rows, cols in (shuffled, in_order):
+            with pytest.raises(DimensionMismatch, match=r"duplicate \(row, col\) positions"):
+                BandMatrix(big, big, rows, cols, np.ones(5))
+
+
+@pytest.fixture
+def stacks(monkeypatch, sorts):
+    """``sorts``, and the number of calls to ``np.column_stack`` and to
+    ``CoeffVector.index_columns``, made during the test."""
+    for owner, name in ((np, "column_stack"), (CoeffVector, "index_columns")):
+        def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+            sorts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return sorts
+
+
+class TestIndexColumnsUnstacked:
+    """The library orders, checks and writes index columns as 1-D views:
+    these paths stack no (N, k) copy of them (``np.column_stack`` or
+    ``CoeffVector.index_columns``) and sort no index."""
+
+    def test_save_of_kept_and_loaded_vectors(self, haar, tmp_path, stacks):
+        u = random_hyper(haar, np.random.default_rng(40), 3, 3)
+        for i, x in enumerate((u, iso_from_hyper(haar, u))):
+            stacks.clear()
+            save_coeffs(x, tmp_path / f"{i}.coeffs")
+            assert not stacks
+            loaded = load_coeffs(tmp_path / f"{i}.coeffs")
+            stacks.clear()
+            save_coeffs(loaded, tmp_path / f"{i}-again.coeffs")
+            assert not stacks
+            assert ((tmp_path / f"{i}.coeffs").read_bytes()
+                    == (tmp_path / f"{i}-again.coeffs").read_bytes())
+
+    def test_support_sorts_only_the_weights(self, haar, stacks):
+        """The greedy order needs one stable argsort of the weights; the
+        ties take the index order, found without a sort."""
+        u = random_hyper(haar, np.random.default_rng(41), 2, 5)
+        for x in (u, iso_from_hyper(haar, u)):
+            curve = error_curve(x, 0.5, [1, 10, 100])
+            stacks.clear()
+            assert len(curve.support) == 100
+            assert stacks == {"argsort": 1}
+
+    def test_canonical_order_of_a_library_vector(self, haar, stacks):
+        u = random_hyper(haar, np.random.default_rng(42), 2, 5)
+        for x in (u, iso_from_hyper(haar, u)):
+            stacks.clear()
+            y = x.canonical_order()
+            assert not stacks
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(x._columns(), y._columns()))
+
+    def test_band_matrix_from_triples_in_order(self, haar, stacks):
+        t, _ = build_transform(haar, 6)
+        stacks.clear()
+        b = BandMatrix(*t.shape, *t.entries())
+        assert not stacks
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(t.entries(), b.entries()))
 
 
 def grid_made_vectors(spec, n, rng):
@@ -1815,8 +1925,8 @@ class TestOneIndexOrder:
             blocks = [block for _, block in _blocks(spec, x._kept[1], n, x.max_level, x.system)]
             assert x.num_entries and not all(block.any() for block in blocks)
         for x in xs:
-            code = _row_code(x.index_columns())
-            assert code is not None and (code[1:] > code[:-1]).all()
+            code, _, _ = _row_code(x.index_columns().T)
+            assert (code[1:] > code[:-1]).all()
             assert len(x.values) == x.num_entries
             # The entries are those of the kept grid, each once.
             grid = x._kept[1]

@@ -126,6 +126,20 @@ class TestForwardInverse:
         for block in ms.blocks[1:]:
             assert np.abs(block).max() < 1e-14
 
+    def test_blocks_are_read_only_views(self, haar):
+        """``forward`` hands out read-only blocks, and a vector built from
+        the caller's arrays views them without making them read-only."""
+        for block in forward(haar, np.arange(8.0)).blocks:
+            assert not block.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                block[0] = 1.0
+        given = [np.zeros(1), np.zeros(1), np.zeros(2), np.zeros(4)]
+        ms = MultiscaleVector(0, 3, tuple(given))
+        assert all(a.flags.writeable for a in given)
+        assert not any(b.flags.writeable for b in ms.blocks)
+        given[3][0] = 5.0
+        assert ms.blocks[3][0] == 5.0 and inverse(haar, ms)[:2].all()
+
     def test_zero_multiscale_vector_synthesizes_to_zero(self, haar):
         ms = MultiscaleVector(0, 3, tuple(np.zeros(n) for n in (1, 1, 2, 4)))
         np.testing.assert_array_equal(inverse(haar, ms), np.zeros(8))
