@@ -21,7 +21,9 @@ read-only arrays.  One index order, the lexicographic order of coefficient
 files, ``tables._index_order``, orders and checks for repeats the entries
 of both coefficient systems and the triples of a ``BandMatrix``; every
 vector the library makes from a grid, or reads from a file it wrote, lists
-its entries in it, so writing one sorts nothing.  The library needs numpy
+its entries in it, so writing one sorts nothing; every scatter into a grid
+refuses a repeat through it, and places the entries of both systems by one
+block layout, ``tensorbasis._block_slices``.  The library needs numpy
 alone: its sparse products are numpy code that gives the bits scipy's CSR
 products gave.
 """

@@ -8,11 +8,14 @@ sweep of the two-scale step (``transform1d._sweep``): the level-m cascade
 on every line, or for the change of basis the univariate transforms along
 the scaling axes (e_i = 0) of all type blocks at once.  The isotropic
 synthesis takes the same step level by level, all axes at each level.
+One block layout, :func:`_block_slices`, places the entries of both
+systems in the grid; block views, scatters and range errors all read it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -26,8 +29,8 @@ from .errors import (
     UnsupportedDimension,
     WrongSystem,
 )
-from .tables import (_index_order, fmt, header_fields, open_text, parse_row, read_head,
-                     read_rows, write_table)
+from .tables import (_index_code, _index_order, fmt, header_fields, open_text, parse_row,
+                     read_head, read_rows, write_table)
 from .transform1d import _step, _sweep
 
 __all__ = [
@@ -158,6 +161,11 @@ class CoeffVector:
                         e = tuple(a[np.argmax(bad)].tolist())
                         raise DimensionMismatch(f"type {e} not in {{0,1}}^{n}")
                 a = a.astype(np.int8, copy=False)
+            elif name != "values":
+                # Before the int64 cast, which would truncate 0.5 or wrap 2^63.
+                if a.dtype.kind not in "iu" or a.dtype == np.uint64 and a.max(initial=0) >= 2**63:
+                    raise DimensionMismatch(f"{name} of dtype {a.dtype}, expected int64 values")
+                a = a.astype(np.int64, copy=False)
             a = a.view()
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -197,7 +205,7 @@ class CoeffVector:
         """(N, k) int64 index matrix, most significant column first: the
         file columns j_1..j_n k_1..k_n (hyperbolic) or m e_1..e_n k_1..k_n
         (isotropic), whose row order is the lexicographic index order."""
-        return np.column_stack(self._columns()).astype(np.int64, copy=False)
+        return np.column_stack(self._columns())
 
     @classmethod
     def from_index_columns(cls, system, n, p_norm, max_level, basis, columns, values):
@@ -335,18 +343,16 @@ def _to_multiscale_array(spec: BasisSpec, u: CoeffVector) -> np.ndarray:
 
     A vector that keeps the grid it was made from with this same ``spec``
     object gives a copy of that grid, bit-equal to the scatter of its
-    entries.  Every other vector is scattered: the one map from indices to
-    grid cells, with the one range check.  Per axis, a hyperbolic entry of
-    level j lies in the wavelet range [lo_j, hi_j) = block_slice(j); an
-    isotropic entry of level m lies in [lo_m, hi_m) on its axes with e_i = 1
-    (every axis for type 0, the coarse block at j0) and in the scaling range
-    [0, lo_m) on the others.  These blocks tile the grid as the hyperbolic
-    ones do."""
+    entries.  Every other vector is scattered, in both systems by the code
+    of its key columns: :func:`_block_table` gives each entry's block origin
+    and extent per axis (extent 0 for a key with no block), the cell is
+    origin + position, and the range check comes before the repeated-index
+    check of ``tables._index_order``, which needs no grid-sized mask."""
     kept = _kept_grid(u)
     if kept is not None and kept[0] is spec:
         return kept[1].copy()
-    iso, j0, mmax = u.system == ISOTROPIC, spec.j0, u.max_level
-    shape = (spec.delta_size(mmax),) * u.n
+    n, mmax = u.n, u.max_level
+    shape = (spec.delta_size(mmax),) * n
     try:
         grid = np.zeros(shape)
     except (ValueError, MemoryError):  # numpy: "array is too big" or failed allocation
@@ -354,66 +360,57 @@ def _to_multiscale_array(spec: BasisSpec, u: CoeffVector) -> np.ndarray:
                            "allocate") from None
     if not u.num_entries:
         return grid
-    lo, width = np.zeros((2, mmax + 1), dtype=np.int64)  # by level, from j0 on
-    for j in range(j0, mmax + 1):
-        lo[j], width[j] = spec.block_slice(j)[0], spec.nabla_size(j)
-    if iso:
-        e = u.etypes.view(np.bool_)  # int8 entries in {0, 1}, checked on construction
-        typed = e[:, 0].copy()
-        for a in range(1, u.n):
-            typed |= e[:, a]
-        bad = np.where(typed, u.levels <= j0, u.levels != j0)
-        # Clipped lookups are safe: an entry of a bad level is marked already.
-        lo_m, width_m = lo.take(u.levels, mode="clip"), width.take(u.levels, mode="clip")
-        coarse = ~typed
-    elif u.levels.min() < j0:
-        raise DimensionMismatch(f"index level below coarsest level {j0}")
-    else:
-        bad = np.zeros(u.num_entries, dtype=bool)
-    cells = []
-    for a in range(u.n):
-        # Unsigned, a negative position fails the bound; few temporaries live.
-        k = u.positions[:, a].astype(np.int64, copy=False)
-        if iso:
-            wave = e[:, a] | coarse
-            bad |= k.view(np.uint64) >= np.where(wave, width_m, lo_m).view(np.uint64)
-            start = np.where(wave, lo_m, 0)
-        else:
-            bad |= k.view(np.uint64) >= width[u.levels[:, a]].view(np.uint64)
-            start = lo[u.levels[:, a]]
-        cells.append(start + k)
+    columns = u._columns()
+    lo, base, origin, extent = _block_table(spec, n, mmax, u.system)
+    code = _index_code([np.maximum(c, -1) for c in columns[:-n]], lo, base)
+    bad, cells = np.zeros(code.size, dtype=bool), []
+    for k, start, width in zip(columns[-n:], origin, extent):
+        # Unsigned, a negative position fails the bound.
+        bad |= k.view(np.uint64) >= width[code].view(np.uint64)
+        cells.append(start[code] + k)
     if bad.any():
         raise DimensionMismatch(_range_error(spec, u, np.flatnonzero(bad)))
-    _scatter(grid, tuple(cells), u.values)
+    _index_order(columns, unique="coefficient indices")
+    grid[tuple(cells)] = u.values
     return grid
 
 
+def _block_table(spec: BasisSpec, n: int, mmax: int, system: str) -> tuple:
+    """(lo, base, origin, extent): :func:`_block_slices` as lookup tables.
+    The key columns of an index, j_1..j_n or m e_1..e_n, raised to at least
+    -1, lie in [-1, max(mmax, 1)] (construction bounds a level by mmax, a
+    type by 1) and are the digits of its code ``_index_code(keys, lo, base)``;
+    ``origin[:, code]`` and ``extent[:, code]`` are the first cell and the
+    width per axis of that key's block, extent 0 for a key with no block."""
+    blocks = _block_slices(spec, n, mmax, system)
+    keys = np.array([(*key[:-1], *key[-1]) for key, _ in blocks]).T  # (j,) or (m, e), flat
+    start, stop = np.array([[(s.start, s.stop) for s in slices] for _, slices in blocks]).T
+    lo, base = [-1] * len(keys), [max(mmax, 1) + 2] * len(keys)
+    origin, extent = np.zeros((2, n, math.prod(base)), dtype=np.int64)
+    code = _index_code(keys, lo, base)
+    origin[:, code], extent[:, code] = start, stop - start
+    return lo, base, origin, extent
+
+
 def _range_error(spec: BasisSpec, u: CoeffVector, rows: np.ndarray) -> str:
-    """The message for the first out-of-range entry among ``rows``: the
-    first in input order, or for isotropic entries the first of the first
-    block in (level, type) order."""
+    """The message for the first out-of-range entry among ``rows`` in block
+    order (the lexicographic order of the key columns), in input order within
+    a block, in both systems: a key with no block, or a position outside it."""
+    i = int(rows[_index_order([c[rows] for c in u._columns()[:-u.n]])][0])
+    blocks = dict(_block_slices(spec, u.n, u.max_level, u.system))
     if u.system == HYPERBOLIC:
-        i, levels = int(rows[0]), tuple(u.levels[rows[0]].tolist())
-        where = f"level {levels} block of shape {tuple(map(spec.nabla_size, levels))}"
+        key = (tuple(u.levels[i].tolist()),)
+        if key not in blocks:
+            return f"index level below coarsest level {spec.j0}"
+        where = f"level {key[0]} block"
     else:
-        i = int(rows[_index_order((u.levels[rows], *u.etypes[rows].T))][0])
-        m, e = int(u.levels[i]), tuple(u.etypes[i].tolist())
-        if (m <= spec.j0) if any(e) else (m != spec.j0):
+        key = m, e = int(u.levels[i]), tuple(u.etypes[i].tolist())
+        if key not in blocks:
             return (f"no level-{m} block of type {e}: type 0 exists at the coarsest "
                     f"level {spec.j0} only, the other types above it")
-        shape = tuple(s.stop - s.start for s in _iso_block_slices(spec, m, e))
-        where = f"level {m} type {e} block of shape {shape}"
-    return f"position {tuple(u.positions[i].tolist())} out of range for {where}"
-
-
-def _scatter(grid: np.ndarray, index: tuple, values: np.ndarray) -> None:
-    """``grid[index] = values``, rejecting a repeated index: the N entries
-    must mark N distinct cells of the grid."""
-    grid[index] = values
-    mark = np.zeros(grid.shape, dtype=bool)
-    mark[index] = True
-    if np.count_nonzero(mark) != len(values):
-        raise DimensionMismatch("duplicate coefficient indices")
+        where = f"level {m} type {e} block"
+    shape = tuple(s.stop - s.start for s in blocks[key])
+    return f"position {tuple(u.positions[i].tolist())} out of range for {where} of shape {shape}"
 
 
 def hyper_inverse(spec: BasisSpec, coeffs: CoeffVector) -> np.ndarray:
@@ -440,20 +437,25 @@ def _iso_block_slices(spec: BasisSpec, m: int, e: tuple[int, ...]) -> tuple[slic
     return tuple(slice(lo, hi) if ei or not any(e) else slice(0, lo) for ei in e)
 
 
-def _blocks(spec: BasisSpec, grid: np.ndarray, n: int, mmax: int, system: str) -> list:
-    """(key, block) for each block of the system in file order: ``key``
-    holds the level vector j of a hyperbolic block, or the level m and type
-    e of an isotropic one (type 0 at j0 only, the others above it), and
-    ``block`` is its view in the last n axes of the multiscale ``grid``,
-    an isotropic one swept by the change of basis; leading axes index a
-    batch of grids."""
+def _block_slices(spec: BasisSpec, n: int, mmax: int, system: str) -> list:
+    """(key, slices) for each block of the system in file order, the one
+    block layout of both systems: ``key`` holds the level vector j of a
+    hyperbolic block, or the level m and type e of an isotropic one (type 0
+    at j0 only, the others above it), and ``slices`` are its cells in the
+    n-D multiscale grid."""
     if system == HYPERBOLIC:
-        keys = [(j,) for j in itertools.product(range(spec.j0, mmax + 1), repeat=n)]
-        return [(key, grid[(..., *(slice(*spec.block_slice(level)) for level in key[0]))])
-                for key in keys]
+        axis = {level: slice(*spec.block_slice(level)) for level in range(spec.j0, mmax + 1)}
+        return [((j,), tuple(map(axis.get, j))) for j in itertools.product(axis, repeat=n)]
     types = [e for e in itertools.product((0, 1), repeat=n) if any(e)]
     keys = [(spec.j0, (0,) * n), *itertools.product(range(spec.j0 + 1, mmax + 1), types)]
-    return [(key, grid[(..., *_iso_block_slices(spec, *key))]) for key in keys]
+    return [(key, _iso_block_slices(spec, *key)) for key in keys]
+
+
+def _blocks(spec: BasisSpec, grid: np.ndarray, n: int, mmax: int, system: str) -> list:
+    """(key, block) for each block of :func:`_block_slices`: ``block`` is its
+    view in the last n axes of the multiscale ``grid``, an isotropic one
+    swept by the change of basis; leading axes index a batch of grids."""
+    return [(key, grid[(..., *slices)]) for key, slices in _block_slices(spec, n, mmax, system)]
 
 
 def iso_from_hyper(spec: BasisSpec, u: CoeffVector) -> CoeffVector:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .basis1d import make_haar_basis
 from .errors import UnknownKind, UnsupportedDimension
-from .tensorbasis import _check_dimension
+from .tensorbasis import HYPERBOLIC, _blocks, _check_dimension
 from .transform1d import _sweep
 
 __all__ = ["KINDS", "sample_function"]
@@ -76,17 +76,12 @@ def _random_decay(params: dict, n: int, m: int) -> np.ndarray:
     seed = int(params.get("seed", 0))
     rng = np.random.default_rng(seed)
     spec = make_haar_basis(0)
-    size = 2 ** m
-    arr = np.zeros((size,) * n)
-    # Fixed block order (lexicographic level vectors) keeps output
-    # bit-identical for a given seed.
-    for jvec in np.ndindex(*((m + 1,) * n)):
-        slices = tuple(slice(*spec.block_slice(j)) for j in jvec)
-        shape = tuple(s.stop - s.start for s in slices)
-        l1 = sum(jvec)
-        linf = max(jvec)
-        env = 2.0 ** (-(q * linf + (r + 0.5) * l1))
-        xi = rng.uniform(0.5, 1.0, shape)
-        sign = rng.choice([-1.0, 1.0], shape)
-        arr[slices] = env * xi * sign
+    arr = np.zeros((2 ** m,) * n)
+    # Fixed block order (file order, lexicographic level vectors) keeps
+    # output bit-identical for a given seed.
+    for (jvec,), block in _blocks(spec, arr, n, m, HYPERBOLIC):
+        env = 2.0 ** (-(q * max(jvec) + (r + 0.5) * sum(jvec)))
+        xi = rng.uniform(0.5, 1.0, block.shape)
+        sign = rng.choice([-1.0, 1.0], block.shape)
+        block[...] = env * xi * sign
     return _sweep(spec, arr, n, m, analysis=False)

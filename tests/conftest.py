@@ -63,6 +63,33 @@ def scaled():
     )
 
 
+def lifted_haar_quad(rng, j):
+    """Level-j Haar masks lifted as in Sweldens, "The lifting scheme" (1996):
+    M1' = M1 + M0 K and Mt0' = Mt0 - Mt1 K^T for a random tridiagonal K.
+    K[3, 3] = -1 cancels the Haar entry (6, 3) of M1', so that mask has a
+    gap in a diagonal besides the ragged runs at both ends."""
+    m0, m1, mt0, mt1 = (b.to_dense() for b in make_haar_basis(0).masks(j))
+    n = m0.shape[1]
+    k = sum(np.diag(rng.uniform(-0.5, 0.5, n - abs(o)), o) for o in (-1, 0, 1))
+    if n > 3:
+        k[3, 3] = -1.0
+    return MaskQuad(*(BandMatrix.from_dense(a) for a in (m0, m1 + m0 @ k, mt0 - mt1 @ k.T, mt1)))
+
+
+def lifted_spec():
+    """A biorthogonal basis that is not orthonormal: lifted Haar masks on
+    levels 1-8, so its dual masks differ from its primal ones."""
+    rng = np.random.default_rng(7)
+    return make_mask_basis({j: lifted_haar_quad(rng, j) for j in range(1, 9)},
+                           d=1, d_tilde=1, gamma=0.5, gamma_tilde=0.5, alpha=64.0, j0=0,
+                           name="lifted")
+
+
+@pytest.fixture(scope="session")
+def lifted():
+    return lifted_spec()
+
+
 def csr(a: BandMatrix):
     """A scipy CSR copy of ``a``, built from its entries: the oracle the
     numpy products of ``BandMatrix`` are checked against.  scipy is a test

@@ -85,7 +85,7 @@ from hyperwave.tensorbasis import (
 )
 from hyperwave.transform1d import _analyze_array, _synthesize_array
 from hyperwave.verify import TransformNormRow, _p_norm_estimate, check_transform_norms
-from conftest import csr, make_hyper, make_iso, random_hyper, random_sparse_hyper
+from conftest import csr, lifted_spec, make_hyper, make_iso, random_hyper, random_sparse_hyper
 
 
 def reference_besov_hybrid_norm(u, params):
@@ -817,9 +817,10 @@ def reference_iso_cells(spec, grid, n, mmax):
 
 @pytest.fixture
 def scatters(monkeypatch):
-    """The number of calls to ``tensorbasis._scatter`` and to
-    ``tensorbasis._nonzero_cells`` made during the test, by name."""
-    calls = {"_scatter": 0, "_nonzero_cells": 0}
+    """The number of calls to ``tensorbasis._block_table``, one per scatter
+    of entries into a grid, and to ``tensorbasis._nonzero_cells`` made
+    during the test, by name."""
+    calls = {"_block_table": 0, "_nonzero_cells": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(tensorbasis, name)):
             calls[_name] += 1
@@ -883,10 +884,10 @@ class TestKeptGrid:
         u = hyper_forward(haar, 2, np.random.default_rng(8).standard_normal((16, 16)))
         v = iso_from_hyper(haar, u)
         assert u.etypes is None and not {"levels", "positions", "values"} & set(vars(u))
-        assert scatters == {"_scatter": 0, "_nonzero_cells": 0}
+        assert scatters == {"_block_table": 0, "_nonzero_cells": 0}
         etypes = v.etypes
         # One extraction per isotropic block: the coarse one and 3 types on levels 1..4.
-        assert scatters == {"_scatter": 0, "_nonzero_cells": 1 + 3 * 4}
+        assert scatters == {"_block_table": 0, "_nonzero_cells": 1 + 3 * 4}
         assert {"levels", "etypes", "positions", "values"} <= set(vars(v))
         assert etypes.dtype == np.int8 and etypes.shape == (v.num_entries, 2)
         assert CoeffVector.etypes is None
@@ -898,7 +899,7 @@ class TestKeptGrid:
         back = hyper_from_iso(haar, iso_from_hyper(haar, u))
         assert u.num_entries == np.count_nonzero(_to_multiscale_array(haar, u))
         assert back.num_entries == u.num_entries
-        assert scatters == {"_scatter": 0, "_nonzero_cells": 0}
+        assert scatters == {"_block_table": 0, "_nonzero_cells": 0}
         assert not {"levels", "positions", "values"} & set(vars(u))
         # One extraction per hyperbolic block: levels 0..4 on each of 3 axes.
         assert len(u.values) == u.num_entries and scatters["_nonzero_cells"] == 5 ** 3
@@ -922,9 +923,9 @@ class TestKeptGrid:
         assert twin_spec.name == haar.name and twin_spec is not haar
         for i, x in enumerate((u, iso_from_hyper(haar, u)), start=1):
             grid = _to_multiscale_array(haar, x)
-            assert scatters["_scatter"] == i - 1
+            assert scatters["_block_table"] == i - 1
             assert _to_multiscale_array(twin_spec, x).tobytes() == grid.tobytes()
-            assert scatters["_scatter"] == i
+            assert scatters["_block_table"] == i
 
     def test_derived_vectors_drop_the_grid(self, haar, scatters):
         u = hyper_forward(haar, 2, np.random.default_rng(6).standard_normal((8, 8)))
@@ -935,7 +936,7 @@ class TestKeptGrid:
                                                rescale(x, 1.0), x.canonical_order())]
         for i, d in enumerate(derived, start=1):
             _to_multiscale_array(haar, d)
-            assert scatters["_scatter"] == i
+            assert scatters["_block_table"] == i
             assert not {"_kept", "_block_norms"} & set(vars(d))
 
 
@@ -952,7 +953,7 @@ def kept_vectors_and_twins(spec, n, scatters):
 
     with np.errstate(invalid="ignore", over="ignore"):
         xs, twins = vectors(), [twin(x) for x in vectors()]
-    scatters.update({"_scatter": 0, "_nonzero_cells": 0})
+    scatters.update({"_block_table": 0, "_nonzero_cells": 0})
     return xs, twins
 
 
@@ -971,7 +972,7 @@ def assert_kept_norms_match_twins(spec, n, scatters, system, norm, reference):
                 got = norm(x, p, tau, q, s)
                 assert same_float(got, norm(y, p, tau, q, s))
                 assert same_float(got, reference(y, p, tau, q, s))
-    assert scatters == {"_scatter": 0, "_nonzero_cells": 0}
+    assert scatters == {"_block_table": 0, "_nonzero_cells": 0}
     for x, _ in pairs:
         assert not {"levels", "positions", "values"} & set(vars(x))
 
@@ -995,7 +996,7 @@ class TestNormSweepBuildsNothing:
         norms = [(sobolev_norm_hyper(u, s), sobolev_norm_iso(v, s)) for s in (-0.3, 0.0, 0.3)]
         assert calls == [2.0, 2.0]
         ratios = check_embedding_chain(haar, u, 0.0, 0.25)
-        assert scatters == {"_scatter": 0, "_nonzero_cells": 0}
+        assert scatters == {"_block_table": 0, "_nonzero_cells": 0}
         # The same figures as the vectors rebuilt from their entries.
         hyper, iso = twin(u), twin(v)
         assert norms == [(sobolev_norm_hyper(hyper, s), sobolev_norm_iso(iso, s))
@@ -1071,6 +1072,59 @@ class TestIsoSynthesisInputOrder:
         v = make_iso({(3, (0, 1), (0, 0)): 1.0, (2, (0, 0), (0, 0)): 2.0}, 2, 3)
         with pytest.raises(DimensionMismatch, match=r"^no level-2 block of type \(0, 0\)"):
             iso_synthesize(haar, v)
+
+    @pytest.mark.parametrize("j0", [0, 2])
+    def test_typed_entry_of_a_coarsest_level_vector_has_no_block(self, j0):
+        # Truncated at j0, the vector has the coarse block only: its block
+        # keys hold no type 1, yet a type-1 entry must find no block.
+        spec = make_haar_basis(j0)
+        for e in [(1, 0), (0, 1), (1, 1)]:
+            v = make_iso({(j0, e, (0, 0)): 1.0}, 2, j0)
+            for fn in (iso_synthesize, hyper_from_iso):
+                with pytest.raises(DimensionMismatch, match=rf"^no level-{j0} block of type "
+                                   rf"\({e[0]}, {e[1]}\)"):
+                    fn(spec, v)
+
+
+class TestHyperbolicRangeErrors:
+    """A hyperbolic scatter reports, like an isotropic one, the first bad
+    entry in block order, and a range error before a repeated index."""
+
+    def test_first_bad_block_in_level_order_is_reported(self, haar):
+        # The level-(2, 0) entry comes first in the input, the level-(1, 1)
+        # block first in level order; both positions are out of range.
+        u = make_hyper({((2, 0), (0, 4)): 1.0, ((1, 1), (5, 0)): 2.0}, 2, 3)
+        with pytest.raises(DimensionMismatch, match=r"^position \(5, 0\) out of range "
+                           r"for level \(1, 1\) block of shape \(1, 1\)$"):
+            hyper_inverse(haar, u)
+
+    def test_level_below_coarsest_keeps_its_message(self, haar_j2):
+        # The level-(3, 3) position is out of range too, in a later block.
+        u = make_hyper({((3, 3), (9, 0)): 1.0, ((2, 1), (0, 0)): 2.0}, 2, 3)
+        for fn in (hyper_inverse, iso_from_hyper):
+            with pytest.raises(DimensionMismatch, match=r"^index level below coarsest level 2$"):
+                fn(haar_j2, u)
+
+    @pytest.mark.parametrize("level", [-1, -2, -2 ** 63])
+    def test_negative_level_has_no_block(self, haar, level):
+        # Read as a digit of the block code, -2 would alias level (2, 3).
+        u = make_hyper({((3, level), (0, 0)): 1.0}, 2, 3)
+        with pytest.raises(DimensionMismatch, match=r"^index level below coarsest level 0$"):
+            hyper_inverse(haar, u)
+        v = make_iso({(level, (0, 1), (0, 0)): 1.0}, 2, 3)
+        with pytest.raises(DimensionMismatch, match=rf"^no level-{level} block of type \(0, 1\)"):
+            iso_synthesize(haar, v)
+
+    @pytest.mark.parametrize("fn", [hyper_inverse, iso_from_hyper])
+    def test_range_error_comes_before_repeated_index(self, haar, fn):
+        u = make_hyper({((1, 1), (0, 0)): 1.0, ((0, 2), (0, 9)): 2.0}, 2, 2)
+        u = replace(u, levels=u.levels[[0, 1, 0]], positions=u.positions[[0, 1, 0]],
+                    values=np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DimensionMismatch, match=r"^position \(0, 9\) out of range "
+                           r"for level \(0, 2\) block of shape \(1, 2\)$"):
+            fn(haar, u)
+        with pytest.raises(DimensionMismatch, match="^duplicate coefficient indices$"):
+            fn(haar, replace(u, positions=np.zeros((3, 2), dtype=np.int64)))
 
 
 def reference_sort_keys(cv):
@@ -1317,33 +1371,6 @@ class TestTransformNormsOfSharedDual:
         spec = request.getfixturevalue(name)
         got = check_transform_norms(spec, p, 8, trials=5, seed=3).rows
         assert list(got) == reference_check_transform_norms(spec, p, 8, trials=5, seed=3)
-
-
-def lifted_haar_quad(rng, j):
-    """Level-j Haar masks lifted as in Sweldens, "The lifting scheme" (1996):
-    M1' = M1 + M0 K and Mt0' = Mt0 - Mt1 K^T for a random tridiagonal K.
-    K[3, 3] = -1 cancels the Haar entry (6, 3) of M1', so that mask has a
-    gap in a diagonal besides the ragged runs at both ends."""
-    m0, m1, mt0, mt1 = (b.to_dense() for b in make_haar_basis(0).masks(j))
-    n = m0.shape[1]
-    k = sum(np.diag(rng.uniform(-0.5, 0.5, n - abs(o)), o) for o in (-1, 0, 1))
-    if n > 3:
-        k[3, 3] = -1.0
-    return MaskQuad(*(BandMatrix.from_dense(a) for a in (m0, m1 + m0 @ k, mt0 - mt1 @ k.T, mt1)))
-
-
-def lifted_spec():
-    """A biorthogonal basis that is not orthonormal: lifted Haar masks on
-    levels 1-8, so its dual masks differ from its primal ones."""
-    rng = np.random.default_rng(7)
-    return make_mask_basis({j: lifted_haar_quad(rng, j) for j in range(1, 9)},
-                           d=1, d_tilde=1, gamma=0.5, gamma_tilde=0.5, alpha=64.0, j0=0,
-                           name="lifted")
-
-
-@pytest.fixture(scope="module")
-def lifted():
-    return lifted_spec()
 
 
 def masks_of(request, name):

@@ -437,7 +437,8 @@ class TestCoeffFiles:
 
 class TestRepeatedIndices:
     """A repeated index would be summed by the norms but kept only once by
-    the scatters into dense grids; the scatters reject it."""
+    the scatters into dense grids; the scatters reject it, after their
+    range check, through ``tables._index_order``."""
 
     def test_hyperbolic_scatter_rejects_repeats(self, haar):
         u = CoeffVector("hyperbolic", 2, 2.0, 2, "haar", np.array([[1, 1], [0, 2], [1, 1]]),
@@ -524,6 +525,27 @@ class TestConstructionBoundary:
         # The caller's arrays stay writable, and the vector views them.
         values[0] = 4.0
         assert levels.flags.writeable and v.values[0] == 4.0
+
+    @pytest.mark.parametrize("name, a", [
+        ("positions", np.array([[0.5, 0]])),  # hyper_inverse would truncate it to 0
+        ("levels", np.array([[1.0, 1.0]])),
+        ("positions", np.array([[2 ** 63, 0]], dtype=object)),
+        ("positions", np.array([[2 ** 63, 0]], dtype=np.uint64)),  # int64 would wrap it
+    ], ids=["fractional-position", "float-levels", "object-2-63", "uint64-2-63"])
+    def test_index_array_not_int64_rejected(self, haar, name, a):
+        fields = {"levels": np.array([[1, 1]]), "positions": np.array([[0, 0]]), name: a}
+        with pytest.raises(DimensionMismatch, match=rf"^{name} of dtype {a.dtype}, expected "
+                           r"int64 values$"):
+            CoeffVector("hyperbolic", 2, 2.0, 3, "haar", fields["levels"],
+                        fields["positions"], np.array([1.0]))
+
+    def test_index_arrays_stored_as_int64(self):
+        levels, positions = np.array([2, 1]), np.array([[1, 0], [0, 0]], dtype=np.uint8)
+        v = CoeffVector("isotropic", 2, 2.0, 3, "haar", levels, positions, np.ones(2),
+                        etypes=np.array([[0, 1], [1, 1]]))
+        assert v.levels.dtype == v.positions.dtype == np.int64
+        assert np.shares_memory(v.levels, levels)  # no copy of int64 input
+        assert v.positions.tolist() == positions.tolist()
 
     def test_derived_vectors_are_read_only(self, haar, tmp_path):
         u = random_hyper(haar, np.random.default_rng(2), 2, 3)

@@ -1,16 +1,17 @@
 """A vector the library makes from a grid and its twin built from index
 columns in another entry order give the same results, bit for bit.
 
-Hypothesis draws the system, n in 1..3, a small truncation m, one of three
+Hypothesis draws the system, n in 1..3, a small truncation m, one of four
 bases, a density with whole blocks left empty, and grid cells that hold
 +-0.0, +-inf and NaN.  The kept vector (it keeps its grid) is compared with
 two twins made by ``CoeffVector.from_index_columns``: one in a random
 entry order, for the results that do not depend on it (the coefficient
-file, the canonical order, the N-term errors and support), and one whose
-blocks are interleaved at random, each block's entries kept in their
-order, for the block norms and Jackson/Bernstein, whose sums add a
-block's entries in entry order.  NaN equals NaN; every other value must
-have the same bits.
+file, the canonical order, the N-term errors and support, and every map
+that scatters the twin into a grid through the block table while the kept
+vector copies its grid), and one whose blocks are interleaved at random,
+each block's entries kept in their order, for the block norms and
+Jackson/Bernstein, whose sums add a block's entries in entry order.  NaN
+equals NaN; every other value must have the same bits.
 """
 
 import numpy as np
@@ -25,15 +26,21 @@ from hyperwave import (
     NormParams,
     besov_hybrid_norm,
     besov_iso_norm,
+    check_embedding_chain,
     error_curve,
+    hyper_from_iso,
+    hyper_inverse,
+    iso_from_hyper,
+    iso_synthesize,
     jackson_bernstein_ratios,
     make_haar_basis,
     make_mask_basis,
+    rescale,
     save_coeffs,
 )
 from hyperwave.seqnorms import _hybrid_block_norms, _iso_level_norms
-from hyperwave.tensorbasis import _blocks, _from_multiscale_array
-from conftest import scaled_haar_masks
+from hyperwave.tensorbasis import _blocks, _from_multiscale_array, _to_multiscale_array
+from conftest import lifted_spec, scaled_haar_masks
 
 TWINS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 SPECS = {
@@ -41,13 +48,14 @@ SPECS = {
     "haar_j2": make_haar_basis(2),
     "scaled": make_mask_basis(scaled_haar_masks(0, 10), d=1, d_tilde=1, gamma=0.5,
                               gamma_tilde=0.5, alpha=64.0, j0=0, name="scaledhaar"),
+    "lifted": lifted_spec(),
 }
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
 
 
 @st.composite
 def kept_vectors(draw):
-    """A vector made from a drawn multiscale grid, which it keeps."""
+    """A basis and a vector made from a drawn multiscale grid, which it keeps."""
     spec = SPECS[draw(st.sampled_from(sorted(SPECS)))]
     # Listed largest first: generation leans towards the first choice.
     n = draw(st.sampled_from([2, 3, 1]))
@@ -62,7 +70,7 @@ def kept_vectors(draw):
             block[...] = 0.0
     special = rng.random(grid.shape) < 0.1
     grid[special] = rng.choice(SPECIAL, np.count_nonzero(special))
-    return _from_multiscale_array(spec, grid, n, m, system), rng
+    return spec, _from_multiscale_array(spec, grid, n, m, system), rng
 
 
 def rebuilt(x, rows):
@@ -112,6 +120,19 @@ def assert_same(got, want):
     assert got == want
 
 
+def scattered(spec, x, rows):
+    """The results of the maps that scatter ``x`` into a grid, a vector as
+    its index columns and values, then its values rescaled to p = 1 and
+    p = inf, taken in the order ``rows``."""
+    if x.system == HYPERBOLIC:
+        maps = hyper_inverse, iso_from_hyper, lambda *a: check_embedding_chain(*a, 0.0, 0.25)
+    else:
+        maps = iso_synthesize, hyper_from_iso
+    got = [outcome(lambda: f(spec, x)) for f in (_to_multiscale_array, *maps)]
+    got = [(y.index_columns(), y.values) if isinstance(y, CoeffVector) else y for y in got]
+    return got + [rescale(x, p).values[rows] for p in (1.0, np.inf)]
+
+
 def block_norms(x, p):
     """The block levels and inner norms of ``x``, and one norm of its system."""
     if x.system == HYPERBOLIC:
@@ -123,9 +144,11 @@ def block_norms(x, p):
 @TWINS
 @given(kept_vectors())
 def test_kept_vector_and_twins_agree(tmp_path_factory, drawn):
-    kept, rng = drawn
+    spec, kept, rng = drawn
     total = kept.num_entries
-    shuffled = rebuilt(kept, rng.permutation(total))
+    perm = rng.permutation(total)
+    shuffled = rebuilt(kept, perm)
+    assert_same(scattered(spec, shuffled, slice(None)), scattered(spec, kept, perm))
     groups = kept.levels if kept.system == ISOTROPIC else \
         np.unique(kept.levels, axis=0, return_inverse=True)[1].reshape(-1)
     by_blocks = rebuilt(kept, interleaved(rng, groups))
