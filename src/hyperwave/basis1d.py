@@ -69,6 +69,9 @@ class MaskQuad(NamedTuple):
 class BasisSpec:
     """Validated univariate biorthogonal multiscale basis.
 
+    One size table, ``_delta``, gives every dimension: |Nabla_j| is
+    |Delta_j| - |Delta_{j-1}| above j0, the split ``_validate_quad`` checks.
+
     Attributes
     ----------
     name : str
@@ -99,7 +102,6 @@ class BasisSpec:
     bandwidth: int
     _masks: Callable[[int], MaskQuad] = field(repr=False)
     _delta: Callable[[int], int] = field(repr=False)
-    _nabla: Callable[[int], int] = field(repr=False)
     # (T_m, Tdual_m) by m, filled once each by transform1d.build_transform;
     # not an init field, so dataclasses.replace starts an empty one.
     _transforms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -121,12 +123,10 @@ class BasisSpec:
         return self._delta(j)
 
     def nabla_size(self, j: int) -> int:
-        """|Nabla_j|; at j0 this aliases |Delta_j0|."""
-        if j < self.j0:
-            raise LevelTooCoarse(f"level {j} below coarsest level {self.j0}")
+        """|Nabla_j| = |Delta_j| - |Delta_{j-1}|; at j0 this aliases |Delta_j0|."""
         if j == self.j0:
             return self._delta(self.j0)
-        return self._nabla(j)
+        return self.delta_size(j) - self._delta(j - 1)
 
     def block_slice(self, j: int) -> tuple[int, int]:
         """Index range of level-j coefficients in the multiscale ordering
@@ -186,7 +186,6 @@ def make_haar_basis(j0: int = 0, max_level: int = 32) -> BasisSpec:
         bandwidth=1,
         _masks=masks,
         _delta=lambda j: 2 ** j,
-        _nabla=lambda j: 2 ** (j - 1),
     )
 
 
@@ -255,7 +254,6 @@ def make_mask_basis(
             f"mask levels must be contiguous starting at j0+1={j0 + 1}, got {levels}"
         )
     delta = {j0: masks[levels[0]].m0.cols}
-    nabla = {}
     bandwidth = 0
     for j in levels:
         quad = masks[j]
@@ -266,7 +264,6 @@ def make_mask_basis(
             )
         _validate_quad(j, quad, tol)
         delta[j] = quad.m0.rows
-        nabla[j] = quad.m1.cols
         bandwidth = max(bandwidth, _mask_bandwidth(quad))
     if max_bandwidth is not None and bandwidth > max_bandwidth:
         raise MaskInconsistent(
@@ -285,7 +282,6 @@ def make_mask_basis(
         bandwidth=bandwidth,
         _masks=lambda j: frozen[j],
         _delta=lambda j: delta[j],
-        _nabla=lambda j: nabla[j],
     )
 
 

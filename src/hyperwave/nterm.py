@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientPoints, InvalidExponent
-from .seqnorms import NormParams, besov_hybrid_norm
+from .errors import InsufficientPoints, InvalidExponent, WrongSystem
 from .tables import _index_order
-from .tensorbasis import CoeffVector, rescale
+from .tensorbasis import HYPERBOLIC, CoeffVector, rescale
 
 __all__ = [
     "NTermResult",
@@ -76,8 +75,10 @@ class NTermResult:
 
 
 def _weights(u: CoeffVector, q: float) -> np.ndarray:
-    """H^q moduli 2^{q level_inf} |u|."""
-    return 2.0 ** (q * u.level_linf()) * np.abs(u.values)
+    """H^q moduli 2^{q |lambda|_inf} |u^{(2)}| of the L^2-normalized values,
+    whatever normalization ``u`` carries; :func:`rescale` returns an L^2
+    vector itself, with no copy.  Every N-term quantity reads them."""
+    return 2.0 ** (q * u.level_linf()) * np.abs(rescale(u, 2.0).values)
 
 
 def _greedy_order(u: CoeffVector, w: np.ndarray) -> np.ndarray:
@@ -150,32 +151,36 @@ def jackson_bernstein_ratios(u: CoeffVector, q: float, r: float) -> tuple[float,
     Both ratios come from one sort, in O(N log N): with p = tau the Besov
     norm of u_N is the tau-th root of a prefix sum of
     (2^{q |j|_inf + r |j|_1} |u^{(tau)}|)^tau in greedy order, and the H^q
-    quantity the square root of a prefix sum of (2^{q |j|_inf} |u^{(2)}|)^2.
+    quantity the square root of a prefix sum of a^2, for the weights
+    a = 2^{q |j|_inf} |u^{(2)}| of :func:`_weights`.  The last Besov prefix
+    sum is the Jackson denominator, the Besov norm of u.
 
-    Since 2^{r |j|_1} |u^{(tau)}| = |u^{(2)}|, that Besov norm is the
-    l^tau norm of a = 2^{q |j|_inf} |u^{(2)}|, the weights whose l^2 tail
+    Since 2^{r |j|_1} |u^{(tau)}| = |u^{(2)}|, that Besov norm is the l^tau
+    norm of a (``test_besov_norm_equals_ltau_of_weights``), whose l^2 tail
     is E_N.  For r >= 0 (tau <= 2) both ratios are therefore at most 1 on
     every vector: E_N <= N^{-r} |a|_tau by Stechkin's lemma (and
     E_0 = |a|_2 <= |a|_tau), and |u_N|_tau <= N^r |u_N|_2 by Hoelder's
     inequality, with equality at N = 1.  Up to rounding, a ratio above 1
     is a fault of this code, never of the basis.  An r of -1/2 or less,
-    which leaves no tau, raises InvalidExponent.
+    which leaves no tau, raises InvalidExponent, and isotropic
+    coefficients raise WrongSystem.
     """
     if not r + 0.5 > 0:
         raise InvalidExponent(f"r must be above -1/2 (1/tau = r + 1/2), got {r}")
+    if u.system != HYPERBOLIC:
+        raise WrongSystem("jackson_bernstein_ratios expects hyperbolic coefficients")
     tau = 1.0 / (r + 0.5)
-    denom = besov_hybrid_norm(u, NormParams(q=q, s=r, p=tau, tau=tau))
-    if denom == 0.0:
-        raise ZeroDivisionError("Jackson ratio undefined for the zero vector")
     w = _weights(u, q)
     order = _greedy_order(u, w)
-    n = np.arange(u.num_entries + 1)
-    jackson = float(np.max(np.maximum(n, 1) ** r * _tail_errors(w[order]) / denom))
+    a = w[order]
     linf, l1 = u.level_linf()[order], u.level_l1()[order]
     u_tau = np.abs(rescale(u, tau).values[order])
-    u_two = np.abs(rescale(u, 2.0).values[order])
     besov = np.cumsum((2.0 ** (q * linf + r * l1) * u_tau) ** tau) ** (1.0 / tau)
-    h_norm = np.sqrt(np.cumsum((2.0 ** (q * linf) * u_two) ** 2))
+    if not besov.size or besov[-1] == 0.0:
+        raise ZeroDivisionError("Jackson ratio undefined for the zero vector")
+    n = np.arange(u.num_entries + 1)
+    jackson = float(np.max(np.maximum(n, 1) ** r * _tail_errors(a) / besov[-1]))
+    h_norm = np.sqrt(np.cumsum(a ** 2))
     if not h_norm.all():
         raise ZeroDivisionError("Bernstein ratio undefined: truncation vanishes")
     return jackson, float(np.max(besov / (n[1:] ** r * h_norm)))

@@ -20,7 +20,6 @@ the order in which the grid's C order visits a block's cells.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,26 +99,16 @@ def _outer_norm(weighted: np.ndarray, tau: float) -> float:
 def _grouped_block_norms(u: CoeffVector, columns, p: float):
     """The (B, k) level vectors, in lexicographic order, of the blocks of
     ``u`` that hold entries, keyed by its level ``columns``, and the inner
-    l^p norm of its L^p-normalized values over each.
-
-    The blocks are coded by ``tables._row_code``.  When the code space is
-    no larger than the entry count, the codes are the bins themselves:
-    ``np.bincount`` adds each bin in input order, as it does over the
-    inverse of ``np.unique``, so the sums carry the same bits without a
-    sort.  A wider span, such as levels 0 and 2^40, would allocate one bin
-    per code, and keeps ``np.unique``.
+    l^p norm of its L^p-normalized values over each.  The blocks are coded
+    by ``tables._row_code`` and grouped by the inverse of ``np.unique``,
+    over which :func:`_block_norm` adds each block's terms in input order.
     """
     coded = _row_code(columns)
     if coded is None:
         raise DimensionMismatch(f"levels {u.levels.min()}..{u.levels.max()} span too many blocks")
     code, lo, base = coded
-    span, values = math.prod(base), rescale(u, p).values
-    if span <= code.size:
-        codes = np.flatnonzero(np.bincount(code, minlength=span))
-        inner = _block_norm(values, code, span, p)[codes]
-    else:
-        codes, group = np.unique(code, return_inverse=True)
-        inner = _block_norm(values, group, codes.size, p)
+    codes, group = np.unique(code, return_inverse=True)
+    inner = _block_norm(rescale(u, p).values, group, codes.size, p)
     return _level_blocks(codes, lo, base), inner
 
 

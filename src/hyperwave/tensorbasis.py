@@ -415,18 +415,20 @@ def _range_error(spec: BasisSpec, u: CoeffVector, rows: np.ndarray) -> str:
 
 def hyper_inverse(spec: BasisSpec, coeffs: CoeffVector) -> np.ndarray:
     """Exact inverse of :func:`hyper_forward` on the truncated index set."""
-    _require_l2(coeffs, HYPERBOLIC)
-    if coeffs.basis != spec.name:
-        raise DimensionMismatch(f"coefficients carry basis {coeffs.basis!r}, spec is {spec.name!r}")
+    _require_l2(spec, coeffs, HYPERBOLIC)
     arr = _to_multiscale_array(spec, coeffs)
     return _sweep(spec, arr, coeffs.n, coeffs.max_level, analysis=False)
 
 
-def _require_l2(cv: CoeffVector, system: str) -> None:
+def _require_l2(spec: BasisSpec, cv: CoeffVector, system: str) -> None:
+    """The input guard of every transform of ``cv`` by ``spec``: the
+    system, the L^2 normalization and the basis name must all match."""
     if cv.system != system:
         raise WrongSystem(f"expected {system} coefficients, got {cv.system}")
     if cv.p_norm != 2.0:
         raise InvalidExponent("transforms expect L2-normalized coefficients")
+    if cv.basis != spec.name:
+        raise DimensionMismatch(f"coefficients carry basis {cv.basis!r}, spec is {spec.name!r}")
 
 
 def _iso_block_slices(spec: BasisSpec, m: int, e: tuple[int, ...]) -> tuple[slice, ...]:
@@ -469,7 +471,7 @@ def iso_from_hyper(spec: BasisSpec, u: CoeffVector) -> CoeffVector:
     built when first read, are the nonzero cells of the blocks in file
     order (:func:`_blocks`), so it scatters and extracts nothing.
     """
-    _require_l2(u, HYPERBOLIC)
+    _require_l2(spec, u, HYPERBOLIC)
     arr = _sweep(spec, _to_multiscale_array(spec, u), u.n, u.max_level, analysis=False, full=False)
     return _from_multiscale_array(spec, arr, u.n, u.max_level, ISOTROPIC)
 
@@ -478,7 +480,7 @@ def hyper_from_iso(spec: BasisSpec, v: CoeffVector) -> CoeffVector:
     """Inverse change of basis: the analysis sweep, Tdual_{m-1}^T along the
     axes with e_i = 0 of each level-m block, in place on the grid of ``v``;
     the result keeps that grid."""
-    _require_l2(v, ISOTROPIC)
+    _require_l2(spec, v, ISOTROPIC)
     arr = _sweep(spec, _to_multiscale_array(spec, v), v.n, v.max_level, analysis=True, full=False)
     return _from_multiscale_array(spec, arr, v.n, v.max_level)
 
@@ -495,7 +497,7 @@ def iso_synthesize(spec: BasisSpec, v: CoeffVector) -> np.ndarray:
     function are the test references ``reference_iso_synthesize`` (per block)
     and ``reference_levelwise_iso_synthesize`` (CSR products).
     """
-    _require_l2(v, ISOTROPIC)
+    _require_l2(spec, v, ISOTROPIC)
     grid = _to_multiscale_array(spec, v)
     for m in range(spec.j0 + 1, v.max_level + 1):
         lo, hi = spec.block_slice(m)

@@ -29,13 +29,7 @@ import numpy as np
 
 from .bandmatrix import BandMatrix
 from .basis1d import BasisSpec
-from .errors import (
-    ExponentOutOfRange,
-    HyperwaveError,
-    InvalidExponent,
-    SizeTooLarge,
-    WrongSystem,
-)
+from .errors import ExponentOutOfRange, HyperwaveError, InvalidExponent, SizeTooLarge
 from .seqnorms import (
     _HybridBins,
     _hybrid_weights,
@@ -92,8 +86,6 @@ def matrix_p_norm_bound(a: BandMatrix, p: float) -> float:
 
 
 def _vec_p_norm(x: np.ndarray, p: float) -> float:
-    if np.isinf(p):
-        return float(np.abs(x).max()) if x.size else 0.0
     return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
 
 
@@ -284,11 +276,10 @@ def check_embedding_chain(
     Both are expected uniformly bounded over the truncation level.  The
     hybrid norm adds the terms of each block in index order, as
     ``besov_hybrid_norm`` does for entries in file order, the one order of
-    every vector the library makes.
+    every vector the library makes.  The transforms' guard ``_require_l2``
+    checks the system, normalization and basis name of ``u``.
     """
-    if u.system != HYPERBOLIC:
-        raise WrongSystem("embedding check expects hyperbolic coefficients")
-    _require_l2(u, HYPERBOLIC)
+    _require_l2(spec, u, HYPERBOLIC)
     grid = _to_multiscale_array(spec, u)[None]
     present = None  # a vector made from a grid holds its nonzero cells
     if _kept_grid(u) is None:

@@ -91,6 +91,13 @@ class TestLevelRange:
             with pytest.raises(DimensionMismatch, match=f"level {j} beyond max_level 32"):
                 haar.delta_size(j)
 
+    def test_nabla_size_above_max_level_rejected(self, haar, scaled):
+        for spec in (haar, scaled):
+            top = spec.max_level
+            assert spec.nabla_size(top) == spec.delta_size(top) - spec.delta_size(top - 1)
+            with pytest.raises(DimensionMismatch, match=f"level {top + 1} beyond max_level"):
+                spec.nabla_size(top + 1)
+
 
 class TestMakeMaskBasis:
     def test_haar_masks_reproduce_builtin(self, haar):

@@ -10,6 +10,7 @@ from hyperwave import (
     InvalidExponent,
     NTermResult,
     NormParams,
+    WrongSystem,
     besov_hybrid_norm,
     best_nterm,
     error_curve,
@@ -17,6 +18,7 @@ from hyperwave import (
     hyper_forward,
     iso_from_hyper,
     jackson_bernstein_ratios,
+    rescale,
     sobolev_norm_hyper,
     weak_ltau,
 )
@@ -188,6 +190,28 @@ class TestLazySupport:
         assert len(res.support) == 2
 
 
+class TestNormalization:
+    """N-term quantities read the L^2-normalized values, whatever
+    normalization the vector carries."""
+
+    @pytest.mark.parametrize("p", [1.0, 0.7, np.inf])
+    def test_rescaled_vector_gives_same_results(self, haar, p):
+        rng = np.random.default_rng(12)
+        vectors = (hyper_forward(haar, 2, rng.standard_normal((16, 16))),
+                   random_sparse_hyper(haar, rng, 3, 4, 60))
+        for u in vectors:
+            x, grid = rescale(u, p), list(range(u.num_entries + 1))
+            for q in (0.0, 0.25):
+                want, got = error_curve(u, q, grid), error_curve(x, q, grid)
+                np.testing.assert_allclose(list(got.errors.values()),
+                                           list(want.errors.values()), rtol=1e-12, atol=0)
+                assert got.errors[0] == pytest.approx(sobolev_norm_hyper(u, q), rel=1e-12)
+                assert got.support == want.support  # the data hold no ties
+                for r in (0.5, 1.0):
+                    np.testing.assert_allclose(jackson_bernstein_ratios(x, q, r),
+                                               jackson_bernstein_ratios(u, q, r), rtol=1e-12)
+
+
 class TestFitRate:
     def test_exact_power_law(self):
         curve = NTermResult((), {n: float(n) ** -1.0 for n in (4, 8, 16, 32, 64)}, 0.0)
@@ -270,6 +294,15 @@ class TestJacksonBernstein:
         u = make_hyper({((1, 1), (0, 0)): 1.0}, 2, 2).with_values(np.array([0.0]))
         with pytest.raises(ZeroDivisionError):
             jackson_bernstein_ratios(u, 0.0, 1.0)
+
+    def test_vector_without_entries_raises(self):
+        with pytest.raises(ZeroDivisionError, match="zero vector"):
+            jackson_bernstein_ratios(make_hyper({}, 2, 2), 0.0, 1.0)
+
+    def test_isotropic_vector_raises(self, haar):
+        v = iso_from_hyper(haar, make_hyper({((1, 1), (0, 0)): 1.0}, 2, 2))
+        with pytest.raises(WrongSystem, match="expects hyperbolic coefficients"):
+            jackson_bernstein_ratios(v, 0.0, 1.0)
 
     @pytest.mark.parametrize("r", [-0.5, -0.6, float("nan")])
     def test_r_without_tau_raises(self, r):

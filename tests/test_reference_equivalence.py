@@ -111,7 +111,7 @@ def reference_jackson_bernstein(u, q, r):
     if denom == 0.0:
         raise ZeroDivisionError("Jackson ratio undefined for the zero vector")
     total = u.num_entries
-    w = 2.0 ** (q * u.level_linf()) * np.abs(u.values)
+    w = 2.0 ** (q * u.level_linf()) * np.abs(rescale(u, 2.0).values)
     order = np.lexsort((*u.index_columns().T[::-1], -w))
     tail = _tail_errors(w[order])
     jackson = max(max(n, 1) ** r * float(tail[n]) / denom for n in range(total + 1))

@@ -460,6 +460,19 @@ class TestRepeatedIndices:
         assert hyper_from_iso(haar, distinct).num_entries > 0
 
 
+class TestBasisGuard:
+    def test_every_transform_checks_the_basis_name(self, haar, scaled):
+        u = random_hyper(haar, np.random.default_rng(4), 2, 3)
+        v = iso_from_hyper(haar, u)
+        calls = [(iso_from_hyper, u), (hyper_from_iso, v), (iso_synthesize, v),
+                 (lambda spec, x: check_embedding_chain(spec, x, 0.0, 0.25), u),
+                 (hyper_inverse, u)]
+        for fn, x in calls:
+            with pytest.raises(DimensionMismatch,
+                               match="^coefficients carry basis 'haar', spec is 'scaledhaar'$"):
+                fn(scaled, x)
+
+
 class TestCoeffVectorValidation:
     def test_unknown_system(self):
         with pytest.raises(WrongSystem):
