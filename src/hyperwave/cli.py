@@ -29,6 +29,8 @@ from .errors import HyperwaveError
 from .tables import fmt, header_fields, open_text, parse_ints, read_head, read_rows, write_table
 from .tensorbasis import (
     DIMENSIONS,
+    ISOTROPIC,
+    _range_check,
     hyper_forward,
     hyper_from_iso,
     hyper_inverse,
@@ -177,7 +179,7 @@ def cmd_transform(args) -> int:
         if not source:
             raise HyperwaveError("inverse transform needs --coeffs or --input")
         cv = _load_coeffs(source, spec)
-        if cv.system == "isotropic":
+        if cv.system == ISOTROPIC:
             cv = hyper_from_iso(spec, cv)
         save_array(hyper_inverse(spec, cv), args.out)
     return 0
@@ -188,6 +190,7 @@ def cmd_nterm(args) -> int:
         raise HyperwaveError(f"--r must be above -1/2 (1/tau = r + 1/2), got {args.r}")
     spec = _make_basis(args.basis)
     u = _load_coeffs(args.coeffs, spec)
+    _range_check(spec, u)  # every index in its block, as the inverse transform checks them
     tau = 1.0 / (args.r + 0.5)
     grid = _n_grid(args.nmin, args.nmax)
     curve = nterm.error_curve(u, args.q, grid)

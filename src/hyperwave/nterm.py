@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientPoints, InvalidExponent, WrongSystem
-from .tables import _index_order
+from .errors import HyperwaveError, InsufficientPoints, InvalidExponent, WrongSystem
+from .tables import _index_order, fmt
 from .tensorbasis import HYPERBOLIC, CoeffVector, rescale
 
 __all__ = [
@@ -163,24 +163,29 @@ def jackson_bernstein_ratios(u: CoeffVector, q: float, r: float) -> tuple[float,
     inequality, with equality at N = 1.  Up to rounding, a ratio above 1
     is a fault of this code, never of the basis.  An r of -1/2 or less,
     which leaves no tau, raises InvalidExponent, and isotropic
-    coefficients raise WrongSystem.
+    coefficients raise WrongSystem.  A Besov or H^q norm (the l^2 norm of
+    the weights) not finite in float64 raises HyperwaveError.
     """
     if not r + 0.5 > 0:
         raise InvalidExponent(f"r must be above -1/2 (1/tau = r + 1/2), got {r}")
     if u.system != HYPERBOLIC:
         raise WrongSystem("jackson_bernstein_ratios expects hyperbolic coefficients")
     tau = 1.0 / (r + 0.5)
-    w = _weights(u, q)
-    order = _greedy_order(u, w)
-    a = w[order]
-    linf, l1 = u.level_linf()[order], u.level_l1()[order]
-    u_tau = np.abs(rescale(u, tau).values[order])
-    besov = np.cumsum((2.0 ** (q * linf + r * l1) * u_tau) ** tau) ** (1.0 / tau)
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm not finite is raised below
+        w = _weights(u, q)
+        order = _greedy_order(u, w)
+        a = w[order]
+        linf, l1 = u.level_linf()[order], u.level_l1()[order]
+        u_tau = np.abs(rescale(u, tau).values[order])
+        besov = np.cumsum((2.0 ** (q * linf + r * l1) * u_tau) ** tau) ** (1.0 / tau)
+        h_norm = np.sqrt(np.cumsum(a ** 2))
     if not besov.size or besov[-1] == 0.0:
         raise ZeroDivisionError("Jackson ratio undefined for the zero vector")
+    if not (np.isfinite(besov[-1]) and np.isfinite(h_norm[-1])):
+        raise HyperwaveError(f"Jackson/Bernstein norms not finite in float64: "
+                             f"Besov {fmt(besov[-1])}, H^q {fmt(h_norm[-1])}")
     n = np.arange(u.num_entries + 1)
     jackson = float(np.max(np.maximum(n, 1) ** r * _tail_errors(a) / besov[-1]))
-    h_norm = np.sqrt(np.cumsum(a ** 2))
     if not h_norm.all():
         raise ZeroDivisionError("Bernstein ratio undefined: truncation vanishes")
     return jackson, float(np.max(besov / (n[1:] ** r * h_norm)))

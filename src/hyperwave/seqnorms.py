@@ -7,10 +7,10 @@ shifted-level convention.  The p = tau = 2 identities (hybrid Besov =
 Sobolev of hybrid regularity, isotropic Besov = isotropic Sobolev) hold
 bitwise because the specialized norms delegate to the general ones.
 
-Each vector keeps, per exponent p, the levels of its blocks that hold
-entries and their inner l^p norms, written on the first norm that reads
-them; every further (q, s, tau) costs O(blocks).  A vector that keeps its
-multiscale grid bins the grid's cells (:class:`_HybridBins`,
+One builder, :func:`_block_norms`, gives both systems their blocks that
+hold entries (level vectors j, levels m) and the inner l^p norms, kept on
+the vector per p; every further (q, s, tau) costs O(blocks).  A vector
+that keeps its grid bins the grid's cells (:class:`_HybridBins`,
 :class:`_IsoBins`, shared with the embedding check in ``verify``) and
 builds no index array.  The sums carry the bits of the entry sums because
 ``np.bincount`` adds each bin in input order and the grid's zero cells add
@@ -89,16 +89,14 @@ def _block_norm(values: np.ndarray, group: np.ndarray, n_groups: int, p: float) 
 
 
 def _outer_norm(weighted: np.ndarray, tau: float) -> float:
-    if weighted.size == 0:
-        return 0.0
     if np.isinf(tau):
-        return float(weighted.max())
+        return float(weighted.max(initial=0.0))
     return float(np.sum(weighted ** tau) ** (1.0 / tau))
 
 
 def _grouped_block_norms(u: CoeffVector, columns, p: float):
-    """The (B, k) level vectors, in lexicographic order, of the blocks of
-    ``u`` that hold entries, keyed by its level ``columns``, and the inner
+    """The (B, k) key columns, in lexicographic order, of the blocks of
+    ``u`` that hold entries, keyed by its k level ``columns``, and the inner
     l^p norm of its L^p-normalized values over each.  The blocks are coded
     by ``tables._row_code`` and grouped by the inverse of ``np.unique``,
     over which :func:`_block_norm` adds each block's terms in input order.
@@ -110,16 +108,6 @@ def _grouped_block_norms(u: CoeffVector, columns, p: float):
     codes, group = np.unique(code, return_inverse=True)
     inner = _block_norm(rescale(u, p).values, group, codes.size, p)
     return _level_blocks(codes, lo, base), inner
-
-
-def _stored_block_norms(v: CoeffVector, p: float, build):
-    """``build()``, the block levels and inner l^p norms of ``v``, made once
-    per exponent p and kept on ``v`` as read-only arrays.  Vectors derived
-    from ``v`` are new objects and start without them."""
-    stored = vars(v).setdefault("_block_norms", {})
-    if p not in stored:
-        stored.setdefault(p, _read_only(*build()))
-    return stored[p]
 
 
 class _HybridBins:
@@ -158,11 +146,13 @@ class _HybridBins:
 class _IsoBins:
     """The bins of the isotropic level sums over the cells of up to k
     stacked isotropic multiscale grids (swept by the change of basis), read
-    block by block in file order: per cell its level, offset by trial."""
+    block by block in file order: per cell its level, offset by trial; and
+    the levels, a (levels, 1) column like the hybrid level vectors."""
 
     def __init__(self, spec, n: int, m: int, p: float, k: int = 1):
         self.spec, self.n, self.m, self.p = spec, n, m, p
         levels = np.arange(spec.j0, m + 1)
+        self.blocks = levels[:, None]
         sizes = np.diff([0, *(spec.delta_size(j) ** n for j in levels.tolist())])
         level_of = np.repeat(np.arange(levels.size), sizes)
         self.codes = (level_of + levels.size * np.arange(k)[:, None]).ravel()
@@ -188,18 +178,22 @@ class _IsoBins:
         return inner.reshape(k, -1), present
 
 
-def _hybrid_block_norms(u: CoeffVector, p: float):
-    """The level vectors of the blocks that hold entries of hyperbolic
-    coefficients, (B, n) in lexicographic order, and the inner l^p norm of
-    the L^p-normalized values of each."""
-    kept = _kept_grid(u)
-    if kept is not None:
-        spec, grid = kept
-        bins = _HybridBins(spec, u.n, u.max_level, p)
-        inner, present = bins(grid[None])
-        codes = np.flatnonzero(present[0])
-        return bins.blocks[codes], inner[0, codes]
-    return _grouped_block_norms(u, u.levels.T, p)
+def _block_norms(u: CoeffVector, p: float):
+    """The (B, k) keys of the blocks of ``u`` that hold entries, ascending
+    (level vectors, or (B, 1) levels over all type blocks), and the inner
+    l^p norm of the L^p-normalized values over each; made once per p and
+    kept on ``u``, read-only (a vector derived from ``u`` starts without)."""
+    stored = vars(u).setdefault("_block_norms", {})
+    if p not in stored:
+        if (kept := _kept_grid(u)) is not None:
+            kind = _HybridBins if u.system == HYPERBOLIC else _IsoBins
+            bins = kind(kept[0], u.n, u.max_level, p)
+            inner, present = bins(kept[1][None])
+            norms = bins.blocks[present[0]], inner[0, present[0]]
+        else:
+            norms = _grouped_block_norms(u, np.atleast_2d(u.levels.T), p)
+        stored.setdefault(p, _read_only(*norms))
+    return stored[p]
 
 
 def besov_hybrid_norm(u: CoeffVector, params: NormParams) -> float:
@@ -211,9 +205,7 @@ def besov_hybrid_norm(u: CoeffVector, params: NormParams) -> float:
     """
     if u.system != HYPERBOLIC:
         raise WrongSystem("besov_hybrid_norm expects hyperbolic coefficients")
-    if u.num_entries == 0:
-        return 0.0
-    blocks, inner = _stored_block_norms(u, params.p, lambda: _hybrid_block_norms(u, params.p))
+    blocks, inner = _block_norms(u, params.p)
     return _outer_norm(_hybrid_weights(blocks, params.q, params.s) * inner, params.tau)
 
 
@@ -229,19 +221,6 @@ def _hybrid_weights(blocks: np.ndarray, q: float, s: float) -> np.ndarray:
     return 2.0 ** (q * blocks.max(axis=1) + s * blocks.sum(axis=1))
 
 
-def _iso_level_norms(v: CoeffVector, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """The levels present in isotropic coefficients, ascending, and the
-    l^p norm of the L^p-normalized values of each level over all its type
-    blocks."""
-    kept = _kept_grid(v)
-    if kept is not None:
-        spec, grid = kept
-        inner, present = _IsoBins(spec, v.n, v.max_level, p)(grid[None])
-        return np.arange(spec.j0, v.max_level + 1)[present[0]], inner[0, present[0]]
-    levels, inner = _grouped_block_norms(v, [v.levels], p)
-    return levels[:, 0], inner
-
-
 def besov_iso_norm(v: CoeffVector, alpha: float, p: float = 2.0, tau: float = 2.0) -> float:
     """Isotropic Besov sequence norm with regularity alpha.
 
@@ -252,13 +231,13 @@ def besov_iso_norm(v: CoeffVector, alpha: float, p: float = 2.0, tau: float = 2.
         raise WrongSystem("besov_iso_norm expects isotropic coefficients")
     if not (p > 0) or not (tau > 0):
         raise InvalidExponent("p and tau must lie in (0, inf]")
-    levels, inner = _stored_block_norms(v, p, lambda: _iso_level_norms(v, p))
-    return _outer_norm(_level_weights(levels, alpha) * inner, tau)
+    blocks, inner = _block_norms(v, p)
+    return _outer_norm(_level_weights(blocks, alpha) * inner, tau)
 
 
-def _level_weights(levels: np.ndarray, alpha: float) -> np.ndarray:
-    """The weight 2^{alpha m} of each isotropic level m."""
-    return 2.0 ** (alpha * levels)
+def _level_weights(blocks: np.ndarray, alpha: float) -> np.ndarray:
+    """The weight 2^{alpha m} of each isotropic level m of the (B, 1) ``blocks``."""
+    return 2.0 ** (alpha * blocks[:, 0])
 
 
 def gk_norm(u: CoeffVector, q: float, s: float) -> float:
@@ -282,7 +261,5 @@ def weak_ltau(values, tau: float) -> float:
         raise InvalidExponent(f"tau must be positive, got {tau}")
     a = np.sort(np.abs(np.asarray(values, dtype=np.float64)))[::-1]
     a = a[a > 0]
-    if a.size == 0:
-        return 0.0
     k = np.arange(1, a.size + 1, dtype=np.float64)
-    return float((k ** (1.0 / tau) * a).max())
+    return float((k ** (1.0 / tau) * a).max(initial=0.0))

@@ -338,41 +338,47 @@ def _kept_grid(v: CoeffVector):
     return vars(v).get("_kept")
 
 
+def _zeros(m: int, shape: tuple) -> np.ndarray:
+    """``np.zeros(shape)`` for a level-m grid, or SizeTooLarge if it cannot be allocated."""
+    try:
+        return np.zeros(shape)
+    except (ValueError, MemoryError):  # numpy: "array is too big" or failed allocation
+        raise SizeTooLarge(f"a level-{m} grid of shape {shape} is too large to allocate") from None
+
+
 def _to_multiscale_array(spec: BasisSpec, u: CoeffVector) -> np.ndarray:
     """The dense multiscale grid of either system, a new writable array.
 
     A vector that keeps the grid it was made from with this same ``spec``
     object gives a copy of that grid, bit-equal to the scatter of its
-    entries.  Every other vector is scattered, in both systems by the code
-    of its key columns: :func:`_block_table` gives each entry's block origin
-    and extent per axis (extent 0 for a key with no block), the cell is
-    origin + position, and the range check comes before the repeated-index
-    check of ``tables._index_order``, which needs no grid-sized mask."""
+    entries.  Every other vector is scattered at block origin + position,
+    after :func:`_range_check` and then the repeated-index check of
+    ``tables._index_order``, which needs no grid-sized mask."""
     kept = _kept_grid(u)
     if kept is not None and kept[0] is spec:
         return kept[1].copy()
-    n, mmax = u.n, u.max_level
-    shape = (spec.delta_size(mmax),) * n
-    try:
-        grid = np.zeros(shape)
-    except (ValueError, MemoryError):  # numpy: "array is too big" or failed allocation
-        raise SizeTooLarge(f"a level-{mmax} grid of shape {shape} is too large to "
-                           "allocate") from None
-    if not u.num_entries:
-        return grid
+    grid = _zeros(u.max_level, (spec.delta_size(u.max_level),) * u.n)
+    code, origin = _range_check(spec, u)
     columns = u._columns()
-    lo, base, origin, extent = _block_table(spec, n, mmax, u.system)
+    _index_order(columns, unique="coefficient indices")
+    grid[tuple(start[code] + k for start, k in zip(origin, columns[-u.n:]))] = u.values
+    return grid
+
+
+def _range_check(spec: BasisSpec, u: CoeffVector) -> tuple:
+    """(code, origin): each entry's key code in :func:`_block_table` and the
+    table's block origins per axis.  An entry outside its block, or with no
+    block, raises DimensionMismatch (:func:`_range_error`)."""
+    n, columns = u.n, u._columns()
+    lo, base, origin, extent = _block_table(spec, n, u.max_level, u.system)
     code = _index_code([np.maximum(c, -1) for c in columns[:-n]], lo, base)
-    bad, cells = np.zeros(code.size, dtype=bool), []
-    for k, start, width in zip(columns[-n:], origin, extent):
+    bad = np.zeros(code.size, dtype=bool)
+    for k, width in zip(columns[-n:], extent):
         # Unsigned, a negative position fails the bound.
         bad |= k.view(np.uint64) >= width[code].view(np.uint64)
-        cells.append(start[code] + k)
     if bad.any():
         raise DimensionMismatch(_range_error(spec, u, np.flatnonzero(bad)))
-    _index_order(columns, unique="coefficient indices")
-    grid[tuple(cells)] = u.values
-    return grid
+    return code, origin
 
 
 def _block_table(spec: BasisSpec, n: int, mmax: int, system: str) -> tuple:

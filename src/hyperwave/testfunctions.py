@@ -13,7 +13,7 @@ import numpy as np
 
 from .basis1d import make_haar_basis
 from .errors import UnknownKind, UnsupportedDimension
-from .tensorbasis import HYPERBOLIC, _blocks, _check_dimension
+from .tensorbasis import HYPERBOLIC, _blocks, _check_dimension, _zeros
 from .transform1d import _sweep
 
 __all__ = ["KINDS", "sample_function"]
@@ -51,22 +51,18 @@ def sample_function(kind: str, params: dict | None, n: int, m: int) -> np.ndarra
     if kind == "random_decay":
         return _random_decay(params, n, m)
 
-    x = _midpoints(m)
-    grids = np.meshgrid(*([x] * n), indexing="ij")
-    if kind == "smooth":
-        out = np.ones_like(grids[0])
-        for g in grids:
-            out = out * np.sin(np.pi * g)
-        return out
+    # Sparse axes broadcast into the one grid-size array, filled in place.
+    axes = np.meshgrid(*([_midpoints(m)] * n), indexing="ij", sparse=True)
+    out = _zeros(m, (2 ** m,) * n)
     beta = float(params.get("beta", 1.0))
     if kind == "point_kink":
-        x0 = params.get("x0", (0.5,) * n)
-        dist2 = sum((g - c) ** 2 for g, c in zip(grids, x0))
-        return dist2 ** (beta / 2.0)
-    # tensor_kink
-    out = np.ones_like(grids[0])
-    for g in grids:
-        out = out * np.abs(g - 0.5) ** beta
+        for g, c in zip(axes, params.get("x0", (0.5,) * n)):
+            out += (g - c) ** 2
+        out **= beta / 2.0
+        return out
+    out += 1.0
+    for g in axes:
+        out *= np.sin(np.pi * g) if kind == "smooth" else np.abs(g - 0.5) ** beta
     return out
 
 
@@ -76,7 +72,7 @@ def _random_decay(params: dict, n: int, m: int) -> np.ndarray:
     seed = int(params.get("seed", 0))
     rng = np.random.default_rng(seed)
     spec = make_haar_basis(0)
-    arr = np.zeros((2 ** m,) * n)
+    arr = _zeros(m, (2 ** m,) * n)
     # Fixed block order (file order, lexicographic level vectors) keeps
     # output bit-identical for a given seed.
     for (jvec,), block in _blocks(spec, arr, n, m, HYPERBOLIC):

@@ -297,11 +297,11 @@ def _embedding_ratios(spec, n, m, q, s, k=1):
     """The ratios of :func:`check_embedding_chain` at level m, as a function
     of k' <= k multiscale grids stacked in ``grids`` of shape
     (k', size, ..., size) that returns k' (lower, upper) pairs.  The bins
-    of both sides (``seqnorms._HybridBins`` and ``seqnorms._IsoBins``, the
-    binning the norms of a vector that keeps its grid use) are built here
-    once for every batch of the level.  The isotropic side sweeps the change
-    of basis in place on ``grids`` once the hybrid side has read them: the
-    call consumes ``grids``.
+    of both sides (``seqnorms._HybridBins`` and ``seqnorms._IsoBins``, as
+    ``seqnorms._block_norms`` bins a kept grid), whose ``blocks`` give the
+    weights, are built here once for every batch of the level.  The
+    isotropic side sweeps the change of basis in place on ``grids`` once
+    the hybrid side has read them: the call consumes ``grids``.
 
     A block or level enters a norm exactly when the sparse coefficients
     would hold an entry in it: a nonzero cell, or for the hybrid blocks the
@@ -326,11 +326,10 @@ def _embedding_ratios(spec, n, m, q, s, k=1):
             stacklevel=3,  # the caller of check_embedding_chain or of the suite
         )
     tau = 1.0 / (s + 0.5)
-    levels = np.arange(spec.j0, m + 1)
     hybrid_bins, iso_bins = _HybridBins(spec, n, m, tau, k), _IsoBins(spec, n, m, tau, k)
     with np.errstate(over="ignore", invalid="ignore"):
         hybrid_weights = _hybrid_weights(hybrid_bins.blocks, q, s)
-        iso_weights = [_level_weights(levels, alpha) for alpha in (q + s, q + n * s)]
+        iso_weights = [_level_weights(iso_bins.blocks, alpha) for alpha in (q + s, q + n * s)]
 
     @np.errstate(over="ignore", invalid="ignore")  # a norm that is not finite is raised below
     def ratios(grids, present=None) -> list[tuple[float, float]]:

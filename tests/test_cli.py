@@ -638,6 +638,50 @@ class TestLevelBeyondBasis:
         assert code == 3 and err == f"error: level {jmax} beyond max_level 32\n"
 
 
+    @pytest.mark.parametrize("jmax", [33, 40])
+    def test_nterm_of_too_deep_file_exits_3(self, tmp_path, capsys, jmax):
+        path = tmp_path / "u.coeffs"
+        path.write_text(f"hyperwave-coeffs v1 hyperbolic n=2 p=2 basis=haar jmax={jmax}\n"
+                        "1 1 0 0 1.5\n")
+        code, err = main_exit(["nterm", "--coeffs", path, "--nmin", 1, "--nmax", 4,
+                               "--out", tmp_path / "c.csv"], capsys)
+        # The range check names the first level of the file's range the basis lacks.
+        assert code == 3 and err == "error: level 33 beyond max_level 32\n"
+        assert not (tmp_path / "c.csv").exists()
+
+
+class TestNtermRangeCheck:
+    """nterm checks every index of its file against the basis, as the
+    inverse transform does: the same one-line error and exit 3."""
+
+    @pytest.mark.parametrize("system, prefix, column, token", [
+        ("hyperbolic", ("0", "3"), 3, "-1"),  # position in the level-(0, 3) block of width 4
+        ("hyperbolic", ("0", "3"), 3, "7"),
+        ("hyperbolic", ("0", "3"), 0, "-1"),  # level -1
+        ("isotropic", ("0",), 0, "-2"),  # isotropic level -2
+        ("isotropic", ("3",), 3, "99"),  # isotropic position 99
+    ], ids=["position-minus-1", "position-7", "level-minus-1", "iso-level-minus-2",
+            "iso-position-99"])
+    def test_edited_file_exits_3_as_inverse(self, haar, tmp_path, capsys, system, prefix,
+                                            column, token):
+        u = hyperwave.hyper_forward(haar, 2, np.random.default_rng(5).standard_normal((8, 8)))
+        path = tmp_path / "x.coeffs"
+        save_coeffs(u if system == "hyperbolic" else hyperwave.iso_from_hyper(haar, u), path)
+        lines = path.read_text().splitlines()
+        i = next(i for i, ln in enumerate(lines) if i and tuple(ln.split()[:len(prefix)]) == prefix)
+        row = lines[i].split()
+        row[column] = token
+        lines[i] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        inverse = main_exit(["transform", "--direction", "inverse", "--coeffs", path,
+                             "--out", tmp_path / "b.arr"], capsys)
+        nterm = main_exit(["nterm", "--coeffs", path, "--nmin", 2, "--nmax", 16,
+                           "--out", tmp_path / "c.csv"], capsys)
+        assert nterm == inverse and nterm[0] == 3
+        assert nterm[1].startswith("error: ") and len(nterm[1].splitlines()) == 1
+        assert not (tmp_path / "c.csv").exists()
+
+
 class TestBadGridWritesNothing:
     """The rate fit validates the N grid before any CSV row is written."""
 
@@ -888,6 +932,30 @@ class TestGridTooLarge:
         assert err == ("error: a level-32 grid of shape (4294967296, 4294967296) is too "
                        "large to allocate\n")
         assert not out.exists()
+
+
+class TestGeneratedGridTooLarge:
+    """A generated level-12 grid at n = 3 (512 GiB) ends in one error line
+    and exit 3.  The child's address space is capped at 3 GiB, so the
+    allocation fails on any host, and the grid is the one array of its size
+    that generation makes."""
+
+    @staticmethod
+    def cap_address_space_3g():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    @pytest.mark.parametrize("kind", ["smooth", "random_decay"])
+    @pytest.mark.parametrize("command, flag", [("transform", "--generate"),
+                                               ("compare", "--kind")])
+    def test_exits_3(self, tmp_path, command, flag, kind):
+        r = run_cli(command, flag, kind, "--n", 3, "--jmax", 12, "--out", tmp_path / "o",
+                    timeout=60, preexec_fn=self.cap_address_space_3g)
+        assert r.returncode == 3
+        assert r.stderr == ("error: a level-12 grid of shape (4096, 4096, 4096) is too "
+                            "large to allocate\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestMMaxBeyondBasis:

@@ -47,13 +47,16 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def commands(kind: str, path: Path, out: Path) -> list[str]:
+def commands(kind: str, path: Path, out: Path) -> list[list[str]]:
+    """The commands that read a file of this kind; a coefficient file goes
+    through the inverse transform and through nterm."""
     return {
-        "coeffs": ["transform", "--direction", "inverse", "--coeffs", path, "--out", out],
-        "array": ["transform", "--input", path, "--out", out],
-        "masks": ["transform", "--generate", "random_decay", "--jmax", 3,
-                  "--basis", f"maskfile={path}", "--out", out],
-        "config": ["transform", "--config", path, "--generate", "random_decay", "--out", out],
+        "coeffs": [["transform", "--direction", "inverse", "--coeffs", path, "--out", out],
+                   ["nterm", "--coeffs", path, "--nmin", 2, "--nmax", 16, "--out", out]],
+        "array": [["transform", "--input", path, "--out", out]],
+        "masks": [["transform", "--generate", "random_decay", "--jmax", 3,
+                   "--basis", f"maskfile={path}", "--out", out]],
+        "config": [["transform", "--config", path, "--generate", "random_decay", "--out", out]],
     }[kind]
 
 
@@ -151,16 +154,18 @@ def test_mutated_file_exits_2_or_3(seeds, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / source
         path.write_text(mutated)
-        code, err = run(commands(kind, path, Path(tmp) / "out"))
-    assert code in (2, 3), (kind, mutation, mutated, err)
-    assert "Traceback" not in err and "error: " in err.splitlines()[-1]
+        for argv in commands(kind, path, Path(tmp) / "out"):
+            code, err = run(argv)
+            assert code in (2, 3), (argv[0], kind, mutation, mutated, err)
+            assert "Traceback" not in err and "error: " in err.splitlines()[-1]
 
 
 @pytest.mark.parametrize("kind, source", [("coeffs", "u.coeffs"), ("coeffs", "v.coeffs"),
                                           ("array", "a.arr"), ("masks", "haar3.masks"),
                                           ("config", "c.cfg")])
 def test_unmutated_seeds_run(seeds, tmp_path, kind, source):
-    assert run(commands(kind, seeds / source, tmp_path / "out"))[0] == 0
+    for argv in commands(kind, seeds / source, tmp_path / "out"):
+        assert run(argv)[0] == 0, argv[0]
 
 
 FLAG_SEEDS = [

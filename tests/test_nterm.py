@@ -6,6 +6,7 @@ import pytest
 
 from hyperwave import (
     CoeffVector,
+    HyperwaveError,
     InsufficientPoints,
     InvalidExponent,
     NTermResult,
@@ -293,6 +294,19 @@ class TestJacksonBernstein:
     def test_zero_vector_raises(self):
         u = make_hyper({((1, 1), (0, 0)): 1.0}, 2, 2).with_values(np.array([0.0]))
         with pytest.raises(ZeroDivisionError):
+            jackson_bernstein_ratios(u, 0.0, 1.0)
+
+    @pytest.mark.parametrize("entries", [
+        {((0, 0), (0, 0)): 1e300, ((30, 30), (0, 0)): 1e300},
+        {((0, 0), (0, 0)): np.nan, ((1, 1), (0, 0)): 1.0},
+        {((0, 0), (0, 0)): np.inf, ((1, 1), (0, 0)): 1.0},
+    ], ids=["squares-overflow", "nan-entry", "inf-entry"])
+    def test_norm_not_finite_raises(self, entries):
+        # At 1e300 the squares of the H^q prefix sums overflow; a NaN or
+        # infinite entry makes both norms so.  No RuntimeWarning escapes.
+        u = make_hyper(entries, 2, 30)
+        with pytest.raises(HyperwaveError, match=r"^Jackson/Bernstein norms not finite in "
+                                                 r"float64: Besov \S+, H\^q (inf|nan)$"):
             jackson_bernstein_ratios(u, 0.0, 1.0)
 
     def test_vector_without_entries_raises(self):

@@ -190,6 +190,24 @@ class TestStoredBlockNorms:
                 assert len(levels) == len(inner) <= (25 if hyper else 5)
 
 
+class TestEmptyVectors:
+    """A vector with no entries takes the general path of every norm: no
+    block holds an entry, so each norm is 0.0, at tau = inf too."""
+
+    @pytest.mark.parametrize("p, tau", [(1.0, 1.0), (2.0, 2.0), (np.inf, np.inf), (0.5, np.inf)])
+    def test_norms_are_zero(self, haar, p, tau):
+        u = make_hyper({}, 2, 3)
+        kept = hyper_forward(haar, 2, np.zeros((8, 8)))
+        for x in (u, kept):
+            assert x.num_entries == 0
+            assert besov_hybrid_norm(x, NormParams(0.5, 0.25, p, tau)) == 0.0
+            assert besov_iso_norm(iso_from_hyper(haar, x), 0.5, p, tau) == 0.0
+        assert besov_iso_norm(from_index_arrays(iso_from_hyper(haar, u)), 0.5, p, tau) == 0.0
+
+    def test_weak_ltau_is_zero(self):
+        assert weak_ltau([], 1.0) == 0.0
+
+
 class TestWeakLtau:
     def test_harmonic_sequence(self):
         assert weak_ltau([1.0, 0.5, 1 / 3, 0.25], 1.0) == pytest.approx(1.0)

@@ -38,7 +38,7 @@ from hyperwave import (
     rescale,
     save_coeffs,
 )
-from hyperwave.seqnorms import _hybrid_block_norms, _iso_level_norms
+from hyperwave.seqnorms import _block_norms
 from hyperwave.tensorbasis import _blocks, _from_multiscale_array, _to_multiscale_array
 from conftest import lifted_spec, scaled_haar_masks
 
@@ -136,9 +136,9 @@ def scattered(spec, x, rows):
 def block_norms(x, p):
     """The block levels and inner norms of ``x``, and one norm of its system."""
     if x.system == HYPERBOLIC:
-        return (_hybrid_block_norms(x, p),
+        return (_block_norms(x, p),
                 besov_hybrid_norm(x, NormParams(q=0.5, s=0.25, p=p, tau=1.5)))
-    return _iso_level_norms(x, p), besov_iso_norm(x, 0.5, p=p, tau=1.5)
+    return _block_norms(x, p), besov_iso_norm(x, 0.5, p=p, tau=1.5)
 
 
 @TWINS
